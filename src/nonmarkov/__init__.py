@@ -46,7 +46,6 @@ from .dephasing import (
     DiscreteDephasingModel,
     PhaseFactors,
     QuadratureConfig,
-    apply_dephasing,
     beta,
     build_discrete_model,
     classical_char_factor,
@@ -56,7 +55,6 @@ from .dephasing import (
     entangled_char_factor,
     phase_factor_grid,
     phase_factors,
-    system_ancilla_trajectory,
     system_state,
     system_trajectory,
 )

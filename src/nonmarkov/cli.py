@@ -81,45 +81,56 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
-def parse_dephasing(cfg: dict) -> DephasingParams:
-    known = {
-        "omega_c", "r", "alpha1", "alpha2", "eps1", "eps2",
-        "t1s", "t1f", "t2s", "t2f", "env_kind", "u", "quad",
-    }
-    unknown = set(cfg) - known
+def _fields(cfg, types: dict, what: str, build=dict):
+    """``build(**fields)`` from the keys present in ``cfg``, each coerced through ``types``.
+
+    Keys outside ``types`` are rejected; absent keys keep ``build``'s defaults.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(cfg) - set(types)
     if unknown:
-        raise ConfigError(f"unknown dephasing keys {sorted(unknown)}")
-    quad_cfg = cfg.get("quad", {})
+        raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
     try:
-        quad = QuadratureConfig(
-            abscissas=int(quad_cfg.get("abscissas", 16)),
-            cutoff_mult=float(quad_cfg.get("cutoff_mult", 60.0)),
-            rel_tol=float(quad_cfg.get("rel_tol", 1e-8)),
-            max_doublings=int(quad_cfg.get("max_doublings", 8)),
-        )
-        return DephasingParams(
-            omega_c=float(_require(cfg, "omega_c")),
-            r=float(cfg.get("r", 0.0)),
-            alpha1=float(cfg.get("alpha1", 1.0)),
-            alpha2=float(cfg.get("alpha2", 1.0)),
-            eps1=float(cfg.get("eps1", 0.0)),
-            eps2=float(cfg.get("eps2", 0.0)),
-            t1s=float(cfg.get("t1s", 0.0)),
-            t1f=float(cfg.get("t1f", 2.5)),
-            t2s=float(cfg.get("t2s", 2.5)),
-            t2f=float(cfg.get("t2f", 5.0)),
-            env_kind=str(cfg.get("env_kind", "entangled")),
-            u=None if cfg.get("u") is None else float(cfg["u"]),
-            quad=quad,
-        )
+        return build(**{k: types[k](v) for k, v in cfg.items()})
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid dephasing parameters: {exc}") from exc
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+_QUAD_TYPES = {"abscissas": int, "cutoff_mult": float, "rel_tol": float, "max_doublings": int}
+_DEPHASING_TYPES = {
+    **dict.fromkeys(
+        ("omega_c", "r", "alpha1", "alpha2", "eps1", "eps2", "t1s", "t1f", "t2s", "t2f"), float
+    ),
+    "env_kind": str,
+    "u": lambda v: None if v is None else float(v),
+    "quad": lambda q: _fields(q, _QUAD_TYPES, "quad", QuadratureConfig),
+}
+_MODEL_TYPES = {"dephasing": dict, "discrete": dict, "grid": dict, "candidates": list,
+                "seed": int, "budget": int}
+_MODE_TYPES = {
+    "phase_factors": {"dephasing": dict, "grid": dict},
+    "cmi": _MODEL_TYPES,
+    "measures": _MODEL_TYPES,
+    "check": {"check": dict, "seed": int},
+}
+_CANDIDATE_TYPES = {
+    "ops_state": {},
+    "random": {"seed": int},
+    "flagged": {"amplitudes": list, "system_indices": list},
+    "tsio": {"state1": list, "state2": list},
+}
+
+
+def parse_dephasing(cfg: dict) -> DephasingParams:
+    return _fields(cfg, _DEPHASING_TYPES, "dephasing", DephasingParams)
 
 
 def parse_grid(cfg: dict) -> np.ndarray:
-    t0 = float(_require(cfg, "t_start"))
-    t1 = float(_require(cfg, "t_end"))
-    dt = float(_require(cfg, "dt"))
+    grid = _fields(cfg, dict.fromkeys(("t_start", "t_end", "dt"), float), "grid")
+    t0, t1, dt = (_require(grid, k) for k in ("t_start", "t_end", "dt"))
     if dt <= 0 or t1 < t0:
         raise ConfigError("grid needs dt > 0 and t_end >= t_start")
     n = int(round((t1 - t0) / dt))
@@ -136,31 +147,43 @@ def _complex_list(spec, length: int, what: str) -> np.ndarray:
     return arr
 
 
-_AS_PARTITION = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+_S_PARTITION = SystemPartition([("S1", 2), ("S2", 2)])
+_AS_PARTITION = SystemPartition([("A", 2)]).concat(_S_PARTITION)
 
 
 def parse_candidate(spec: dict, seed: int):
     """Returns ("as", DensityMatrix) or ("pair", (amps1, amps2))."""
     kind = _require(spec, "kind", str)
+    if kind not in _CANDIDATE_TYPES:
+        raise ConfigError(f"unknown candidate kind {kind!r}")
+    spec = _fields(spec, {"kind": str, **_CANDIDATE_TYPES[kind]}, f"{kind} candidate")
     if kind == "ops_state":
         return ("as", measures.ops_state())
     if kind == "random":
-        sub_seed = int(spec.get("seed", seed))
-        return ("as", random_pure_state(_AS_PARTITION, sub_seed))
+        return ("as", random_pure_state(_AS_PARTITION, spec.get("seed", seed)))
     if kind == "flagged":
         amps = _complex_list(_require(spec, "amplitudes"), len(spec["amplitudes"]), "amplitudes")
-        idx = [int(i) for i in _require(spec, "system_indices")]
-        sys_part = SystemPartition([("S1", 2), ("S2", 2)])
-        return ("as", measures.flagged_ancilla_state(amps, idx, sys_part))
-    if kind == "tsio":
-        a1 = _complex_list(_require(spec, "state1"), 4, "state1")
-        a2 = _complex_list(_require(spec, "state2"), 4, "state2")
-        for a in (a1, a2):
-            n = np.linalg.norm(a)
-            if abs(n - 1.0) > 1e-9:
-                raise ConfigError("tsio states must be normalized amplitude vectors")
-        return ("pair", (a1 / np.linalg.norm(a1), a2 / np.linalg.norm(a2)))
-    raise ConfigError(f"unknown candidate kind {kind!r}")
+        idx = _require(spec, "system_indices")
+        try:
+            return ("as", measures.flagged_ancilla_state(amps, [int(i) for i in idx], _S_PARTITION))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid flagged candidate: {exc}") from exc
+    a1 = _complex_list(_require(spec, "state1"), 4, "state1")
+    a2 = _complex_list(_require(spec, "state2"), 4, "state2")
+    for a in (a1, a2):
+        n = np.linalg.norm(a)
+        if abs(n - 1.0) > 1e-9:
+            raise ConfigError("tsio states must be normalized amplitude vectors")
+    return ("pair", (a1 / np.linalg.norm(a1), a2 / np.linalg.norm(a2)))
+
+
+def _candidates(cfg: dict) -> tuple[list, list]:
+    """The system-ancilla states and the system-state pairs among the candidates."""
+    as_cands, pair_cands = [], []
+    for spec in cfg.get("candidates", [{"kind": "ops_state"}]):
+        kind, val = parse_candidate(spec, cfg.get("seed", 0))
+        (as_cands if kind == "as" else pair_cands).append(val)
+    return as_cands, pair_cands
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +203,24 @@ def _run_phase_factors(cfg: dict) -> str:
 
 def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
     params = parse_dephasing(_require(cfg, "dephasing", dict))
-    disc = _require(cfg, "discrete", dict)
+    disc = _fields(_require(cfg, "discrete", dict), {"n_modes": int, "n_max": int}, "discrete")
     return dephasing.build_discrete_model(
-        params, int(_require(disc, "n_modes")), int(_require(disc, "n_max"))
+        params, _require(disc, "n_modes"), _require(disc, "n_max")
     )
 
 
-def _as_candidates(cfg: dict, seed: int) -> list:
-    specs = cfg.get("candidates", [{"kind": "ops_state"}])
-    out = []
-    for spec in specs:
-        kind, val = parse_candidate(spec, seed)
-        if kind == "as":
-            out.append(val)
-    return out
+def _branch_computer(model, cand, cfg: dict) -> dephasing.BranchComputer:
+    budget = {"budget": cfg["budget"]} if "budget" in cfg else {}
+    return dephasing.BranchComputer(model, cand, **budget)
 
 
 def _run_cmi(cfg: dict) -> str:
     model = _build_model(cfg)
     times = parse_grid(_require(cfg, "grid", dict))
-    cands = _as_candidates(cfg, int(cfg.get("seed", 0)))
+    cands = _candidates(cfg)[0]
     if not cands:
         raise ConfigError("cmi mode needs at least one system-ancilla candidate")
-    comp = dephasing.BranchComputer(model, cands[0], budget=int(cfg.get("budget", 4096)))
+    comp = _branch_computer(model, cands[0], cfg)
     series = comp.trajectories(times, env_parts=("E1", "E2", "E1E2"), with_mi=False)
     lines = ["t,I_A_E1_S,I_A_E2_S,I_A_E1E2_S,env_kind"]
     for i, t in enumerate(times):
@@ -212,79 +230,58 @@ def _run_cmi(cfg: dict) -> str:
 
 
 def _run_measures(cfg: dict) -> str:
-    seed = int(cfg.get("seed", 0))
     params = parse_dephasing(_require(cfg, "dephasing", dict))
     times = parse_grid(_require(cfg, "grid", dict))
-    specs = cfg.get("candidates", [{"kind": "ops_state"}])
-    as_cands = []
-    pair_cands = []
-    for spec in specs:
-        kind, val = parse_candidate(spec, seed)
-        (as_cands if kind == "as" else pair_cands).append(val)
+    as_cands, pair_cands = _candidates(cfg)
     if not pair_cands:
         # default optimal-style orthogonal pair with maximal S1-S2 coherence
         plus = np.array([0, 1, 1, 0]) / math.sqrt(2.0)
         minus = np.array([0, 1, -1, 0]) / math.sqrt(2.0)
         pair_cands = [(plus, minus)]
 
-    rows: list[tuple[str, float, int, int]] = []
-
     # distance measures over dephasing-channel pair trajectories
-    sys_part = SystemPartition([("S1", 2), ("S2", 2)])
-    pair_trajs = []
-    for a1, a2 in pair_cands:
-        t1 = dephasing.system_trajectory(params, _pure_system(a1, sys_part), times)
-        t2 = dephasing.system_trajectory(params, _pure_system(a2, sys_part), times)
-        pair_trajs.append((t1, t2))
-    for dist in ("trace", "telescopic"):
-        res = measures.measure_distance_blp(pair_trajs, distance=dist)
-        rows.append((res.measure_name, res.value, res.best_candidate_index,
-                     int(np.count_nonzero(res.increments.values))))
+    pair_trajs = [
+        tuple(dephasing.system_trajectory(params, pure_state(a, _S_PARTITION), times) for a in pair)
+        for pair in pair_cands
+    ]
+    results = [
+        measures.measure_distance_blp(pair_trajs, distance=d) for d in ("trace", "telescopic")
+    ]
 
     # information measures over discrete-model candidates
     if as_cands:
         model = _build_model(cfg)
-        budget = int(cfg.get("budget", 4096))
 
         def one(cand):
-            comp = dephasing.BranchComputer(model, cand, budget=budget)
-            series = comp.trajectories(times, env_parts=("E1E2",), with_mi=True)
-            return series
+            comp = _branch_computer(model, cand, cfg)
+            return comp.trajectories(times, env_parts=("E1E2",), with_mi=True)
 
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             all_series = list(pool.map(one, as_cands))
-        lfs = [positive_increment_integral(s["mi_sa"]) for s in all_series]
-        n1 = [negative_decrement_integral(s["E1E2"]) for s in all_series]
-        i_lfs = int(np.argmax([v for v, _ in lfs]))
-        i_n1 = int(np.argmax([v for v, _ in n1]))
-        rows.append(("LFS", lfs[i_lfs][0], i_lfs, int(np.count_nonzero(lfs[i_lfs][1].values))))
-        rows.append(("N1", n1[i_n1][0], i_n1, int(np.count_nonzero(n1[i_n1][1].values))))
-        if cfg.get("include_n2", False):
-            # product primed ancilla: conditioning is idle and N2 reduces to N1
-            rows.append(("N2", n1[i_n1][0], i_n1, int(np.count_nonzero(n1[i_n1][1].values))))
+        results.append(measures.best_candidate(
+            "LFS", [positive_increment_integral(s["mi_sa"]) for s in all_series]))
+        results.append(measures.best_candidate(
+            "N1", [negative_decrement_integral(s["E1E2"]) for s in all_series]))
 
     lines = ["measure,value,best_candidate,increment_count"]
-    for name, value, best, count in rows:
-        lines.append(f"{name},{_fmt(value)},{best},{count}")
+    for r in results:
+        count = int(np.count_nonzero(r.increments.values))
+        lines.append(f"{r.measure_name},{_fmt(r.value)},{r.best_candidate_index},{count}")
     return "\n".join(lines) + "\n"
 
 
-def _pure_system(amps: np.ndarray, part: SystemPartition):
-    return pure_state(amps, part)
-
-
 def _run_check(cfg: dict) -> tuple[str, bool]:
-    seed = int(cfg.get("seed", 0))
-    samples = int(cfg.get("check", {}).get("samples", 100))
+    seed = cfg.get("seed", 0)
+    samples = _fields(cfg.get("check", {}), {"samples": int}, "check").get("samples", 100)
+    if samples < 1:
+        raise ConfigError("check samples must be >= 1")
     reports = [
         oracle.identity_suite(seed, samples),
         oracle.special_function_suite(seed),
     ]
     # small fixed dephasing cross-check, both environment kinds
     for kind in ("entangled", "classical"):
-        params = DephasingParams(
-            omega_c=0.25, r=0.5, env_kind=kind, t1s=0.0, t1f=2.5, t2s=2.5, t2f=5.0
-        )
+        params = DephasingParams(omega_c=0.25, r=0.5, env_kind=kind)
         model = dephasing.build_discrete_model(params, n_modes=1, n_max=6)
         reports.append(
             oracle.dense_dephasing_check(model, measures.ops_state(), [0.0, 1.5, 3.0, 5.0])
@@ -297,40 +294,40 @@ def _run_check(cfg: dict) -> tuple[str, bool]:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n", payload["all_passed"]
 
 
-def run(config_path: str) -> int:
-    """Execute one experiment config; returns the process exit code."""
-    try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+_RUNNERS = {"phase_factors": _run_phase_factors, "cmi": _run_cmi, "measures": _run_measures}
+
+
+def execute(cfg: dict) -> int:
+    """Execute one parsed experiment config; returns the process exit code."""
     try:
         mode = _require(cfg, "mode", str)
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         output_path = _require(cfg, "output_path", str)
-        if mode == "phase_factors":
-            text = _run_phase_factors(cfg)
-        elif mode == "cmi":
-            text = _run_cmi(cfg)
-        elif mode == "measures":
-            text = _run_measures(cfg)
-        else:
-            text, ok = _run_check(cfg)
-            _atomic_write(output_path, text)
-            if not ok:
-                print("error: check suite reported failures", file=sys.stderr)
-                return EXIT_CHECK_FAILED
-            return EXIT_OK
+        cfg = _fields(cfg, {"mode": str, "output_path": str, **_MODE_TYPES[mode]}, "config")
+        text, ok = _run_check(cfg) if mode == "check" else (_RUNNERS[mode](cfg), True)
         _atomic_write(output_path, text)
-        return EXIT_OK
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureConvergenceError, TruncationError, BudgetError) as exc:
         print(f"error: numerical convergence failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if not ok:
+        print("error: check suite reported failures", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
+
+
+def run(config_path: str) -> int:
+    """Execute one experiment config file; returns the process exit code."""
+    try:
+        with open(config_path) as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return execute(cfg)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -348,20 +345,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config)
-    cfg = {
+    rc = execute({
         "mode": "check",
         "seed": args.seed,
         "check": {"samples": args.samples},
         "output_path": args.output,
-    }
-    try:
-        text, ok = _run_check(cfg)
-    except (QuadratureConvergenceError, TruncationError, BudgetError) as exc:
-        print(f"error: numerical convergence failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    _atomic_write(args.output, text)
-    print(("all checks passed" if ok else "CHECK FAILURES"), "->", args.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    })
+    if rc in (EXIT_OK, EXIT_CHECK_FAILED):
+        print(("all checks passed" if rc == EXIT_OK else "CHECK FAILURES"), "->", args.output)
+    return rc
 
 
 if __name__ == "__main__":

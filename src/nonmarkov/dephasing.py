@@ -34,7 +34,7 @@ from scipy.special import i0e
 
 from . import info
 from .measures import ScalarSeries, StateTrajectory
-from .states import DensityMatrix, SystemPartition, clamp_spectrum, partial_trace
+from .states import DensityMatrix, SystemPartition, partial_trace, pure_state, spectrum_entropy
 
 ENV_KINDS = ("entangled", "classical")
 ENV_PARTS = ("E1", "E2", "E1E2")
@@ -163,19 +163,6 @@ def log_bessel_i0(z: np.ndarray | float) -> np.ndarray | float:
     return z + np.log(i0e(z))
 
 
-def _classical_log_char(g1abs, g2abs, u: float):
-    """Log magnitude of the Fock-diagonal pair-state characteristic function.
-
-    (1-u^2) sum_n u^{2n} <n|D(g1)|n><n|D(g2)|n>
-        = exp(-(1+u^2)/(1-u^2) (x+y)/2) I0(2u sqrt(xy)/(1-u^2)),  x=g1^2, y=g2^2.
-    """
-    x = np.asarray(g1abs, dtype=float) ** 2
-    y = np.asarray(g2abs, dtype=float) ** 2
-    c = (1.0 + u * u) / (1.0 - u * u)
-    s = 2.0 * u / (1.0 - u * u)
-    return -0.5 * c * (x + y) + log_bessel_i0(s * np.sqrt(x * y))
-
-
 def classical_char_factor(g1abs: float, g2abs: float, r: float) -> float:
     """-(cosh 2r)/4 * f + ln I0(g sinh(2r)/2), f = 2(g1^2+g2^2), g = 2 g1 g2.
 
@@ -294,19 +281,8 @@ def _log_factor_grid(params: DephasingParams, times: np.ndarray) -> dict[str, np
 
 def phase_factor_grid(params: DephasingParams, times: Sequence[float]) -> dict[str, np.ndarray]:
     """Complex k1, k2, k1t, k2t, k12, lam12 sampled on a time grid."""
-    t = np.asarray(times, dtype=float).reshape(-1)
-    logs = _log_factor_grid(params, t)
-    e1, e2 = params.eps1, params.eps2
-    k1 = np.exp(logs["single1"] + 2j * e1 * t)
-    k2 = np.exp(logs["single2"] + 2j * e2 * t)
-    return {
-        "k1": k1,
-        "k2": k2,
-        "k1t": k1.copy(),
-        "k2t": k2.copy(),
-        "k12": np.exp(logs["same"] + 2j * (e1 + e2) * t),
-        "lam12": np.exp(logs["opp"] + 2j * (e1 - e2) * t),
-    }
+    mats = coherence_factor_matrices(params, times)
+    return {name: mats[:, i, j] for name, (i, j) in _FACTOR_INDEX.items()}
 
 
 def phase_factors(params: DephasingParams, t: float) -> PhaseFactors:
@@ -318,6 +294,11 @@ def phase_factors(params: DephasingParams, t: float) -> PhaseFactors:
 
 
 _BASIS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # |s1 s2>, index 2*s1 + s2
+
+# (row, column) of each named factor in the 4x4 coherence matrix
+_FACTOR_INDEX = {
+    "k1": (2, 0), "k2": (1, 0), "k1t": (3, 1), "k2t": (3, 2), "k12": (3, 0), "lam12": (2, 1),
+}
 
 
 def _sigma(bit: int) -> int:
@@ -363,20 +344,7 @@ _SYS_PARTITION = SystemPartition([("S1", 2), ("S2", 2)])
 
 def system_state(params: DephasingParams, amplitudes, t: float) -> DensityMatrix:
     """The 4x4 dephased system state from initial amplitudes a_{ij} of |ij>."""
-    a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if a.size != 4:
-        raise ValueError("need a 2x2 (or length-4) amplitude array")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-        raise ValueError("amplitudes are not normalized to 1e-12")
-    rho0 = np.outer(a, a.conj())
-    return DensityMatrix(rho0 * coherence_factor_matrix(params, t), _SYS_PARTITION)
-
-
-def apply_dephasing(params: DephasingParams, rho: DensityMatrix, t: float) -> DensityMatrix:
-    """Apply the dephasing channel at time t to any two-qubit system state."""
-    if rho.dim != 4:
-        raise ValueError("dephasing channel acts on the 4-dimensional system")
-    return DensityMatrix(rho.data * coherence_factor_matrix(params, t), rho.partition)
+    return system_trajectory(params, pure_state(amplitudes, _SYS_PARTITION), [t]).states[0]
 
 
 def system_trajectory(params: DephasingParams, rho0: DensityMatrix, times: Sequence[float]) -> StateTrajectory:
@@ -485,17 +453,6 @@ def _displacement(n_dim: int, alpha: complex) -> np.ndarray:
     return expm(alpha * b.T.conj() - np.conj(alpha) * b)
 
 
-def _entropy_of_matrix(m: np.ndarray, tol: float = 1e-9) -> float:
-    eigs = clamp_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), tol=tol)
-    pos = eigs[eigs > 0.0]
-    return float(-(pos * np.log(pos)).sum())
-
-
-def _shannon(p: np.ndarray) -> float:
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
-
-
 class _Branches:
     """Computational-basis branch decomposition of a pure state on [A, S1, S2]."""
 
@@ -576,6 +533,12 @@ class _Snapshot:
         s2 = np.diag(self.d2[m][bra[1]].conj().T @ self.d2[m][ket[1]])
         return complex((self.probs * s1 * s2).sum())
 
+    def overlap(self, ket: tuple[int, int], bra: tuple[int, int], start: complex) -> complex:
+        """``start`` times the product of the per-pair scalars, in pair order."""
+        for m in range(self.model.n_pairs):
+            start *= self.scalar(m, ket, bra)
+        return start
+
     def block(self, m: int, ket: tuple[int, int], bra: tuple[int, int], keep: str) -> np.ndarray:
         if self.model.env_kind == "entangled":
             pk, pb = self.psi[m][ket], self.psi[m][bra]
@@ -649,16 +612,13 @@ class BranchComputer:
                 w = br.amps[b] * np.conj(br.amps[bp])
                 ket, bra = self._sig(b), self._sig(bp)
                 if env_keep == "none":
-                    val = w
-                    for m in range(n_pairs):
-                        val *= snap.scalar(m, ket, bra)
-                    mat[q_of[b], q_of[bp]] += val
+                    mat[q_of[b], q_of[bp]] += snap.overlap(ket, bra, w)
                 else:
                     blocks = [snap.block(m, ket, bra, env_keep) for m in range(n_pairs)]
                     full = reduce(np.kron, blocks)
                     i0, j0 = q_of[b] * ne, q_of[bp] * ne
                     mat[i0:i0 + ne, j0:j0 + ne] += w * full
-        return _entropy_of_matrix(mat)
+        return spectrum_entropy(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)), tol=1e-9)
 
     def _classical_traced_a_shortcut(self) -> bool:
         # Tracing A kills every cross term and each diagonal block is a
@@ -686,22 +646,15 @@ class BranchComputer:
                 out["S_SE"] = self._entropy(snap, True, False, keep)
                 out["S_ASE"] = self._entropy(snap, False, False, keep)
         else:
-            s_pair = _shannon(snap.probs)  # per-pair state and marginal entropy
+            s_pair = spectrum_entropy(snap.probs)  # per-pair state and marginal entropy
             s_env = model.n_pairs * s_pair
             p_branch = np.abs(self.br.amps) ** 2
-            if env_part == "E1E2":
-                if self._classical_traced_a_shortcut():
-                    out["S_SE"] = _shannon(p_branch) + s_env
-                else:
-                    out["S_SE"] = self._entropy(snap, False, True, "both")
-                out["S_ASE"] = s_env
+            keep = {"E1": "b1", "E2": "b2", "E1E2": "both"}[env_part]
+            if self._classical_traced_a_shortcut():
+                out["S_SE"] = spectrum_entropy(p_branch) + s_env
             else:
-                keep = "b2" if env_part == "E2" else "b1"
-                if self._classical_traced_a_shortcut():
-                    out["S_SE"] = _shannon(p_branch) + s_env
-                else:
-                    out["S_SE"] = self._entropy(snap, False, True, keep)
-                out["S_ASE"] = self._entropy(snap, True, True, keep)
+                out["S_SE"] = self._entropy(snap, False, True, keep)
+            out["S_ASE"] = s_env if env_part == "E1E2" else self._entropy(snap, True, True, keep)
         cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
         if cmi < -1e-8:
             raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")
@@ -734,18 +687,14 @@ class BranchComputer:
                 acc["mi_sa"].append(ent["mi_sa"])
         return {k: ScalarSeries(t, v) for k, v in acc.items()}
 
-    def system_ancilla_state(self, t: float, snap: _Snapshot | None = None) -> DensityMatrix:
-        if snap is None:
-            snap = _Snapshot(self.model, t)
+    def system_ancilla_state(self, t: float) -> DensityMatrix:
+        snap = _Snapshot(self.model, t)
         br = self.br
         d = br.d_a * 4
         mat = np.zeros((d, d), dtype=complex)
         for b in range(br.nb):
             for bp in range(br.nb):
-                val = br.amps[b] * np.conj(br.amps[bp])
-                ket, bra = self._sig(b), self._sig(bp)
-                for m in range(self.model.n_pairs):
-                    val *= snap.scalar(m, ket, bra)
+                val = snap.overlap(self._sig(b), self._sig(bp), br.amps[b] * np.conj(br.amps[bp]))
                 mat[br.a_lbl[b] * 4 + br.s_idx[b], br.a_lbl[bp] * 4 + br.s_idx[bp]] += val
         mat = 0.5 * (mat + mat.conj().T)
         return DensityMatrix(mat, br.partition)
@@ -777,18 +726,6 @@ def cmi_trajectory(
     return ScalarSeries(t, vals)
 
 
-def system_ancilla_trajectory(
-    model: DiscreteDephasingModel,
-    initial: DensityMatrix,
-    times: Sequence[float],
-    budget: int = 4096,
-) -> StateTrajectory:
-    """Reduced rho_AS trajectory of the discrete model (for the measures layer)."""
-    t = np.asarray(times, dtype=float).reshape(-1)
-    comp = BranchComputer(model, initial, budget=budget)
-    return StateTrajectory(t, tuple(comp.system_ancilla_state(ti) for ti in t))
-
-
 def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFactors:
     """The six coherence factors of the truncated discrete model.
 
@@ -797,23 +734,10 @@ def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFact
     at eps = 0 as the mode count grows.
     """
     snap = _Snapshot(model, t)
-
-    def factor(i: int, j: int) -> complex:
-        ket = (_sigma(_BASIS[i][0]), _sigma(_BASIS[i][1]))
-        bra = (_sigma(_BASIS[j][0]), _sigma(_BASIS[j][1]))
-        val = 1.0 + 0.0j
-        for m in range(model.n_pairs):
-            val *= snap.scalar(m, ket, bra)
-        return val
-
-    return PhaseFactors(
-        k1=factor(2, 0),
-        k2=factor(1, 0),
-        k1t=factor(3, 1),
-        k2t=factor(3, 2),
-        k12=factor(3, 0),
-        lam12=factor(2, 1),
-    )
+    sig = [(_sigma(s1), _sigma(s2)) for s1, s2 in _BASIS]
+    return PhaseFactors(**{
+        name: snap.overlap(sig[i], sig[j], 1.0 + 0.0j) for name, (i, j) in _FACTOR_INDEX.items()
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .states import (
     StateValidityError,
     clamp_spectrum,
     partial_trace,
+    spectrum_entropy,
 )
 
 SUPPORT_EIG_TOL = 1e-12   # sigma eigenvalues below this count as null space
@@ -25,15 +26,9 @@ SUPPORT_WEIGHT_TOL = 1e-10  # rho weight on the null space that triggers +inf
 NONNEG_CLAMP = 1e-9       # small negatives from cancellation clamped to 0
 
 
-def _entropy_of_eigs(eigs: np.ndarray) -> float:
-    lam = clamp_spectrum(eigs)
-    pos = lam[lam > 0.0]
-    return float(-(pos * np.log(pos)).sum())
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda ln lambda over the clamped spectrum, in nats."""
-    return _entropy_of_eigs(np.linalg.eigvalsh(rho.data))
+    return spectrum_entropy(np.linalg.eigvalsh(rho.data))
 
 
 def _check_same_partition(rho: DensityMatrix, sigma: DensityMatrix):
@@ -75,8 +70,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     w = np.clip(w, 0.0, None)
     if w[null].sum() > SUPPORT_WEIGHT_TOL:
         return math.inf
-    p = clamp_spectrum(np.linalg.eigvalsh(rho.data))
-    term_p = float((p[p > 0] * np.log(p[p > 0])).sum())
+    term_p = -spectrum_entropy(np.linalg.eigvalsh(rho.data))
     keep = ~null
     term_q = float((w[keep] * np.log(q[keep])).sum())
     val = term_p - term_q

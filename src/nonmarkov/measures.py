@@ -121,7 +121,8 @@ def negative_decrement_integral(
     return positive_increment_integral(flipped, noise_tol)
 
 
-def _best(name: str, per_candidate: Sequence[tuple[float, ScalarSeries]]) -> MeasureResult:
+def best_candidate(name: str, per_candidate: Sequence[tuple[float, ScalarSeries]]) -> MeasureResult:
+    """The candidate with the largest value, as the measure ``name``; ties go to the first."""
     if not per_candidate:
         raise TrajectoryError("candidate list is empty")
     idx = int(np.argmax([v for v, _ in per_candidate]))
@@ -160,7 +161,7 @@ def measure_distance_blp(
             continue
         vals = [dist(a, b) for a, b in zip(t1.states, t2.states)]
         per.append(positive_increment_integral(ScalarSeries(t1.times, vals), noise_tol))
-    return _best(name, per)
+    return best_candidate(name, per)
 
 
 def _mi_series(traj: StateTrajectory, ancilla: frozenset) -> ScalarSeries:
@@ -184,7 +185,7 @@ def measure_lfs(
             per.append((0.0, _empty_increments(traj.times)))
             continue
         per.append(positive_increment_integral(_mi_series(traj, anc), noise_tol))
-    return _best("LFS", per)
+    return best_candidate("LFS", per)
 
 
 def _cmi_series(
@@ -233,7 +234,7 @@ def measure_n1(
             continue
         series = _cmi_series(traj, anc, env, system)
         per.append(negative_decrement_integral(series, noise_tol))
-    return _best("N1", per)
+    return best_candidate("N1", per)
 
 
 def measure_n2(
@@ -274,7 +275,7 @@ def measure_n2(
             continue
         series = _cmi_series(traj, anc, env, system, frozenset({aprime_label}))
         per.append(negative_decrement_integral(series, noise_tol))
-    return _best("N2", per)
+    return best_candidate("N2", per)
 
 
 # ---------------------------------------------------------------------------

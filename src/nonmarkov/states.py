@@ -141,6 +141,13 @@ def clamp_spectrum(eigs: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return np.where(eigs < 0.0, 0.0, eigs)
 
 
+def spectrum_entropy(eigs: np.ndarray, tol: float = PSD_TOL) -> float:
+    """-sum p ln p over a spectrum or distribution clamped at ``tol``, in nats."""
+    lam = clamp_spectrum(eigs, tol=tol)
+    pos = lam[lam > 0.0]
+    return float(-(pos * np.log(pos)).sum())
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """CPTP map given by Kraus operators (rectangular Kraus allowed)."""

@@ -114,7 +114,7 @@ class TestMeasuresMode:
         for name, row in by_name.items():
             assert abs(float(row[1])) <= 1e-9, (name, row)
 
-    def test_tsio_candidates_and_n2(self, tmp_path):
+    def test_tsio_candidates(self, tmp_path):
         out = str(tmp_path / "m.csv")
         s = 1 / math.sqrt(2)
         cfg = {
@@ -123,7 +123,6 @@ class TestMeasuresMode:
             "dephasing": CMI_CFG["dephasing"],
             "discrete": {"n_modes": 1, "n_max": 3},
             "grid": {"t_start": 0.0, "t_end": 2.0, "dt": 0.5},
-            "include_n2": True,
             "candidates": [
                 {"kind": "ops_state"},
                 {"kind": "tsio", "state1": [[0, 0], [s, 0], [s, 0], [0, 0]],
@@ -132,10 +131,8 @@ class TestMeasuresMode:
         }
         assert cli.run(write_config(tmp_path, cfg)) == 0
         _, rows = read_csv(out)
-        names = [r[0] for r in rows]
-        assert names == ["BLP", "tBLP", "LFS", "N1", "N2"]
-        by_name = {r[0]: r for r in rows}
-        assert by_name["N2"][1] == by_name["N1"][1]
+        assert [r[0] for r in rows] == ["BLP", "tBLP", "LFS", "N1"]
+        assert all(r[2] == "0" for r in rows)  # one candidate of each kind
 
 
 class TestCheckMode:
@@ -188,3 +185,31 @@ class TestConfigValidation:
         monkeypatch.setenv("NONMARKOV_THREADS", "zero")
         with pytest.raises(cli.ConfigError):
             cli.worker_count()
+
+    @pytest.mark.parametrize("case", [
+        "flagged_unnormalised", "flagged_bad_index", "check_samples_flag", "check_samples_key",
+        "unknown_quad_key", "unknown_top_key_n2", "unknown_top_key_typo",
+    ])
+    def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys):
+        s = 1 / math.sqrt(2)
+        out = str(tmp_path / "out")
+        flagged = {"kind": "flagged", "amplitudes": [[1, 0], [1, 0]], "system_indices": [1, 2]}
+        configs = {
+            "flagged_unnormalised": {**CMI_CFG, "candidates": [flagged]},
+            "flagged_bad_index": {**CMI_CFG, "candidates": [
+                {**flagged, "amplitudes": [[s, 0], [s, 0]], "system_indices": [1, 7]}]},
+            "check_samples_key": {"mode": "check", "check": {"samples": 0}},
+            "unknown_quad_key": {**PF_CFG, "dephasing": {
+                **PF_CFG["dephasing"], "quad": {"abscisas": 16}}},
+            "unknown_top_key_n2": {**CMI_CFG, "include_n2": True},
+            "unknown_top_key_typo": {**CMI_CFG, "candidatez": [{"kind": "ops_state"}]},
+        }
+        if case == "check_samples_flag":
+            argv = ["check", "--samples", "0", "--output", out]
+        else:
+            argv = ["run", write_config(tmp_path, {**configs[case], "output_path": out})]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert not os.path.exists(out)

@@ -212,6 +212,20 @@ class TestSystemState:
             rho = system_state(p, a, t)
             lam = phase_factors(p, t).lam12
             assert_allclose(abs(rho.data[1, 2]), 0.5 * abs(lam), atol=1e-10)
+        # every named factor multiplies its own coherence |s1 s2><s1' s2'|,
+        # phases included, for both environments
+        index = {"k1": (2, 0), "k2": (1, 0), "k1t": (3, 1), "k2t": (3, 2),
+                 "k12": (3, 0), "lam12": (2, 1)}
+        a = np.array([0.3 + 0.2j, 0.5 - 0.1j, -0.4 + 0.3j, 0.2 + 0.1j])
+        a /= np.linalg.norm(a)
+        for kind in ("entangled", "classical"):
+            p = DephasingParams(**DESK, env_kind=kind, eps1=0.7, eps2=-0.3)
+            for t in (0.5, 2.0, 3.5, 5.0):
+                rho = system_state(p, a, t).data
+                pf = phase_factors(p, t)
+                for name, (i, j) in index.items():
+                    want = a[i] * np.conj(a[j]) * getattr(pf, name)
+                    assert_allclose(rho[i, j], want, rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_classical_coherences_non_increasing_at_reduced_r(self):
         p = DephasingParams(**DESK, env_kind="classical")
