@@ -95,7 +95,7 @@ def _fields(cfg, types: dict, what: str, build=dict):
         return build(**{k: types[k](v) for k, v in cfg.items()})
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
@@ -204,9 +204,10 @@ def _run_phase_factors(cfg: dict) -> str:
 def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
     params = parse_dephasing(_require(cfg, "dephasing", dict))
     disc = _fields(_require(cfg, "discrete", dict), {"n_modes": int, "n_max": int}, "discrete")
-    return dephasing.build_discrete_model(
-        params, _require(disc, "n_modes"), _require(disc, "n_max")
-    )
+    n_modes, n_max = _require(disc, "n_modes"), _require(disc, "n_max")
+    if n_modes < 1 or n_max < 1:
+        raise ConfigError("discrete needs n_modes >= 1 and n_max >= 1")
+    return dephasing.build_discrete_model(params, n_modes, n_max)
 
 
 def _branch_computer(model, cand, cfg: dict) -> dephasing.BranchComputer:
@@ -300,6 +301,8 @@ _RUNNERS = {"phase_factors": _run_phase_factors, "cmi": _run_cmi, "measures": _r
 def execute(cfg: dict) -> int:
     """Execute one parsed experiment config; returns the process exit code."""
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError("config must be a JSON object")
         mode = _require(cfg, "mode", str)
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
@@ -319,12 +322,19 @@ def execute(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite number {text}")
+    return val
+
+
 def run(config_path: str) -> int:
     """Execute one experiment config file; returns the process exit code."""
     try:
         with open(config_path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return execute(cfg)

@@ -480,14 +480,6 @@ class _Branches:
         self.sig1 = 1 - 2 * self.s1
         self.sig2 = 1 - 2 * self.s2
 
-    @property
-    def flags_distinct(self) -> bool:
-        return len(set(self.a_lbl.tolist())) == self.nb
-
-    @property
-    def systems_distinct(self) -> bool:
-        return len(set(self.s_idx.tolist())) == self.nb
-
 
 class _Snapshot:
     """Per-pair displaced environment data at one time."""
@@ -539,6 +531,24 @@ class _Snapshot:
             start *= self.scalar(m, ket, bra)
         return start
 
+    def local_spectrum(self) -> np.ndarray:
+        """Per-pair spectrum of one branch's kept environment block, which displacements leave unchanged.
+
+        Classical: the thermal weights for any kept bath(s); entangled: the Schmidt weights of one bath.
+        """
+        return self.probs if self.model.env_kind == "classical" else self.tmsv ** 2
+
+    def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], keep: str) -> np.ndarray:
+        """Diagonal of a classical block once its kept displacements are conjugated away.
+
+        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath (1 if both are kept).
+        """
+        if keep == "b1":
+            return self.probs * np.diag(self.d2[m][bra[1]].conj().T @ self.d2[m][ket[1]])
+        if keep == "b2":
+            return self.probs * np.diag(self.d1[m][bra[0]].conj().T @ self.d1[m][ket[0]])
+        return self.probs
+
     def block(self, m: int, ket: tuple[int, int], bra: tuple[int, int], keep: str) -> np.ndarray:
         if self.model.env_kind == "entangled":
             pk, pb = self.psi[m][ket], self.psi[m][bra]
@@ -546,15 +556,13 @@ class _Snapshot:
                 return pk @ pb.conj().T
             if keep == "b2":
                 return pk.T @ pb.conj()
-            raise ValueError("entangled blocks support 'b1'/'b2' only")
-        if keep == "b1":
-            s2 = np.diag(self.d2[m][bra[1]].conj().T @ self.d2[m][ket[1]])
-            mid = self.probs * s2
-            return self.d1[m][ket[0]] @ (mid[:, None] * self.d1[m][bra[0]].conj().T)
-        if keep == "b2":
-            s1 = np.diag(self.d1[m][bra[0]].conj().T @ self.d1[m][ket[0]])
-            mid = self.probs * s1
-            return self.d2[m][ket[1]] @ (mid[:, None] * self.d2[m][bra[1]].conj().T)
+            if keep == "both":
+                return np.outer(pk.ravel(), pb.ravel().conj())
+            raise ValueError(f"unknown keep spec {keep!r}")
+        if keep in ("b1", "b2"):
+            i = 0 if keep == "b1" else 1
+            d = (self.d1, self.d2)[i][m]
+            return d[ket[i]] @ (self.fock_weights(m, ket, bra, keep)[:, None] * d[bra[i]].conj().T)
         if keep == "both":
             dk = np.kron(self.d1[m][ket[0]], self.d2[m][ket[1]])
             db = np.kron(self.d1[m][bra[0]], self.d2[m][bra[1]])
@@ -563,6 +571,15 @@ class _Snapshot:
             diag[np.arange(n) * n + np.arange(n)] = self.probs
             return dk @ (diag[:, None] * db.conj().T)
         raise ValueError(f"unknown keep spec {keep!r}")
+
+
+def _components(kept: np.ndarray, traced: np.ndarray) -> list[list[int]]:
+    """Branch groups closed under sharing a kept label (same rows) or a traced label (a cross term)."""
+    groups: list[set[int]] = []
+    for b in range(kept.size):
+        linked = [g for g in groups if any(kept[x] == kept[b] or traced[x] == traced[b] for x in g)]
+        groups = [g for g in groups if g not in linked] + [set().union({b}, *linked)]
+    return [sorted(g) for g in groups]
 
 
 class BranchComputer:
@@ -578,83 +595,99 @@ class BranchComputer:
     def _sig(self, b: int) -> tuple[int, int]:
         return (int(self.br.sig1[b]), int(self.br.sig2[b]))
 
-    def _entropy(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> float:
-        br = self.br
-        if keep_a and keep_s:
-            lab = list(zip(br.a_lbl.tolist(), br.s_idx.tolist()))
-        elif keep_a:
-            lab = br.a_lbl.tolist()
-        elif keep_s:
-            lab = br.s_idx.tolist()
-        else:
-            lab = [0] * br.nb
-        uniq = sorted(set(lab))
-        q_of = [uniq.index(x) for x in lab]
-        nq = len(uniq)
-        n_pairs = self.model.n_pairs
-        n = self.model.fock_dim
-        if env_keep == "none":
-            ne = 1
-        elif env_keep == "both":
-            ne = (n * n) ** n_pairs
-        else:
-            ne = n ** n_pairs
+    def _labels(self, keep_a: bool, keep_s: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Kept and traced flat (A, S) label of every branch; a part not in the set reads 0."""
+        a, s = 4 * self.br.a_lbl, self.br.s_idx
+        return a * keep_a + s * keep_s, a * (not keep_a) + s * (not keep_s)
+
+    def _terms(self, comp: Sequence[int], keep_a: bool, keep_s: bool) -> tuple[int, list]:
+        """Kept-label count of ``comp`` and (row, column, weight, ket, bra) of its nonzero terms."""
+        kept, traced = self._labels(keep_a, keep_s)
+        uniq = sorted(set(kept[comp].tolist()))
+        return len(uniq), [
+            (uniq.index(kept[b]), uniq.index(kept[bp]), self.br.amps[b] * np.conj(self.br.amps[bp]),
+             self._sig(b), self._sig(bp))
+            for b in comp for bp in comp if traced[b] == traced[bp]
+        ]
+
+    def _assembled(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool, keep_s: bool,
+                   env_keep: str) -> np.ndarray:
+        """Spectrum of the branches ``comp`` from their assembled ``nq * n^P`` Kron operator."""
+        nq, terms = self._terms(comp, keep_a, keep_s)
+        n, n_pairs = self.model.fock_dim, self.model.n_pairs
+        ne = {"none": 1, "both": n * n}.get(env_keep, n) ** n_pairs
         dim = nq * ne
         if dim > self.budget:
             raise BudgetError(f"assembled operator dimension {dim} exceeds budget {self.budget}")
         mat = np.zeros((dim, dim), dtype=complex)
-        for b in range(br.nb):
-            for bp in range(br.nb):
-                if not keep_a and br.a_lbl[b] != br.a_lbl[bp]:
-                    continue
-                if not keep_s and br.s_idx[b] != br.s_idx[bp]:
-                    continue
-                w = br.amps[b] * np.conj(br.amps[bp])
-                ket, bra = self._sig(b), self._sig(bp)
-                if env_keep == "none":
-                    mat[q_of[b], q_of[bp]] += snap.overlap(ket, bra, w)
-                else:
-                    blocks = [snap.block(m, ket, bra, env_keep) for m in range(n_pairs)]
-                    full = reduce(np.kron, blocks)
-                    i0, j0 = q_of[b] * ne, q_of[bp] * ne
-                    mat[i0:i0 + ne, j0:j0 + ne] += w * full
-        return spectrum_entropy(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)), tol=1e-9)
+        for i, j, w, ket, bra in terms:
+            if env_keep == "none":
+                mat[i, j] += snap.overlap(ket, bra, w)
+            else:
+                blocks = [snap.block(m, ket, bra, env_keep) for m in range(n_pairs)]
+                mat[i * ne:(i + 1) * ne, j * ne:(j + 1) * ne] += w * reduce(np.kron, blocks)
+        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
-    def _classical_traced_a_shortcut(self) -> bool:
-        # Tracing A kills every cross term and each diagonal block is a
-        # unitary rotation of the environment state when flags and system
-        # labels are branchwise distinct.
-        return self.br.flags_distinct and self.br.systems_distinct
+    def _fock_diagonal(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool, keep_s: bool,
+                       env_keep: str) -> np.ndarray:
+        """Spectrum of a classical component whose kept displacement is fixed by the kept label.
+
+        Conjugating each row block by its kept displacements leaves an operator
+        diagonal in the kept Fock index n; each n gives one nq x nq block.
+        """
+        nq, terms = self._terms(comp, keep_a, keep_s)
+        mats = np.zeros((self.model.fock_dim ** self.model.n_pairs, nq, nq), dtype=complex)
+        for i, j, w, ket, bra in terms:
+            weights = [snap.fock_weights(m, ket, bra, env_keep) for m in range(self.model.n_pairs)]
+            mats[:, i, j] += w * reduce(np.kron, weights)
+        return np.linalg.eigvalsh(0.5 * (mats + mats.conj().transpose(0, 2, 1))).ravel()
+
+    def _entropy(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> float:
+        """Entropy of the reduced state on the kept labels and the ``env_keep`` modes.
+
+        That state is sum_{b,b'} [traced labels equal] a_b a_b'* |q_b><q_b'| (x)_m B_m(b, b'),
+        a direct sum over the branch components.  A single-branch component has
+        spectrum |a_b|^2 (x)_m local_spectrum; a classical component whose kept
+        displacement is fixed by its kept label splits into Fock-diagonal blocks;
+        any other component is assembled (the only place the budget applies).
+        """
+        if env_keep == "both" and self.model.env_kind == "entangled":
+            # global state pure: S(kept labels, E1 E2) = S(traced labels)
+            keep_a, keep_s, env_keep = not keep_a, not keep_s, "none"
+        if env_keep == "none":
+            comp = range(self.br.nb)
+            return spectrum_entropy(self._assembled(snap, comp, keep_a, keep_s, "none"), tol=1e-9)
+        kept, traced = self._labels(keep_a, keep_s)
+        spectra = []
+        for comp in _components(kept, traced):
+            if len(comp) == 1:
+                lam = reduce(np.kron, [snap.local_spectrum()] * self.model.n_pairs)
+                spectra.append(abs(self.br.amps[comp[0]]) ** 2 * lam)
+            # a kept S label fixes both displacements of its branches
+            elif self.model.env_kind == "classical" and (keep_s or len(set(kept[comp])) == len(comp)):
+                spectra.append(self._fock_diagonal(snap, comp, keep_a, keep_s, env_keep))
+            else:
+                spectra.append(self._assembled(snap, comp, keep_a, keep_s, env_keep))
+        return spectrum_entropy(np.concatenate(spectra), tol=1e-9)
 
     def entropies_at(self, t: float, env_part: str, snap: _Snapshot | None = None) -> dict[str, float]:
         if env_part not in ENV_PARTS:
             raise ValueError(f"env_part must be one of {ENV_PARTS}")
         if snap is None:
             snap = _Snapshot(self.model, t)
-        model = self.model
         out: dict[str, float] = {}
         out["S_AS"] = self._entropy(snap, True, True, "none")
         out["S_S"] = self._entropy(snap, False, True, "none")
         out["S_A"] = self._entropy(snap, True, False, "none")
-        if model.env_kind == "entangled":
-            # global state pure: complement entropies avoid large assemblies
-            if env_part == "E1E2":
-                out["S_SE"] = out["S_A"]
-                out["S_ASE"] = 0.0
-            else:
-                keep = "b1" if env_part == "E2" else "b2"
-                out["S_SE"] = self._entropy(snap, True, False, keep)
-                out["S_ASE"] = self._entropy(snap, False, False, keep)
+        if self.model.env_kind == "entangled":
+            # global state pure: S(S E) = S(A E'), S(A S E) = S(E') with E' the other env part
+            keep = {"E1": "b2", "E2": "b1", "E1E2": "none"}[env_part]
+            out["S_SE"] = self._entropy(snap, True, False, keep)
+            out["S_ASE"] = self._entropy(snap, False, False, keep)
         else:
-            s_pair = spectrum_entropy(snap.probs)  # per-pair state and marginal entropy
-            s_env = model.n_pairs * s_pair
-            p_branch = np.abs(self.br.amps) ** 2
             keep = {"E1": "b1", "E2": "b2", "E1E2": "both"}[env_part]
-            if self._classical_traced_a_shortcut():
-                out["S_SE"] = spectrum_entropy(p_branch) + s_env
-            else:
-                out["S_SE"] = self._entropy(snap, False, True, keep)
-            out["S_ASE"] = s_env if env_part == "E1E2" else self._entropy(snap, True, True, keep)
+            out["S_SE"] = self._entropy(snap, False, True, keep)
+            out["S_ASE"] = self._entropy(snap, True, True, keep)
         cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
         if cmi < -1e-8:
             raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")

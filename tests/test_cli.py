@@ -189,6 +189,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("case", [
         "flagged_unnormalised", "flagged_bad_index", "check_samples_flag", "check_samples_key",
         "unknown_quad_key", "unknown_top_key_n2", "unknown_top_key_typo",
+        "bare_number", "zero_modes", "t_end_infinity", "omega_c_nan", "t_end_1e999",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys):
         s = 1 / math.sqrt(2)
@@ -203,9 +204,19 @@ class TestConfigValidation:
                 **PF_CFG["dephasing"], "quad": {"abscisas": 16}}},
             "unknown_top_key_n2": {**CMI_CFG, "include_n2": True},
             "unknown_top_key_typo": {**CMI_CFG, "candidatez": [{"kind": "ops_state"}]},
+            "zero_modes": {**CMI_CFG, "discrete": {"n_modes": 0, "n_max": 4}},
+            "t_end_infinity": {**PF_CFG, "grid": {**PF_CFG["grid"], "t_end": math.inf}},
+            "omega_c_nan": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "omega_c": math.nan}},
+        }
+        raw = {  # config texts json.dumps cannot produce
+            "bare_number": "5",
+            "t_end_1e999": json.dumps({**PF_CFG, "output_path": out}).replace('"t_end": 5.0', '"t_end": 1e999'),
         }
         if case == "check_samples_flag":
             argv = ["check", "--samples", "0", "--output", out]
+        elif case in raw:
+            (tmp_path / "raw.json").write_text(raw[case])
+            argv = ["run", str(tmp_path / "raw.json")]
         else:
             argv = ["run", write_config(tmp_path, {**configs[case], "output_path": out})]
         assert cli.main(argv) == 1

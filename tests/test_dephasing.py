@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from nonmarkov import dephasing, info, measures
 from nonmarkov.dephasing import (
+    ENV_KINDS,
     DephasingParams,
     QuadratureConfig,
     QuadratureConvergenceError,
@@ -24,7 +26,7 @@ from nonmarkov.dephasing import (
     system_state,
     system_trajectory,
 )
-from nonmarkov.states import SystemPartition, pure_state
+from nonmarkov.states import SystemPartition, pure_state, random_pure_state, spectrum_entropy
 
 PAPER = dict(omega_c=1e-2, r=3.0, alpha1=1.0, alpha2=1.0, t1s=0.0, t1f=2.5, t2s=2.5, t2f=5.0)
 DESK = dict(omega_c=0.25, r=0.8, alpha1=1.0, alpha2=1.0, t1s=0.0, t1f=2.5, t2s=2.5, t2f=5.0)
@@ -339,6 +341,58 @@ class TestCmiTrajectory:
         n1, _ = measures.negative_decrement_integral(tr["E1E2"])
         drop = window2[0] - window2[-1]
         assert abs(n1 - drop) <= 1e-6
+
+
+class TestStructuredBranchEntropies:
+    """The direct-sum / closed-form / Fock-diagonal entropies against the assembled operator."""
+
+    @staticmethod
+    def _states():
+        part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+        # three flags, the first two on the same system basis state
+        flagged = measures.flagged_ancilla_state(
+            [0.6, 0.48, 0.64], [1, 1, 2], SystemPartition([("S1", 2), ("S2", 2)])
+        )
+        return [measures.ops_state(), flagged] + [random_pure_state(part, s) for s in (1, 2, 3)]
+
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    @pytest.mark.parametrize("n_modes,n_max", [(1, 4), (2, 3)])
+    def test_matches_assembled_operator(self, env_kind, n_modes, n_max):
+        p = DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind)
+        m = build_discrete_model(p, n_modes=n_modes, n_max=n_max)
+        for state in self._states():
+            comp = dephasing.BranchComputer(m, state)
+            for t in (1.3, 3.7):
+                snap = dephasing._Snapshot(m, t)
+                for keep_a, keep_s, env_keep in itertools.product(
+                    (False, True), (False, True), ("none", "b1", "b2", "both")
+                ):
+                    ref = comp._assembled(snap, range(comp.br.nb), keep_a, keep_s, env_keep)
+                    assert abs(comp._entropy(snap, keep_a, keep_s, env_keep)
+                               - spectrum_entropy(ref, tol=1e-9)) <= 1e-12
+
+
+class TestModeCountConvergence:
+    def test_classical_cmi_converges_with_mode_count(self):
+        # at n_max 14, 3 and 4 pairs need 6750- and 101250-dim assembled
+        # operators, beyond the 4096 budget: only the structured rule reaches them
+        p = DephasingParams(
+            omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0, t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2,
+            env_kind="classical",
+        )
+        times = [0.0, 1.5, 3.0, 4.2]
+        e2_final = []
+        for n_modes in (1, 2, 3, 4):
+            m = build_discrete_model(p, n_modes=n_modes, n_max=14)
+            tr = dephasing.BranchComputer(m, measures.ops_state()).trajectories(
+                times, env_parts=("E2", "E1E2")
+            )
+            assert all(np.all(s.values >= 0.0) for s in tr.values())
+            total = tr["mi_sa"].values + tr["E1E2"].values
+            assert np.max(np.abs(total - total[0])) <= 1e-8
+            e2_final.append(tr["E2"].values[-1])
+        steps = np.abs(np.diff(e2_final))
+        assert steps[0] > steps[1] > steps[2]
 
 
 class TestDiscretePhaseFactors:
