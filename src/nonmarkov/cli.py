@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 config error, 2 numerical-convergence failure,
 3 failed check suite.  Output files are written atomically
-(temp-then-rename) and are byte-identical for identical config + seed.
+(temp-then-rename) and are byte-identical for identical config + seed at a
+fixed BLAS thread count.
 ``NONMARKOV_THREADS`` caps worker parallelism (default: all cores).
 """
 
@@ -36,6 +37,7 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK_FAILED = 3
 
 MODES = ("phase_factors", "cmi", "measures", "check")
+MAX_GRID_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -133,6 +135,8 @@ def parse_grid(cfg: dict) -> np.ndarray:
     t0, t1, dt = (_require(grid, k) for k in ("t_start", "t_end", "dt"))
     if dt <= 0 or t1 < t0:
         raise ConfigError("grid needs dt > 0 and t_end >= t_start")
+    if (t1 - t0) / dt > MAX_GRID_STEPS:  # checked as a float, before int() or any allocation
+        raise ConfigError(f"grid needs (t_end - t_start) / dt <= {MAX_GRID_STEPS}")
     n = int(round((t1 - t0) / dt))
     return np.round(t0 + dt * np.arange(n + 1), 12)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import dephasing, info, measures
 from .states import (
@@ -219,6 +218,8 @@ def _check_broadcast(rng) -> float:
 
 def _check_initial_markovianity(rng) -> float:
     """(f) I(A:E|S)=0 initially implies I >= 0 after a short U_SE step."""
+    from scipy.linalg import expm
+
     da, ds, de = _qubit_split(rng, 3)
     part_as = SystemPartition([("A", da), ("S", ds)])
     part_e = SystemPartition([("E", de)])
@@ -324,6 +325,8 @@ def identity_suite(seed: int, samples: int) -> SuiteReport:
 
 def special_function_suite(seed: int = 0) -> SuiteReport:
     """Truncated-Fock checks of the displaced-number overlap and both pair factors."""
+    from scipy.linalg import expm  # an algorithm independent of dephasing._displacement
+
     rng = np.random.default_rng(seed)
     n_dim = 61
     b = np.diag(np.sqrt(np.arange(1.0, n_dim)), k=1)

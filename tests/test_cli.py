@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,8 +193,9 @@ class TestConfigValidation:
         "flagged_unnormalised", "flagged_bad_index", "check_samples_flag", "check_samples_key",
         "unknown_quad_key", "unknown_top_key_n2", "unknown_top_key_typo",
         "bare_number", "zero_modes", "t_end_infinity", "omega_c_nan", "t_end_1e999",
+        "dt_5e-324", "dt_1e-300", "dt_1e-9",
     ])
-    def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys):
+    def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
         out = str(tmp_path / "out")
         flagged = {"kind": "flagged", "amplitudes": [[1, 0], [1, 0]], "system_indices": [1, 2]}
@@ -207,7 +211,13 @@ class TestConfigValidation:
             "zero_modes": {**CMI_CFG, "discrete": {"n_modes": 0, "n_max": 4}},
             "t_end_infinity": {**PF_CFG, "grid": {**PF_CFG["grid"], "t_end": math.inf}},
             "omega_c_nan": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "omega_c": math.nan}},
+            **{name: {**PF_CFG, "grid": {"t_start": 0.0, "t_end": 1.0, "dt": dt}}
+               for name, dt in (("dt_5e-324", 5e-324), ("dt_1e-300", 1e-300), ("dt_1e-9", 1e-9))},
         }
+        if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
+            def no_grid(*args, **kwargs):
+                raise AssertionError("grid allocated")
+            monkeypatch.setattr(cli.np, "arange", no_grid)
         raw = {  # config texts json.dumps cannot produce
             "bare_number": "5",
             "t_end_1e999": json.dumps({**PF_CFG, "output_path": out}).replace('"t_end": 5.0', '"t_end": 1e999'),
@@ -224,3 +234,44 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert not os.path.exists(out)
+
+
+class TestThreadDeterminism:
+    """Outputs across worker and BLAS thread counts, each run in a fresh process.
+
+    Bytes are identical across ``NONMARKOV_THREADS`` at a fixed BLAS thread
+    count; across BLAS thread counts the assembled eigensolves may round
+    differently, so values agree to 1e-12.
+    """
+
+    DEPHASING = {"omega_c": 0.05, "r": 0.8, "alpha1": 4.0, "alpha2": 4.0, "env_kind": "entangled",
+                 "t1s": 0.0, "t1f": 2.5, "t2s": 2.5, "t2f": 4.2}
+    CONFIGS = {
+        "cmi": {"mode": "cmi", "dephasing": DEPHASING, "discrete": {"n_modes": 2, "n_max": 14},
+                "grid": {"t_start": 0.0, "t_end": 4.2, "dt": 0.6}, "candidates": [{"kind": "ops_state"}]},
+        "measures": {"mode": "measures", "dephasing": DEPHASING, "discrete": {"n_modes": 2, "n_max": 14},
+                     "grid": {"t_start": 0.0, "t_end": 4.2, "dt": 0.3},
+                     "candidates": [{"kind": "ops_state"}, {"kind": "random", "seed": 7}]},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CONFIGS))
+    def test_thread_counts(self, mode, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        outputs = {}
+        for workers, blas in itertools.product("12", "12"):
+            out = tmp_path / f"{mode}-{workers}-{blas}.csv"
+            cfg = write_config(tmp_path, {**self.CONFIGS[mode], "output_path": str(out)})
+            env = {**os.environ, "PYTHONPATH": src, "NONMARKOV_THREADS": workers, "OPENBLAS_NUM_THREADS": blas}
+            subprocess.run([sys.executable, "-m", "nonmarkov.cli", "run", cfg], env=env, check=True)
+            outputs[workers, blas] = out.read_bytes()
+        for blas in "12":
+            assert outputs["1", blas] == outputs["2", blas]
+        cells = [outputs["1", blas].decode().replace("\n", ",").split(",") for blas in "12"]
+        assert len(cells[0]) == len(cells[1])
+        for a, b in zip(*cells):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                assert a == b
+            else:
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (a, b)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -264,6 +267,59 @@ class TestSpectralGaussRule:
         for k in range(6):  # 4-node Gauss rule is exact through degree 7
             exact = math.factorial(k + 1) * wc ** (k + 2)
             assert_allclose(weights @ nodes**k, exact, rtol=1e-6)
+
+    @staticmethod
+    def _reference_rule(omega_c, cutoff_mult, n_modes):
+        """The same truncated-weight Gauss rule at 60 digits, from its moments.
+
+        Moments m_k = omega_c^{k+2} gammainc(k+2, 0, K); Cholesky of the Hankel
+        matrix gives the Jacobi matrix, whose eigenpairs give nodes and weights.
+        """
+        mp = pytest.importorskip("mpmath", reason="the 60-digit reference rule needs mpmath").mp
+        mp.dps = 60
+        wc = mp.mpf(omega_c)
+        mom = [wc ** (k + 2) * mp.gammainc(k + 2, 0, cutoff_mult) for k in range(2 * n_modes + 1)]
+        hankel = mp.matrix([[mom[i + j] for j in range(n_modes + 1)] for i in range(n_modes + 1)])
+        r = mp.cholesky(hankel).T
+        jac = mp.matrix(n_modes, n_modes)
+        for k in range(n_modes):
+            jac[k, k] = r[k, k + 1] / r[k, k] - (r[k - 1, k] / r[k - 1, k - 1] if k else 0)
+            if k + 1 < n_modes:
+                jac[k, k + 1] = jac[k + 1, k] = r[k + 1, k + 1] / r[k, k]
+        eigs, vecs = mp.eigsy(jac)
+        order = sorted(range(n_modes), key=lambda i: eigs[i])
+        nodes = np.array([float(eigs[i]) for i in order])
+        weights = np.array([float(mom[0] * vecs[0, i] ** 2) for i in order])
+        return nodes, weights
+
+    @pytest.mark.parametrize("cutoff_mult", [60.0, 20.0])
+    def test_matches_60_digit_reference(self, cutoff_mult):
+        for n_modes in range(1, 13):
+            nodes, weights = spectral_gauss_rule(0.05, cutoff_mult, n_modes)
+            ref_nodes, ref_weights = self._reference_rule(0.05, cutoff_mult, n_modes)
+            assert_allclose(nodes, ref_nodes, rtol=2e-13, atol=0)
+            assert_allclose(weights, ref_weights, rtol=2e-13, atol=0)
+
+
+class TestNumpyOnlyPath:
+    def test_matches_expm_and_is_unitary(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(11)
+        alphas = [0.0, *(rng.uniform(-3, 3, 6) + 1j * rng.uniform(-3, 3, 6))]
+        for n_dim in (2, 15, 61):
+            b = np.diag(np.sqrt(np.arange(1.0, n_dim)), k=1)
+            for a in alphas:
+                d = dephasing._displacement(n_dim, a)
+                ref = expm(a * b.conj().T - np.conj(a) * b)
+                assert np.abs(d - ref).max() <= 1e-13
+                assert np.abs(d @ d.conj().T - np.eye(n_dim)).max() <= 1e-13
+
+    def test_package_and_cli_import_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dephasing.__file__)))
+        code = ("import nonmarkov, nonmarkov.cli, sys; "
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
 
 
 class TestBuildDiscreteModel:
