@@ -21,13 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dephasing, measures, oracle
-from .dephasing import (
-    BudgetError,
-    DephasingParams,
-    QuadratureConfig,
-    QuadratureConvergenceError,
-    TruncationError,
-)
+from .dephasing import BudgetError, DephasingParams, QuadratureConfig, TruncationError
 from .measures import negative_decrement_integral, positive_increment_integral
 from .states import SystemPartition, pure_state, random_pure_state
 
@@ -101,7 +95,7 @@ def _fields(cfg, types: dict, what: str, build=dict):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-_QUAD_TYPES = {"abscissas": int, "cutoff_mult": float, "rel_tol": float, "max_doublings": int}
+_QUAD_TYPES = {"cutoff_mult": float}
 _DEPHASING_TYPES = {
     **dict.fromkeys(
         ("omega_c", "r", "alpha1", "alpha2", "eps1", "eps2", "t1s", "t1f", "t2s", "t2f"), float
@@ -198,10 +192,11 @@ def _run_phase_factors(cfg: dict) -> str:
     params = parse_dephasing(_require(cfg, "dephasing", dict))
     times = parse_grid(_require(cfg, "grid", dict))
     grid = dephasing.phase_factor_grid(params, times)
+    names = ("k1", "k2", "k1t", "k2t", "k12", "lam12")
+    mags = np.abs(np.stack([grid[k] for k in names], axis=1)).tolist()
     lines = ["t,|k1|,|k2|,|k1t|,|k2t|,|k12|,|lam12|,env_kind"]
-    for i, t in enumerate(times):
-        mags = [np.abs(grid[k][i]) for k in ("k1", "k2", "k1t", "k2t", "k12", "lam12")]
-        lines.append(",".join([_fmt(t)] + [_fmt(m) for m in mags] + [params.env_kind]))
+    for t, row in zip(times, mags):
+        lines.append(",".join([_fmt(t)] + [_fmt(m) for m in row] + [params.env_kind]))
     return "\n".join(lines) + "\n"
 
 
@@ -317,7 +312,7 @@ def execute(cfg: dict) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureConvergenceError, TruncationError, BudgetError) as exc:
+    except (TruncationError, BudgetError) as exc:
         print(f"error: numerical convergence failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if not ok:

@@ -9,16 +9,18 @@ marginals ("classical").
 
 Two computation routes are provided:
 
-* continuum phase factors from adaptive quadrature over the spectral density
-  J_j(w) = alpha_j * w * exp(-w / omega_c);
+* continuum phase factors in closed form (logarithm plus exponential
+  integral) for the spectral density J_j(w) = alpha_j * w * exp(-w / omega_c)
+  cut off at cutoff_mult * omega_c;
 * a discrete-mode model (Gauss rule with J as the weight function) whose
   truncated Fock dynamics supports conditional-mutual-information
   trajectories via a branch Gram method, plus a dense full-Hilbert-space
   path used as an independent cross-check.
 
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
-single-mode displacement response and carried by quadrature weights;
-energies eps_i contribute only unimodular phases and default to zero.
+single-mode displacement response and carried by the spectral density (the
+Gauss-rule weights in the discrete model); energies eps_i contribute only
+unimodular phases and default to zero.
 """
 
 from __future__ import annotations
@@ -37,13 +39,6 @@ from .states import DensityMatrix, SystemPartition, partial_trace, pure_state, s
 ENV_KINDS = ("entangled", "classical")
 ENV_PARTS = ("E1", "E2", "E1E2")
 
-_PANEL_EDGES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0)
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """The composite rule failed to reach the target relative error."""
-
-
 class TruncationError(ValueError):
     """Fock truncation captures too little of the initial environment state."""
 
@@ -54,16 +49,13 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Adaptive composite Gauss-Legendre settings for the frequency integrals."""
+    """Frequency cutoff shared by the continuum factors and the discrete Gauss rule."""
 
-    abscissas: int = 16          # initial nodes per panel
-    cutoff_mult: float = 60.0    # integrate on (0, cutoff_mult * omega_c]
-    rel_tol: float = 1e-8
-    max_doublings: int = 8
+    cutoff_mult: float = 60.0    # the spectral density lives on (0, cutoff_mult * omega_c]
 
     def __post_init__(self):
-        if self.abscissas < 2 or self.cutoff_mult <= 0 or self.rel_tol <= 0:
-            raise ValueError("invalid quadrature configuration")
+        if self.cutoff_mult <= 0:
+            raise ValueError("cutoff_mult must be positive")
 
 
 @dataclass(frozen=True)
@@ -149,13 +141,6 @@ def beta(omega: float, t: float, window: tuple[float, float]) -> complex:
     return np.exp(1j * omega * ts) * (1.0 - np.exp(1j * omega * tau)) / omega
 
 
-def _beta_grid(omega: np.ndarray, times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    ts, tf = window
-    tau = np.clip(times, ts, tf) - ts           # (T,)
-    w = omega[:, None]
-    return np.exp(1j * w * ts) * (1.0 - np.exp(1j * w * tau[None, :])) / w
-
-
 def log_bessel_i0(z: np.ndarray | float) -> np.ndarray | float:
     """ln I0(z), overflow-free for any argument (log-space evaluation)."""
     from scipy.special import i0e  # only the oracle needs it; keeps SciPy out of the import path
@@ -203,80 +188,139 @@ def displaced_fock_overlap(n: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# continuum phase factors by quadrature
+# continuum phase factors in closed form
 
-# log-magnitude patterns for the six coherences; the displacement multipliers
-# (sigma differences) of each coherence map onto one of these.
-_PATTERNS = ("single1", "single2", "same", "opp")
+_EULER_GAMMA = 0.5772156649015329
 
 
-def _pattern_values(params: DephasingParams, omega: np.ndarray, times: np.ndarray) -> dict[str, np.ndarray]:
-    """Integrand densities (len(omega), len(times)) for all four patterns.
+def _exp1(z: np.ndarray) -> np.ndarray:
+    """Exponential integral E1(z) for complex z with Re z > 0 (NumPy only).
 
-    The classical pair correlations leave no cross term here: per mode the
-    correlation contribution is ln I0(~ coupling^2) = O(dw^2), so it vanishes
-    in the continuum limit and the classical densities are purely marginal
-    (any finite-mode realization retains the per-mode I0 factor; see
-    ``classical_char_factor`` and the discrete model).  The squeezing cross
-    term is bilinear in the couplings and survives as a density.
+    Power series -gamma - ln z - sum_k (-z)^k / (k k!) for |z| <= 2, and the
+    even continued fraction e^{-z} / (z+1 - 1/(z+3 - 4/(z+5 - ...))) by the
+    modified Lentz method otherwise.  Each element stops at its own
+    convergence, so its value does not depend on the rest of the array.
     """
-    j1 = params.alpha1 * omega * np.exp(-omega / params.omega_c)
-    j2 = params.alpha2 * omega * np.exp(-omega / params.omega_c)
-    g1 = 2.0 * np.sqrt(j1)[:, None] * _beta_grid(omega, times, params.window1)
-    g2 = 2.0 * np.sqrt(j2)[:, None] * _beta_grid(omega, times, params.window2)
-    a1 = np.abs(g1)
-    a2 = np.abs(g2)
-    if params.env_kind == "classical":
-        u = params.u_eff
-        c = (1.0 + u * u) / (1.0 - u * u)
-        single1 = -0.5 * c * a1 * a1
-        single2 = -0.5 * c * a2 * a2
-        marg = single1 + single2
-        return {"single1": single1, "single2": single2, "same": marg, "opp": marg}
-    c = math.cosh(2 * params.r)
-    s = math.sinh(2 * params.r)
-    marg = -0.5 * c * (a1 * a1 + a2 * a2)
-    cross = s * (g1 * g2).real
-    return {
-        "single1": -0.5 * c * a1 * a1,
-        "single2": -0.5 * c * a2 * a2,
-        "same": marg + cross,
-        "opp": marg - cross,
-    }
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    small = np.abs(z) <= 2.0
+    eps = np.finfo(float).eps
+
+    zs = z[small]
+    term = -zs
+    total = term
+    k = 1
+    active = np.ones(zs.shape, dtype=bool)
+    while active.any():
+        k += 1
+        term = term * -zs / k
+        inc = term / k
+        total = np.where(active, total + inc, total)
+        active &= np.abs(inc) > eps * np.abs(total)
+    out[small] = -_EULER_GAMMA - np.log(zs) - total
+
+    zl = z[~small]
+    b = zl + 1.0
+    d = 1.0 / b
+    h = d
+    c = np.full_like(zl, 1e300)  # Lentz's C_0 = infinity
+    n = 0
+    active = np.ones(zl.shape, dtype=bool)
+    while active.any():
+        n += 1
+        an = -float(n * n)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h = np.where(active, h * delta, h)
+        active &= np.abs(delta - 1.0) > 4.0 * eps
+    out[~small] = h * np.exp(-zl)
+    return out
 
 
-def _panel_nodes(params: DephasingParams, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    hi = params.quad.cutoff_mult
-    edges = [e for e in _PANEL_EDGES if e < hi] + [hi]
-    x0, w0 = np.polynomial.legendre.leggauss(nodes_per_panel)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs.append((mid + half * x0) * params.omega_c)
-        ws.append(half * w0 * params.omega_c)
-    return np.concatenate(xs), np.concatenate(ws)
+def _decay_series(k: float, b: np.ndarray) -> np.ndarray:
+    """F(b) = sum_m (-1)^{m+1} P(2m, K) b^{2m} / (2m) for 0 <= b <= 1/2.
+
+    This is the cosine series integrated term by term, with P(n, K) =
+    1 - e^{-K} sum_{j<n} K^j / j! the regularized lower incomplete gamma
+    function.  The terms shrink at least like 4^{-m}, and F keeps its
+    relative accuracy as b -> 0, where ln s and the two E1 values of the
+    closed form nearly cancel (an absolute error of eps * E1(K) there is
+    amplified by 4 cosh(2r) in the log factors).
+    """
+    b2 = b * b
+    power = b2
+    poisson = math.exp(-k)          # e^{-K} K^j / j!, j = 0
+    head = poisson                  # e^{-K} sum_{j<n} K^j / j!
+    total = np.zeros_like(b)
+    m = 0
+    active = np.ones(b.shape, dtype=bool)
+    while active.any():
+        m += 1
+        poisson *= k / (2 * m - 1)
+        head += poisson
+        term = (1.0 - head) * power / (2 * m)
+        total = np.where(active, total + term if m % 2 else total - term, total)
+        active &= term > np.finfo(float).eps * total
+        poisson *= k / (2 * m)
+        head += poisson
+        power = power * b2
+    return total
+
+
+def _decay_integral(params: DephasingParams, a: np.ndarray) -> np.ndarray:
+    """F(a) = int_0^{K omega_c} e^{-w/omega_c} (1 - cos a w) / w dw, elementwise.
+
+    With K = cutoff_mult, b = |a| omega_c and s = 1 - i b,
+    F = Re[ln s + E1(K s) - E1(K)].  Each distinct b is computed once:
+    by ``_decay_series`` for b <= 1/2 (so F(0) is exactly 0), and by the
+    closed form otherwise, with one E1 call that also gives E1(K).
+    """
+    k = params.quad.cutoff_mult
+    b, inverse = np.unique(np.abs(a) * params.omega_c, return_inverse=True)
+    f = np.empty_like(b)
+    near = b <= 0.5
+    f[near] = _decay_series(k, b[near])
+    far = b[~near]
+    e1 = _exp1(k * (1.0 - 1j * np.append(0.0, far))).real
+    f[~near] = 0.5 * np.log1p(far * far) + e1[1:] - e1[0]
+    return f[inverse].reshape(a.shape)
 
 
 def _log_factor_grid(params: DephasingParams, times: np.ndarray) -> dict[str, np.ndarray]:
-    """Adaptive composite quadrature of the log-magnitude patterns over omega."""
-    cfg = params.quad
-    prev: dict[str, np.ndarray] | None = None
-    n = cfg.abscissas
-    for _ in range(cfg.max_doublings + 1):
-        omega, weights = _panel_nodes(params, n)
-        vals = _pattern_values(params, omega, times)
-        cur = {k: weights @ v for k, v in vals.items()}
-        if prev is not None:
-            err = max(np.max(np.abs(cur[k] - prev[k])) for k in _PATTERNS)
-            scale = 1.0 + max(np.max(np.abs(cur[k])) for k in _PATTERNS)
-            if err <= cfg.rel_tol * scale:
-                return cur
-        prev = cur
-        n *= 2
-    raise QuadratureConvergenceError(
-        f"frequency integral did not converge to rel_tol={cfg.rel_tol} "
-        f"within {cfg.max_doublings} doublings"
-    )
+    """Log magnitudes (T,) of the four coherence patterns.
+
+    A coupling g_j = 2 sqrt(J_j) beta_j has int |g_j|^2 = 8 alpha_j F(tau_j),
+    and the squeezing cross term int Re(g1 g2) = -4 sqrt(alpha1 alpha2)
+    sum_k c_k F(x_k), with x = A + (0, tau1, tau2, tau1 + tau2),
+    c = (1, -1, -1, 1) and A = t1s + t2s.
+
+    The classical pair correlations leave no cross term: per mode they
+    contribute ln I0(~ coupling^2) = O(dw^2), which vanishes in the continuum
+    limit, so the classical patterns are purely marginal (any finite-mode
+    realization retains the per-mode I0 factor; see ``classical_char_factor``
+    and the discrete model).
+    """
+    tau1 = np.clip(times, params.t1s, params.t1f) - params.t1s
+    tau2 = np.clip(times, params.t2s, params.t2f) - params.t2s
+    shift = params.t1s + params.t2s
+    f1, f2, fa, fa1, fa2, fa12 = _decay_integral(params, np.stack([
+        tau1, tau2, np.full_like(tau1, shift), shift + tau1, shift + tau2, shift + tau1 + tau2,
+    ]))
+    if params.env_kind == "classical":
+        u = params.u_eff
+        c = (1.0 + u * u) / (1.0 - u * u)
+        cross = 0.0
+    else:
+        c = math.cosh(2 * params.r)
+        # grouped so that the sum is exactly 0 while either window is still closed
+        cross = -4.0 * math.sinh(2 * params.r) * math.sqrt(params.alpha1 * params.alpha2) * (
+            (fa + fa12) - (fa1 + fa2))
+    single1 = -4.0 * c * params.alpha1 * f1
+    single2 = -4.0 * c * params.alpha2 * f2
+    marg = single1 + single2
+    return {"single1": single1, "single2": single2, "same": marg + cross, "opp": marg - cross}
 
 
 def phase_factor_grid(params: DephasingParams, times: Sequence[float]) -> dict[str, np.ndarray]:
@@ -768,8 +812,8 @@ def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFact
     """The six coherence factors of the truncated discrete model.
 
     Computed from per-pair displaced-environment overlaps in the interaction
-    picture (free eps phases excluded); converges to the quadrature factors
-    at eps = 0 as the mode count grows.
+    picture (free eps phases excluded); converges to the continuum
+    (closed-form) factors at eps = 0 as the mode count grows.
     """
     snap = _Snapshot(model, t)
     sig = [(_sigma(s1), _sigma(s2)) for s1, s2 in _BASIS]

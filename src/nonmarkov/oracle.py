@@ -408,8 +408,9 @@ def dense_dephasing_check(
     """Compare branch Gram entropies/CMI against dense full-space evolution.
 
     Also records how far the dense system coherences sit from the continuum
-    quadrature factors (a convergence indicator for the mode count, looser by
-    construction and not asserted).
+    (closed-form) factors, under the historical key
+    ``quadrature_coherence_dev_*`` (a convergence indicator for the mode
+    count, looser by construction and not asserted).
     """
     t = np.asarray(times, dtype=float).reshape(-1)
     branch = dephasing.BranchComputer(model, initial, budget=budget)
@@ -423,7 +424,7 @@ def dense_dephasing_check(
             worst_cmi = max(worst_cmi, abs(eb["cmi"] - ed["cmi"]))
             for key in ("S_AS", "S_S", "S_A", "S_SE", "S_ASE", "mi_sa"):
                 worst_ent = max(worst_ent, abs(eb[key] - ed[key]))
-    # coherence convergence vs quadrature (recorded); probed with a state that
+    # coherence convergence vs the continuum factors (recorded); probed with a state that
     # populates every system coherence (the measurement initial usually doesn't)
     part_as = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
     amps = np.zeros(8, dtype=complex)

@@ -52,20 +52,6 @@ class TestPhaseFactorsMode:
         assert cli.run(cfg_path) == 0
         assert open(out, "rb").read() == first
 
-    def test_quadrature_failure_exit_code(self, tmp_path):
-        out = str(tmp_path / "pf.csv")
-        cfg = {
-            **PF_CFG,
-            "output_path": out,
-            "dephasing": {
-                "omega_c": 0.01,
-                "r": 3.0,
-                "env_kind": "entangled",
-                "quad": {"abscissas": 2, "rel_tol": 1e-16, "max_doublings": 1},
-            },
-        }
-        assert cli.run(write_config(tmp_path, cfg)) == 2
-
 
 CMI_CFG = {
     "mode": "cmi",
@@ -191,7 +177,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("case", [
         "flagged_unnormalised", "flagged_bad_index", "check_samples_flag", "check_samples_key",
-        "unknown_quad_key", "unknown_top_key_n2", "unknown_top_key_typo",
+        "unknown_quad_key", "removed_quad_abscissas", "removed_quad_rel_tol",
+        "removed_quad_max_doublings", "unknown_top_key_n2", "unknown_top_key_typo",
         "bare_number", "zero_modes", "t_end_infinity", "omega_c_nan", "t_end_1e999",
         "dt_5e-324", "dt_1e-300", "dt_1e-9",
     ])
@@ -206,6 +193,10 @@ class TestConfigValidation:
             "check_samples_key": {"mode": "check", "check": {"samples": 0}},
             "unknown_quad_key": {**PF_CFG, "dephasing": {
                 **PF_CFG["dephasing"], "quad": {"abscisas": 16}}},
+            # the adaptive-quadrature knobs are gone with the quadrature itself
+            **{f"removed_quad_{key}": {**PF_CFG, "dephasing": {
+                **PF_CFG["dephasing"], "quad": {"cutoff_mult": 60.0, key: value}}}
+               for key, value in (("abscissas", 16), ("rel_tol", 1e-8), ("max_doublings", 8))},
             "unknown_top_key_n2": {**CMI_CFG, "include_n2": True},
             "unknown_top_key_typo": {**CMI_CFG, "candidatez": [{"kind": "ops_state"}]},
             "zero_modes": {**CMI_CFG, "discrete": {"n_modes": 0, "n_max": 4}},

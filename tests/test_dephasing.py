@@ -13,7 +13,6 @@ from nonmarkov.dephasing import (
     ENV_KINDS,
     DephasingParams,
     QuadratureConfig,
-    QuadratureConvergenceError,
     TruncationError,
     beta,
     build_discrete_model,
@@ -197,11 +196,83 @@ class TestPhaseFactors:
             expected = math.exp(-2 * math.cosh(6.0) * math.log(1 + (0.01 * t) ** 2))
             assert_allclose(abs(phase_factors(p, t).k1), expected, atol=1e-9)
 
-    def test_quadrature_convergence_failure_raises(self):
-        quad = QuadratureConfig(abscissas=2, rel_tol=1e-16, max_doublings=1)
-        p = DephasingParams(**PAPER, env_kind="entangled", quad=quad)
-        with pytest.raises(QuadratureConvergenceError):
-            phase_factors(p, 2.0)
+
+# composite Gauss-Legendre panels in units of omega_c, for the quadrature oracle
+_PANEL_EDGES = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0)
+
+
+def _quadrature_log_patterns(params, times):
+    """The four log-magnitude patterns by adaptive composite Gauss-Legendre quadrature.
+
+    Integrates the coupling densities g_j = 2 sqrt(J_j) beta_j over
+    (0, cutoff_mult * omega_c] on fixed panels, doubling the nodes per panel
+    (at most 8 times) until two successive estimates agree to 1e-15.
+    """
+    wc, hi = params.omega_c, params.quad.cutoff_mult
+    edges = [e for e in _PANEL_EDGES if e < hi] + [hi]
+
+    def estimate(nodes_per_panel):
+        x0, w0 = np.polynomial.legendre.leggauss(nodes_per_panel)
+        om = np.concatenate([(0.5 * (a + b) + 0.5 * (b - a) * x0) * wc for a, b in zip(edges, edges[1:])])
+        wt = np.concatenate([0.5 * (b - a) * w0 * wc for a, b in zip(edges, edges[1:])])
+        g = []
+        for alpha, (ts, tf) in ((params.alpha1, params.window1), (params.alpha2, params.window2)):
+            tau = np.clip(times, ts, tf) - ts
+            w = om[:, None]
+            beta_grid = np.exp(1j * w * ts) * (1.0 - np.exp(1j * w * tau[None, :])) / w
+            g.append(2.0 * np.sqrt(alpha * om * np.exp(-om / wc))[:, None] * beta_grid)
+        a1, a2 = np.abs(g[0]) ** 2, np.abs(g[1]) ** 2
+        if params.env_kind == "classical":
+            u = params.u_eff
+            c, cross = (1.0 + u * u) / (1.0 - u * u), 0.0 * a1
+        else:
+            c, cross = math.cosh(2 * params.r), math.sinh(2 * params.r) * (g[0] * g[1]).real
+        dens = {"single1": -0.5 * c * a1, "single2": -0.5 * c * a2,
+                "same": -0.5 * c * (a1 + a2) + cross, "opp": -0.5 * c * (a1 + a2) - cross}
+        return {k: wt @ v for k, v in dens.items()}
+
+    prev, n = estimate(16), 32
+    for _ in range(8):
+        cur = estimate(n)
+        err = max(np.max(np.abs(cur[k] - prev[k])) for k in cur)
+        if err <= 1e-15 * (1.0 + max(np.max(np.abs(v)) for v in cur.values())):
+            return cur
+        prev, n = cur, 2 * n
+    raise AssertionError("oracle quadrature did not converge")
+
+
+# the log-magnitude pattern and the (sigma1, sigma2) multipliers of each named factor
+_FACTOR_PATTERNS = {
+    "k1": ("single1", -2, 0), "k2": ("single2", 0, -2), "k1t": ("single1", -2, 0),
+    "k2t": ("single2", 0, -2), "k12": ("same", -2, -2), "lam12": ("opp", -2, 2),
+}
+
+OFF_DEFAULT = dict(omega_c=0.1, r=1.2, alpha1=0.3, alpha2=2.0, t1s=0.5, t1f=1.7, t2s=2.2, t2f=4.1)
+
+
+class TestClosedFormPhaseFactors:
+    @pytest.mark.parametrize("cutoff_mult", [2.0, 60.0, 400.0])
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_matches_quadrature_oracle(self, env_kind, cutoff_mult):
+        quad = QuadratureConfig(cutoff_mult=cutoff_mult)
+        times = np.linspace(0.0, 5.0, 101)
+        for base, eps in ((PAPER, (0.0, 0.0)), (DESK, (0.7, -0.3)), (OFF_DEFAULT, (-0.4, 1.1))):
+            p = DephasingParams(**base, env_kind=env_kind, eps1=eps[0], eps2=eps[1], quad=quad)
+            grid = phase_factor_grid(p, times)
+            logs = _quadrature_log_patterns(p, times)
+            for name, (pattern, m1, m2) in _FACTOR_PATTERNS.items():
+                assert_allclose(np.log(np.abs(grid[name])), logs[pattern], rtol=0, atol=1e-13, err_msg=name)
+                phase = np.exp(-1j * (m1 * p.eps1 + m2 * p.eps2) * times)
+                assert_allclose(grid[name] / np.abs(grid[name]), phase, rtol=0, atol=1e-13, err_msg=name)
+            if eps == (0.0, 0.0):  # closed windows give a log of exactly 0.0: every factor is exactly 1
+                assert all(np.all(grid[name][times <= p.t1s] == 1.0) for name in grid)
+
+    def test_exp1_matches_scipy(self):
+        exp1 = pytest.importorskip("scipy.special").exp1
+        b = np.concatenate(([0.0], np.linspace(0.01, 10.0, 1000), np.logspace(-6, 3, 400)))
+        for k in (0.5, 2.0, 5.0, 20.0, 60.0, 400.0):
+            z = k * (1.0 - 1j * b)
+            assert_allclose(dephasing._exp1(z), exp1(z), rtol=1e-13, atol=0, err_msg=f"K = {k}")
 
 
 class TestSystemState:
@@ -315,11 +386,22 @@ class TestNumpyOnlyPath:
                 assert np.abs(d - ref).max() <= 1e-13
                 assert np.abs(d @ d.conj().T - np.eye(n_dim)).max() <= 1e-13
 
-    def test_package_and_cli_import_no_scipy(self):
+    def test_package_and_cli_import_no_scipy(self, tmp_path):
+        # importing, then running phase_factors for both env kinds, loads no SciPy
         src = os.path.dirname(os.path.dirname(os.path.abspath(dephasing.__file__)))
-        code = ("import nonmarkov, nonmarkov.cli, sys; "
-                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
-        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
+        code = (
+            "import json, sys, nonmarkov, nonmarkov.cli\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "for kind in ('entangled', 'classical'):\n"
+            "    cfg = {'mode': 'phase_factors', 'output_path': sys.argv[1] + '/' + kind + '.csv',\n"
+            "           'dephasing': {'omega_c': 0.01, 'r': 3.0, 'env_kind': kind},\n"
+            "           'grid': {'t_start': 0.0, 't_end': 5.0, 'dt': 0.25}}\n"
+            "    assert nonmarkov.cli.execute(cfg) == 0\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        )
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert sorted(os.listdir(tmp_path)) == ["classical.csv", "entangled.csv"]
 
 
 class TestBuildDiscreteModel:
