@@ -858,12 +858,21 @@ class DenseComputer:
         env = reduce(np.kron, [pair_state] * model.n_pairs)
         self.rho0 = np.kron(initial.data, env)
         self.d_a = initial.partition.dims[0]
+        self._memo: tuple[float, DensityMatrix] | None = None
 
-    def _unitary(self, t: float) -> np.ndarray:
+    def state_at(self, t: float) -> DensityMatrix:
+        """U(t) rho0 U(t)^dag with U = 1_A (x) blockdiag_s(U_s), applied block by block.
+
+        The last state is kept, so the entropies of every env part and the
+        system state at one t share a single evolution and validation.
+        """
+        t = float(t)
+        if self._memo is not None and self._memo[0] == t:
+            return self._memo[1]
         model = self.model
         n = model.fock_dim
         dim_env = (n * n) ** model.n_pairs
-        u_mat = np.zeros((4 * dim_env, 4 * dim_env), dtype=complex)
+        u_s = np.empty((len(_BASIS), dim_env, dim_env), dtype=complex)
         for s_idx, (b1bit, b2bit) in enumerate(_BASIS):
             s1, s2 = _sigma(b1bit), _sigma(b2bit)
             ops = []
@@ -871,16 +880,16 @@ class DenseComputer:
                 d1 = _displacement(n, s1 * g1 * beta(om, t, model.params.window1))
                 d2 = _displacement(n, s2 * g2 * beta(om, t, model.params.window2))
                 ops.append(np.kron(d1, d2))
-            env_op = reduce(np.kron, ops)
-            lo = s_idx * dim_env
-            u_mat[lo:lo + dim_env, lo:lo + dim_env] = env_op
-        return np.kron(np.eye(self.d_a), u_mat)
-
-    def state_at(self, t: float) -> DensityMatrix:
-        u = self._unitary(t)
-        rho = u @ self.rho0 @ u.conj().T
+            u_s[s_idx] = reduce(np.kron, ops)
+        u_k = np.tile(u_s, (self.d_a, 1, 1))  # row block k = (a, s) evolves with U_s
+        nb = u_k.shape[0]
+        blocks = self.rho0.reshape(nb, dim_env, nb, dim_env).transpose(0, 2, 1, 3)
+        out = u_k[:, None] @ blocks @ u_k.conj().transpose(0, 2, 1)[None, :]
+        rho = out.transpose(0, 2, 1, 3).reshape(self.rho0.shape)
         rho = 0.5 * (rho + rho.conj().T)
-        return DensityMatrix(rho, self.partition)
+        state = DensityMatrix(rho, self.partition)
+        self._memo = (t, state)
+        return state
 
     def entropies_at(self, t: float, env_part: str) -> dict[str, float]:
         if env_part not in ENV_PARTS:
@@ -891,17 +900,16 @@ class DenseComputer:
         env = e1 if env_part == "E1" else e2 if env_part == "E2" else (e1 | e2)
         sys_l = {"S1", "S2"}
         reduced = partial_trace(state, {"A"} | sys_l | env)
+        rho_as = partial_trace(state, {"A"} | sys_l)
         out = {
-            "S_AS": info.von_neumann_entropy(partial_trace(state, {"A", "S1", "S2"})),
+            "S_AS": info.von_neumann_entropy(rho_as),
             "S_S": info.von_neumann_entropy(partial_trace(state, sys_l)),
             "S_A": info.von_neumann_entropy(partial_trace(state, {"A"})),
             "S_SE": info.von_neumann_entropy(partial_trace(reduced, sys_l | env)),
             "S_ASE": info.von_neumann_entropy(reduced),
         }
         out["cmi"] = info.conditional_mutual_information(reduced, {"A"}, env, sys_l)
-        out["mi_sa"] = info.mutual_information(
-            partial_trace(state, {"A", "S1", "S2"}), sys_l, {"A"}
-        )
+        out["mi_sa"] = info.mutual_information(rho_as, sys_l, {"A"})
         return out
 
     def system_state(self, t: float) -> DensityMatrix:

@@ -28,7 +28,7 @@ NONNEG_CLAMP = 1e-9       # small negatives from cancellation clamped to 0
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda ln lambda over the clamped spectrum, in nats."""
-    return spectrum_entropy(np.linalg.eigvalsh(rho.data))
+    return spectrum_entropy(rho.spectrum)
 
 
 def _check_same_partition(rho: DensityMatrix, sigma: DensityMatrix):
@@ -70,7 +70,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     w = np.clip(w, 0.0, None)
     if w[null].sum() > SUPPORT_WEIGHT_TOL:
         return math.inf
-    term_p = -spectrum_entropy(np.linalg.eigvalsh(rho.data))
+    term_p = -spectrum_entropy(rho.spectrum)
     keep = ~null
     term_q = float((w[keep] * np.log(q[keep])).sum())
     val = term_p - term_q

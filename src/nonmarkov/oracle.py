@@ -3,9 +3,11 @@
 Random-state identity checks for the information-measure layer, truncated
 Fock-space checks for the special functions, and the dense cross-check of
 the branch Gram method.  Every suite is deterministic per seed; violations
-are reported, not thrown.  Entries whose name ends in ``_recorded`` are
-informational (tolerance = inf): they log margins for bounds that are not
-theorems for the implemented (Petz) recovery map.
+are reported, not thrown.  The identity suite's negative control applies a
+global unitary to a product state tau_A (x) sigma_SE and must see I(A:SE)
+change; it checks that the suite can fail.  Entries whose name ends in
+``_recorded`` are informational (tolerance = inf): they log margins for
+bounds that are not theorems for the implemented (Petz) recovery map.
 """
 
 from __future__ import annotations
@@ -123,11 +125,23 @@ def _conj(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
 
 
 def _check_conservation(rng, negative: bool = False) -> float:
-    """(a) I(A:SE) conserved under U_SE (x) 1_A; negative control rotates A too."""
+    """(a) I(A:SE) conserved under U_SE (x) 1_A.
+
+    The negative control starts from a product tau_A (x) sigma_SE, so
+    I(A:SE) = 0 before the rotation, and rotates A too: |delta| is then the
+    correlation the global unitary creates, which is bounded away from 0
+    (a random correlated state could land on delta ~ 0 by chance).
+    """
     da, ds, de = _qubit_split(rng, 3)
     part = SystemPartition([("A", da), ("S", ds), ("E", de)])
-    rho = _rand_state(rng, part)
-    labels = {"A", "S", "E"} if negative else {"S", "E"}
+    if negative:
+        rho = tensor(
+            _rand_state(rng, part.restrict({"A"})), _rand_state(rng, part.restrict({"S", "E"}))
+        )
+        labels = {"A", "S", "E"}
+    else:
+        rho = _rand_state(rng, part)
+        labels = {"S", "E"}
     u = _u_on(part, labels, int(rng.integers(0, 2**31)))
     before = info.mutual_information(rho, {"A"}, {"S", "E"})
     after = info.mutual_information(_conj(rho, u), {"A"}, {"S", "E"})
@@ -376,14 +390,14 @@ def special_function_suite(seed: int = 0) -> SuiteReport:
 
     v = u ** np.arange(n_t)
     v = v / np.linalg.norm(v)
-    vec = np.zeros(n_t * n_t, dtype=complex)
-    vec[np.arange(n_t) * n_t + np.arange(n_t)] = v
+    mat = np.diag(v).astype(complex)  # |v> = sum_n v_n |n>|n>, reshaped to n_t x n_t
     worst_c = 0.0
     pts = [(0.3, 0.3), (0.3 + 0.2j, -0.1 + 0.4j), (0.5j, 0.5j), (0.8, -0.4 + 0.1j)]
     rnd = rng.uniform(-0.6, 0.6, (2, 4))
     pts += [(complex(a, b_), complex(c, d_)) for a, b_, c, d_ in rnd]
     for g1, g2 in pts:
-        ref = np.vdot(vec, np.kron(disp_t(g1), disp_t(g2)) @ vec)
+        # <v| D1 (x) D2 |v> = <V, D1 V D2^T>
+        ref = np.vdot(mat, disp_t(g1) @ mat @ disp_t(g2).T)
         val = math.exp(dephasing.entangled_char_factor(g1, g2, r))
         worst_c = max(worst_c, abs(ref - val))
 

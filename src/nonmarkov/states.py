@@ -8,7 +8,7 @@ positive semidefinite up to tolerance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,10 +93,15 @@ class SystemPartition:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD unit-trace matrix with a labeled factorization."""
+    """Hermitian PSD unit-trace matrix with a labeled factorization.
+
+    ``spectrum`` is the raw ascending ``eigvalsh`` spectrum computed during
+    validation (read-only, like ``data``, so it can never go stale).
+    """
 
     data: np.ndarray
     partition: SystemPartition
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.data, dtype=np.complex128)
@@ -113,11 +118,14 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateValidityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(m)[0])
+        eigs = np.linalg.eigvalsh(m)
+        lo = float(eigs[0])
         if lo < -PSD_TOL:
             raise StateValidityError(f"negative eigenvalue {lo:.3e} beyond tolerance")
         m.setflags(write=False)
+        eigs.setflags(write=False)
         object.__setattr__(self, "data", m)
+        object.__setattr__(self, "spectrum", eigs)
 
     @property
     def dim(self) -> int:
@@ -129,7 +137,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum with small negatives clamped to zero."""
-        return clamp_spectrum(np.linalg.eigvalsh(self.data))
+        return clamp_spectrum(self.spectrum)
 
 
 def clamp_spectrum(eigs: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

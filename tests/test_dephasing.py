@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -508,6 +509,55 @@ class TestStructuredBranchEntropies:
                     ref = comp._assembled(snap, range(comp.br.nb), keep_a, keep_s, env_keep)
                     assert abs(comp._entropy(snap, keep_a, keep_s, env_keep)
                                - spectrum_entropy(ref, tol=1e-9)) <= 1e-12
+
+
+def _kron_evolved(dense, t):
+    """The full-matrix evolution kron(1_A, blockdiag_s U_s) rho0 U^dag, kept as the test oracle."""
+    model = dense.model
+    n = model.fock_dim
+    dim_env = (n * n) ** model.n_pairs
+    u_mat = np.zeros((4 * dim_env, 4 * dim_env), dtype=complex)
+    for s_idx, (s1, s2) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
+        ops = [
+            np.kron(
+                dephasing._displacement(n, s1 * g1 * beta(om, t, model.params.window1)),
+                dephasing._displacement(n, s2 * g2 * beta(om, t, model.params.window2)),
+            )
+            for om, g1, g2 in model.mode_pairs
+        ]
+        lo = s_idx * dim_env
+        u_mat[lo:lo + dim_env, lo:lo + dim_env] = functools.reduce(np.kron, ops)
+    u = np.kron(np.eye(dense.d_a), u_mat)
+    return u @ dense.rho0 @ u.conj().T
+
+
+class TestDenseComputer:
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    @pytest.mark.parametrize("n_modes,n_max", [(1, 4), (2, 2)])
+    def test_blockwise_matches_kron_evolution(self, env_kind, n_modes, n_max):
+        p = DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind)
+        m = build_discrete_model(p, n_modes=n_modes, n_max=n_max)
+        part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+        for initial in (measures.ops_state(), random_pure_state(part, 4)):
+            dense = dephasing.DenseComputer(m, initial)
+            for t in (1.3, 3.7):
+                assert np.max(np.abs(dense.state_at(t).data - _kron_evolved(dense, t))) <= 1e-13
+
+    def test_one_state_per_time(self, monkeypatch):
+        p = DephasingParams(**{**DESK, "r": 0.2}, env_kind="entangled")
+        m = build_discrete_model(p, n_modes=1, n_max=4)
+        dense = dephasing.DenseComputer(m, measures.ops_state())
+        dim = dense.partition.total_dim
+        full_solves = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: full_solves.append(a.shape[0] == dim) or real(a)
+        )
+        for k, t in enumerate((1.3, 3.7), start=1):
+            for part in dephasing.ENV_PARTS:
+                dense.entropies_at(t, part)
+            dense.system_state(t)
+            assert sum(full_solves) == k
 
 
 class TestModeCountConvergence:

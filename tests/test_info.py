@@ -17,6 +17,7 @@ from nonmarkov.states import (
     pure_state,
     random_channel,
     random_density_matrix,
+    spectrum_entropy,
     tensor,
 )
 
@@ -47,6 +48,32 @@ class TestVonNeumannEntropy:
         expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
         assert_allclose(info.von_neumann_entropy(rho), expected, atol=1e-14)
         assert_allclose(expected, 0.5623351446188083, atol=1e-15)
+
+
+class TestSpectrumReuse:
+    """Entropies of an existing state read its validated spectrum; no eigensolve."""
+
+    @staticmethod
+    def _count_eigvalsh(monkeypatch) -> list:
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+        return calls
+
+    def test_von_neumann_entropy(self, monkeypatch):
+        rho = random_density_matrix(SystemPartition([("A", 2), ("S", 3)]), 4, seed=6)
+        fresh = spectrum_entropy(np.linalg.eigvalsh(rho.data))
+        calls = self._count_eigvalsh(monkeypatch)
+        assert info.von_neumann_entropy(rho) == fresh
+        assert calls == []
+
+    def test_relative_entropy_rho_side(self, monkeypatch):
+        rho = random_density_matrix(QUBIT, 2, seed=7)
+        sigma = random_density_matrix(QUBIT, 2, seed=8)
+        expected = info.relative_entropy(rho, sigma)
+        calls = self._count_eigvalsh(monkeypatch)
+        assert info.relative_entropy(rho, sigma) == expected
+        assert calls == []
 
 
 class TestTraceDistance:

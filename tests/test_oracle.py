@@ -39,6 +39,18 @@ class TestIdentitySuite:
         with pytest.raises(ValueError):
             oracle.identity_suite(seed=0, samples=0)
 
+    @pytest.mark.parametrize("seed", [671587649, 1664773921])
+    def test_negative_control_is_bounded_away_from_zero(self, seed):
+        # a correlated random sample once gave |delta I(A:SE)| ~ 5e-7 at these seeds
+        report = oracle.identity_suite(seed=seed, samples=100)
+        assert report.all_passed, report.summary()
+
+    def test_negative_control_fails_without_rotation(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_u_on", lambda part, labels, seed: np.eye(part.total_dim))
+        by_name = {c.name: c for c in oracle.identity_suite(seed=5, samples=3).checks}
+        assert by_name["a_conservation_I_A_SE"].passed
+        assert not by_name["negative_control_detected"].passed
+
 
 class TestSpecialFunctionSuite:
     def test_passes(self):

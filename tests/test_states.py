@@ -79,6 +79,26 @@ class TestDensityMatrixValidation:
             rho.data[0, 0] = 2.0
 
 
+class TestValidatedSpectrum:
+    def test_spectrum_is_read_only_raw_eigvalsh(self):
+        for seed, rank in ((1, 4), (2, 2), (3, 1)):
+            rho = random_density_matrix(SystemPartition([("A", 2), ("S", 2)]), rank, seed=seed)
+            assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.data))
+            assert not rho.spectrum.flags.writeable
+            with pytest.raises(ValueError):
+                rho.spectrum[0] = 0.5
+
+    def test_eigenvalues_reuse_the_spectrum(self, monkeypatch):
+        rho = random_density_matrix(SystemPartition([("S", 3)]), 2, seed=5)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or real(m))
+        eigs = rho.eigenvalues()
+        assert calls == []
+        assert eigs.min() >= 0.0
+        assert_allclose(eigs, rho.spectrum, atol=1e-10)
+
+
 class TestTensor:
     def test_identity_case(self):
         a = maximally_mixed(SystemPartition([("S", 2)]))
