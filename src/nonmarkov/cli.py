@@ -95,6 +95,13 @@ def _fields(cfg, types: dict, what: str, build=dict):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 _QUAD_TYPES = {"cutoff_mult": float}
 _DEPHASING_TYPES = {
     **dict.fromkeys(
@@ -105,16 +112,16 @@ _DEPHASING_TYPES = {
     "quad": lambda q: _fields(q, _QUAD_TYPES, "quad", QuadratureConfig),
 }
 _MODEL_TYPES = {"dephasing": dict, "discrete": dict, "grid": dict, "candidates": list,
-                "seed": int, "budget": int}
+                "seed": _seed, "budget": int}
 _MODE_TYPES = {
     "phase_factors": {"dephasing": dict, "grid": dict},
     "cmi": _MODEL_TYPES,
     "measures": _MODEL_TYPES,
-    "check": {"check": dict, "seed": int},
+    "check": {"check": dict, "seed": _seed},
 }
 _CANDIDATE_TYPES = {
     "ops_state": {},
-    "random": {"seed": int},
+    "random": {"seed": _seed},
     "flagged": {"amplitudes": list, "system_indices": list},
     "tsio": {"state1": list, "state2": list},
 }

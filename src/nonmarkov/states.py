@@ -8,6 +8,8 @@ positive semidefinite up to tolerance).
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -36,48 +38,46 @@ class SystemPartition:
     """Ordered list of named subsystems with dimensions.
 
     The factor order is authoritative: no operation ever reorders factors
-    silently, so label-driven conditioning is unambiguous.
+    silently, so label-driven conditioning is unambiguous.  ``labels``,
+    ``dims`` and ``total_dim`` are computed once; equality and hash depend
+    on ``factors`` alone.
     """
 
     factors: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, factors: Iterable[tuple[str, int]]):
         factors = tuple((str(lbl), int(dim)) for lbl, dim in factors)
         if not factors:
             raise PartitionError("partition needs at least one factor")
-        labels = [lbl for lbl, _ in factors]
+        labels = tuple(lbl for lbl, _ in factors)
         if len(set(labels)) != len(labels):
-            raise PartitionError(f"duplicate labels in partition: {labels}")
+            raise PartitionError(f"duplicate labels in partition: {list(labels)}")
         for lbl, dim in factors:
             if dim < 1:
                 raise PartitionError(f"factor {lbl!r} has nonpositive dimension {dim}")
+        dims = tuple(d for _, d in factors)
         object.__setattr__(self, "factors", factors)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", math.prod(dims))
+        object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(labels)})
 
     def dim_of(self, label: str) -> int:
-        for lbl, d in self.factors:
-            if lbl == label:
-                return d
-        raise PartitionError(f"unknown label {label!r}; have {self.labels}")
+        if label not in self._index:
+            raise PartitionError(f"unknown label {label!r}; have {self.labels}")
+        return self.dims[self._index[label]]
 
     def positions(self, labels: Iterable[str]) -> list[int]:
         """Factor indices of ``labels`` in original order."""
         want = set(labels)
-        unknown = want - set(self.labels)
+        unknown = want - self._index.keys()
         if unknown:
             raise PartitionError(f"unknown labels {sorted(unknown)}; have {self.labels}")
-        return [i for i, (lbl, _) in enumerate(self.factors) if lbl in want]
+        return sorted(self._index[lbl] for lbl in want)
 
     def restrict(self, labels: Iterable[str]) -> "SystemPartition":
         """Sub-partition of ``labels`` keeping the original factor order."""
@@ -96,12 +96,19 @@ class DensityMatrix:
     """Hermitian PSD unit-trace matrix with a labeled factorization.
 
     ``spectrum`` is the raw ascending ``eigvalsh`` spectrum computed during
-    validation (read-only, like ``data``, so it can never go stale).
+    validation (read-only, like ``data``, so it can never go stale).  The
+    marginals :func:`partial_trace` builds are kept in ``_marginals`` of the
+    root state they are traced from; each marginal refers back to that root
+    through the weak reference ``_root`` (``None`` on a root).
     """
 
     data: np.ndarray
     partition: SystemPartition
     spectrum: np.ndarray = field(init=False, repr=False)
+    _root: weakref.ref | None = field(default=None, init=False, repr=False)
+    _marginals: dict[frozenset, DensityMatrix] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self):
         m = np.array(self.data, dtype=np.complex128)
@@ -112,15 +119,16 @@ class DensityMatrix:
                 f"matrix size {m.shape[0]} does not match partition dimension "
                 f"{self.partition.total_dim}"
             )
+        # every comparison is written so that NaN fails it
         herm = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise StateValidityError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateValidityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         eigs = np.linalg.eigvalsh(m)
         lo = float(eigs[0])
-        if lo < -PSD_TOL:
+        if not lo >= -PSD_TOL:
             raise StateValidityError(f"negative eigenvalue {lo:.3e} beyond tolerance")
         m.setflags(write=False)
         eigs.setflags(write=False)
@@ -144,7 +152,7 @@ def clamp_spectrum(eigs: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Clamp eigenvalues in [-tol, 0) to 0; reject anything more negative."""
     eigs = np.asarray(eigs, dtype=float)
     lo = eigs.min() if eigs.size else 0.0
-    if lo < -tol:
+    if not lo >= -tol:
         raise StateValidityError(f"eigenvalue {lo:.3e} below -{tol:.0e}")
     return np.where(eigs < 0.0, 0.0, eigs)
 
@@ -231,23 +239,41 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Reduced state on ``keep`` (original factor order preserved)."""
-    part = rho.partition
-    keep_pos = part.positions(keep)
-    if len(keep_pos) == len(part.factors):
+    """Reduced state on ``keep`` (original factor order preserved).
+
+    Each marginal of a state is computed and validated once: it is traced
+    from the root state (``rho`` itself, or the state ``rho`` was traced
+    from) and memoised on that root, keyed by ``frozenset(keep)``.  So
+    ``partial_trace(partial_trace(rho, ABC), AB)`` is ``partial_trace(rho,
+    AB)``, the same object.  A marginal refers to its root only weakly; once
+    the root is gone, the marginal is the root of its own marginals.
+    ``keep`` must name factors of ``rho``; keeping all of them returns ``rho``.
+    """
+    keep = frozenset(keep)
+    n_keep = len(rho.partition.positions(keep))
+    if n_keep == len(rho.partition.factors):
         return rho
-    if not keep_pos:
+    if not n_keep:
         raise PartitionError("cannot trace out every factor")
+    root = rho._root() if rho._root is not None else None
+    if root is None:
+        root = rho
+    hit = root._marginals.get(keep)
+    if hit is not None:
+        return hit
+    part = root.partition
+    keep_pos = part.positions(keep)
     dims = list(part.dims)
     n = len(dims)
-    t = rho.data.reshape(dims + dims)
+    t = root.data.reshape(dims + dims)
     ket = list(range(n))
     bra = [(i + n) if i in keep_pos else i for i in range(n)]
-    out = [i for i in keep_pos] + [i + n for i in keep_pos]
+    out = keep_pos + [i + n for i in keep_pos]
     red = np.einsum(t, ket + bra, out)
-    d_keep = int(np.prod([dims[i] for i in keep_pos], dtype=np.int64))
-    sub = part.restrict(part.labels[i] for i in keep_pos)
-    return DensityMatrix(red.reshape(d_keep, d_keep), sub)
+    d_keep = math.prod(dims[i] for i in keep_pos)
+    marginal = DensityMatrix(red.reshape(d_keep, d_keep), part.restrict(keep))
+    object.__setattr__(marginal, "_root", weakref.ref(root))
+    return root._marginals.setdefault(keep, marginal)
 
 
 def _apply_on_factor(mat: np.ndarray, op: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:

@@ -180,7 +180,8 @@ class TestConfigValidation:
         "unknown_quad_key", "removed_quad_abscissas", "removed_quad_rel_tol",
         "removed_quad_max_doublings", "unknown_top_key_n2", "unknown_top_key_typo",
         "bare_number", "zero_modes", "t_end_infinity", "omega_c_nan", "t_end_1e999",
-        "dt_5e-324", "dt_1e-300", "dt_1e-9",
+        "dt_5e-324", "dt_1e-300", "dt_1e-9", "check_seed_flag", "check_seed_key",
+        "measures_seed_random", "random_candidate_seed",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -204,6 +205,10 @@ class TestConfigValidation:
             "omega_c_nan": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "omega_c": math.nan}},
             **{name: {**PF_CFG, "grid": {"t_start": 0.0, "t_end": 1.0, "dt": dt}}
                for name, dt in (("dt_5e-324", 5e-324), ("dt_1e-300", 1e-300), ("dt_1e-9", 1e-9))},
+            "check_seed_key": {"mode": "check", "seed": -5, "check": {"samples": 1}},
+            "measures_seed_random": {**CMI_CFG, "mode": "measures", "seed": -5,
+                                     "candidates": [{"kind": "random"}]},
+            "random_candidate_seed": {**CMI_CFG, "candidates": [{"kind": "random", "seed": -1}]},
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
@@ -215,6 +220,8 @@ class TestConfigValidation:
         }
         if case == "check_samples_flag":
             argv = ["check", "--samples", "0", "--output", out]
+        elif case == "check_seed_flag":
+            argv = ["check", "--seed", "-1", "--samples", "1", "--output", out]
         elif case in raw:
             (tmp_path / "raw.json").write_text(raw[case])
             argv = ["run", str(tmp_path / "raw.json")]

@@ -559,6 +559,24 @@ class TestDenseComputer:
             dense.system_state(t)
             assert sum(full_solves) == k
 
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_env_parts_share_marginals(self, env_kind, monkeypatch):
+        # the check model: E1 builds the state and its A S E1, A S, S, A and S E1
+        # marginals; E2 adds A S E2 and S E2; E1E2 (the full state) adds S E1 E2
+        m = build_discrete_model(DephasingParams(omega_c=0.25, r=0.5, env_kind=env_kind), 1, 6)
+        dense = dephasing.DenseComputer(m, measures.ops_state())
+        calls = []
+        real = dephasing.DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            dephasing.DensityMatrix, "__post_init__", lambda self: calls.append(1) or real(self)
+        )
+        counts = []
+        for part in dephasing.ENV_PARTS:
+            dense.entropies_at(1.5, part)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts == [6, 2, 1]
+
 
 class TestModeCountConvergence:
     def test_classical_cmi_converges_with_mode_count(self):

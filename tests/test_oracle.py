@@ -45,6 +45,17 @@ class TestIdentitySuite:
         report = oracle.identity_suite(seed=seed, samples=100)
         assert report.all_passed, report.summary()
 
+    def test_state_construction_count(self, monkeypatch):
+        # each marginal is traced and validated once per root state; a change that
+        # re-traces or re-validates states moves this count
+        calls = []
+        real = oracle.DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            oracle.DensityMatrix, "__post_init__", lambda self: calls.append(1) or real(self)
+        )
+        oracle.identity_suite(seed=11, samples=10)
+        assert len(calls) == 870
+
     def test_negative_control_fails_without_rotation(self, monkeypatch):
         monkeypatch.setattr(oracle, "_u_on", lambda part, labels, seed: np.eye(part.total_dim))
         by_name = {c.name: c for c in oracle.identity_suite(seed=5, samples=3).checks}

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +14,7 @@ from nonmarkov.states import (
     SystemPartition,
     apply_channel,
     basis_state,
+    clamp_spectrum,
     depolarizing_channel,
     haar_random_unitary,
     identity_channel,
@@ -57,6 +61,27 @@ class TestSystemPartition:
         with pytest.raises(PartitionError):
             SystemPartition([("A", 2)]).concat(SystemPartition([("A", 2)]))
 
+    def test_equality_hash_and_repr_depend_on_factors_only(self):
+        p = SystemPartition([("A", 2), ("S", 4)])
+        q = SystemPartition((("A", 2), ("S", 4)))
+        assert p == q and hash(p) == hash(q) == hash((p.factors,))
+        assert p != SystemPartition([("A", 2), ("S", 3)])
+        assert len({p, q}) == 1
+        assert repr(p) == "SystemPartition(factors=(('A', 2), ('S', 4)))"
+
+    def test_bookkeeping_is_computed_once(self):
+        p = SystemPartition([("A", 2), ("S", 3), ("E", 5)])
+        assert p.labels is p.labels and p.dims is p.dims
+        assert p.dims == (2, 3, 5) and p.total_dim == 30 and type(p.total_dim) is int
+        assert p.positions(["E", "A"]) == [0, 2]
+
+    def test_unknown_label_messages(self):
+        p = SystemPartition([("A", 2), ("S", 4)])
+        with pytest.raises(PartitionError, match=r"^unknown label 'Q'; have \('A', 'S'\)$"):
+            p.dim_of("Q")
+        with pytest.raises(PartitionError, match=r"^unknown labels \['Q', 'R'\]; have \('A', 'S'\)$"):
+            p.positions({"A", "R", "Q"})
+
 
 class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):
@@ -72,6 +97,20 @@ class TestDensityMatrixValidation:
         m = np.diag([1.5, -0.5])
         with pytest.raises(StateValidityError):
             DensityMatrix(m, QUBIT)
+
+    @pytest.mark.parametrize("m", [
+        np.diag([np.nan, np.nan]),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.diag([np.inf, 0.5]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+    ], ids=["diag_nan", "offdiag_nan", "diag_inf", "offdiag_inf"])
+    def test_non_finite_rejected(self, m):
+        with pytest.raises(StateValidityError):
+            DensityMatrix(m, QUBIT)
+
+    def test_clamp_rejects_nan(self):
+        with pytest.raises(StateValidityError):
+            clamp_spectrum(np.array([np.nan, 0.5]))
 
     def test_data_read_only(self):
         rho = maximally_mixed(QUBIT)
@@ -166,6 +205,57 @@ class TestPartialTrace:
             back = partial_trace(tensor(rho, sig), {"S", "T"})
             assert np.max(np.abs(back.data - rho.data)) <= 1e-12
             assert abs(back.data.trace() - 1.0) <= 1e-12
+
+
+class TestMarginalMemo:
+    PART = SystemPartition([("A", 2), ("S", 2), ("E1", 2), ("E2", 3)])
+
+    def rho(self, seed=7):
+        return random_density_matrix(self.PART, self.PART.total_dim, seed)
+
+    def test_second_trace_returns_the_same_object(self):
+        rho = self.rho()
+        first = partial_trace(rho, {"A", "S"})
+        assert partial_trace(rho, ["S", "A"]) is first
+        assert partial_trace(rho, ("A", "S", "E1", "E2")) is rho
+
+    def test_marginal_of_marginal_is_the_root_marginal(self):
+        rho = self.rho()
+        ase1 = partial_trace(rho, {"A", "S", "E1"})
+        as_ = partial_trace(ase1, {"A", "S"})
+        assert as_ is partial_trace(rho, {"A", "S"})
+        assert partial_trace(as_, {"S"}) is partial_trace(rho, {"S"})
+        direct = rho.data.reshape(2, 2, 6, 2, 2, 6).trace(axis1=2, axis2=5).reshape(4, 4)
+        assert np.max(np.abs(as_.data - direct)) <= 1e-15
+
+    def test_labels_outside_the_marginal_are_rejected(self):
+        rho = self.rho()
+        ase1 = partial_trace(rho, {"A", "S", "E1"})
+        with pytest.raises(PartitionError):
+            partial_trace(ase1, {"A", "E2"})
+        with pytest.raises(PartitionError):
+            partial_trace(ase1, set())
+
+    def test_marginal_outlives_its_root_without_a_cycle(self):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rho = self.rho()
+            ase1 = partial_trace(rho, {"A", "S", "E1"})
+            expected = partial_trace(rho, {"A", "S"}).data.copy()
+            root = weakref.ref(rho)
+            del rho
+            assert root() is None  # freed by reference counting alone
+            as_ = partial_trace(ase1, {"A", "S"})
+            assert np.max(np.abs(as_.data - expected)) <= 1e-15
+            assert partial_trace(ase1, {"A", "S"}) is as_
+            refs = weakref.ref(ase1), weakref.ref(as_)
+            del ase1, as_
+            assert all(r() is None for r in refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestApplyChannel:
