@@ -17,6 +17,10 @@ Two computation routes are provided:
   trajectories via a branch Gram method, plus a dense full-Hilbert-space
   path used as an independent cross-check.
 
+Branch entropies that keep no bath are marginals of one rho_AS(t) per
+time; one that keeps one bath and traces S is solved in the real gauge
+D(sigma beta) = R O(sigma) R^dag (R diagonal, O real orthogonal).
+
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
 single-mode displacement response and carried by the spectral density (the
 Gauss-rule weights in the discrete model); energies eps_i contribute only
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -354,6 +358,10 @@ def _multipliers(i: int, j: int) -> tuple[int, int]:
     return _sigma(n) - _sigma(r_), _sigma(m) - _sigma(s_)
 
 
+_SIGMAS = [(_sigma(s1), _sigma(s2)) for s1, s2 in _BASIS]  # sigma_z eigenvalues of each |s1 s2>
+_SIGMA_INDEX = {sig: i for i, sig in enumerate(_SIGMAS)}
+
+
 def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -> np.ndarray:
     """(T, 4, 4) multiplicative coherence factors of the dephasing channel."""
     t = np.asarray(times, dtype=float).reshape(-1)
@@ -491,15 +499,40 @@ def _ladder(n_dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_dim)), k=1)
 
 
-def _displacement(n_dim: int, alpha: complex) -> np.ndarray:
-    """exp(alpha b^dag - alpha* b) on the truncated Fock space (exactly unitary).
+@lru_cache(maxsize=None)
+def _quadrature_modes(n_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs (x, V) of the real symmetric X = b + b^dag, and P_jk = i^(j-k).
 
-    The generator G is anti-Hermitian, so exp(G) = V e^{-i lam} V^dag from the
-    eigenpairs (lam, V) of the Hermitian i G.
+    Computed once per Fock dimension; the arrays are read-only.
     """
     b = _ladder(n_dim)
-    lam, v = np.linalg.eigh(1j * (alpha * b.T.conj() - np.conj(alpha) * b))
-    return (v * np.exp(-1j * lam)) @ v.conj().T
+    x, v = np.linalg.eigh(b + b.T)
+    phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_dim) % 4]
+    p = np.outer(phases, phases.conj())
+    for arr in (x, v, p):
+        arr.setflags(write=False)
+    return x, v, p
+
+
+def _displacement_gauge(n_dim: int, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
+    """D = exp(alpha b^dag - alpha* b) and its real gauge O = exp(|alpha| (b^dag - b)) = R^dag D R.
+
+    R = diag((alpha / |alpha|)^n).  b^dag - b = S (-i X) S^dag with S = diag(i^n),
+    so O = P o exp(-i |alpha| X): real, since X (tridiagonal, zero diagonal) is
+    odd under (-1)^n; only roundoff is dropped with its imaginary part.  The
+    form 1 - V (1 - e^{-i |alpha| x}) V^T keeps D = O = 1 at alpha = 0.
+    """
+    x, v, p = _quadrature_modes(n_dim)
+    a = abs(alpha)
+    g = p * (np.eye(n_dim) - (v * (2.0 * np.sin(0.5 * a * x) ** 2 + 1j * np.sin(a * x))) @ v.T)
+    o = g.real.copy()
+    r = np.power(complex(alpha / a if a else 1.0), np.arange(n_dim))
+    return r[:, None] * o * r.conj(), o
+
+
+def _displacement(n_dim: int, alpha: complex) -> np.ndarray:
+    """exp(alpha b^dag - alpha* b) on the truncated Fock space (exactly unitary)."""
+    return _displacement_gauge(n_dim, alpha)[0]
 
 
 class _Branches:
@@ -531,7 +564,11 @@ class _Branches:
 
 
 class _Snapshot:
-    """Per-pair displaced environment data at one time."""
+    """Per-pair displaced environment data at one time.
+
+    ``omega[s, s']`` = prod_m Tr[Phi_s rho_m Phi_s'^dag] (s = 2 s1 + s2), so
+    rho_AS(t) = psi psi^dag o (1_A (x) omega).
+    """
 
     def __init__(self, model: DiscreteDephasingModel, t: float):
         self.model = model
@@ -544,41 +581,34 @@ class _Snapshot:
         else:
             p = (u * u) ** np.arange(n)
             self.probs = p / p.sum()
-        self.d1: list[dict[int, np.ndarray]] = []
+        self.d1: list[dict[int, np.ndarray]] = []   # sigma -> D(sigma g1 beta_1m)
         self.d2: list[dict[int, np.ndarray]] = []
+        self.o1: list[dict[int, np.ndarray]] = []   # sigma -> O_m(sigma), the real gauge of D
+        self.o2: list[dict[int, np.ndarray]] = []
         self.psi: list[dict[tuple[int, int], np.ndarray]] = []
+        self.omega = np.ones((4, 4), dtype=complex)
+        self._kept: dict[tuple[str, int], np.ndarray] = {}
         for om, g1, g2 in model.mode_pairs:
-            b1 = g1 * beta(om, t, model.params.window1)
-            b2 = g2 * beta(om, t, model.params.window2)
-            d1p = _displacement(n, b1)
-            d2p = _displacement(n, b2)
+            d1p, o1p = _displacement_gauge(n, g1 * beta(om, t, model.params.window1))
+            d2p, o2p = _displacement_gauge(n, g2 * beta(om, t, model.params.window2))
             d1 = {+1: d1p, -1: d1p.conj().T}
             d2 = {+1: d2p, -1: d2p.conj().T}
             self.d1.append(d1)
             self.d2.append(d2)
+            self.o1.append({+1: o1p, -1: o1p.T})
+            self.o2.append({+1: o2p, -1: o2p.T})
             if model.env_kind == "entangled":
-                self.psi.append(
-                    {
-                        (s1, s2): d1[s1] @ (self.tmsv[:, None] * d2[s2].T)
-                        for s1 in (+1, -1)
-                        for s2 in (+1, -1)
-                    }
-                )
+                psi = {(s1, s2): d1[s1] @ (self.tmsv[:, None] * d2[s2].T) for s1, s2 in _SIGMAS}
+                self.psi.append(psi)
+                vecs = np.stack([psi[s].ravel() for s in _SIGMAS])
+                self.omega *= vecs @ vecs.conj().T
+            else:
+                # c_j[k, b, n] = (D(sigma_b)^dag D(sigma_k))_nn, bit 0 <-> sigma +1
+                c1, c2 = (np.einsum("bin,kin->kbn", ds.conj(), ds)
+                          for ds in (np.stack([d1[+1], d1[-1]]), np.stack([d2[+1], d2[-1]])))
+                self.omega *= np.einsum("n,acn,bdn->abcd", self.probs, c1, c2).reshape(4, 4)
 
     # -- per-pair overlap objects; orientation: O_{b b'} = Tr_traced[Phi_b rho Phi_b'^dag]
-
-    def scalar(self, m: int, ket: tuple[int, int], bra: tuple[int, int]) -> complex:
-        if self.model.env_kind == "entangled":
-            return complex(np.vdot(self.psi[m][bra], self.psi[m][ket]))
-        s1 = np.diag(self.d1[m][bra[0]].conj().T @ self.d1[m][ket[0]])
-        s2 = np.diag(self.d2[m][bra[1]].conj().T @ self.d2[m][ket[1]])
-        return complex((self.probs * s1 * s2).sum())
-
-    def overlap(self, ket: tuple[int, int], bra: tuple[int, int], start: complex) -> complex:
-        """``start`` times the product of the per-pair scalars, in pair order."""
-        for m in range(self.model.n_pairs):
-            start *= self.scalar(m, ket, bra)
-        return start
 
     def local_spectrum(self) -> np.ndarray:
         """Per-pair spectrum of one branch's kept environment block, which displacements leave unchanged.
@@ -621,6 +651,18 @@ class _Snapshot:
             return dk @ (diag[:, None] * db.conj().T)
         raise ValueError(f"unknown keep spec {keep!r}")
 
+    def kept_state(self, keep: str, sig: int) -> np.ndarray:
+        """(x)_m O_m(sig) rho_m O_m(sig)^T on bath ``keep``, rho_m = diag(``local_spectrum``).
+
+        The kept block of a term whose ket and bra share sig, with R conjugated
+        away; built on first use.
+        """
+        if (keep, sig) not in self._kept:
+            lam = self.local_spectrum()
+            gauges = self.o1 if keep == "b1" else self.o2
+            self._kept[keep, sig] = reduce(np.kron, [(o[sig] * lam) @ o[sig].T for o in gauges])
+        return self._kept[keep, sig]
+
 
 def _components(kept: np.ndarray, traced: np.ndarray) -> list[list[int]]:
     """Branch groups closed under sharing a kept label (same rows) or a traced label (a cross term)."""
@@ -640,6 +682,7 @@ class BranchComputer:
         self.budget = budget
         if self.br.nb > 64:
             raise BudgetError(f"branch count {self.br.nb} exceeds 64")
+        self._memo: tuple[_Snapshot, dict[tuple[bool, bool], float]] | None = None
 
     def _sig(self, b: int) -> tuple[int, int]:
         return (int(self.br.sig1[b]), int(self.br.sig2[b]))
@@ -659,22 +702,43 @@ class BranchComputer:
             for b in comp for bp in comp if traced[b] == traced[bp]
         ]
 
+    def _operator(self, dim: int, dtype) -> np.ndarray:
+        """A zero ``dim``-square operator to assemble; the only place the budget applies."""
+        if dim > self.budget:
+            raise BudgetError(f"assembled operator dimension {dim} exceeds budget {self.budget}")
+        return np.zeros((dim, dim), dtype=dtype)
+
     def _assembled(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool, keep_s: bool,
                    env_keep: str) -> np.ndarray:
         """Spectrum of the branches ``comp`` from their assembled ``nq * n^P`` Kron operator."""
         nq, terms = self._terms(comp, keep_a, keep_s)
         n, n_pairs = self.model.fock_dim, self.model.n_pairs
         ne = {"none": 1, "both": n * n}.get(env_keep, n) ** n_pairs
-        dim = nq * ne
-        if dim > self.budget:
-            raise BudgetError(f"assembled operator dimension {dim} exceeds budget {self.budget}")
-        mat = np.zeros((dim, dim), dtype=complex)
+        mat = self._operator(nq * ne, complex)
         for i, j, w, ket, bra in terms:
             if env_keep == "none":
-                mat[i, j] += snap.overlap(ket, bra, w)
+                mat[i, j] += w * snap.omega[_SIGMA_INDEX[ket], _SIGMA_INDEX[bra]]
             else:
                 blocks = [snap.block(m, ket, bra, env_keep) for m in range(n_pairs)]
                 mat[i * ne:(i + 1) * ne, j * ne:(j + 1) * ne] += w * reduce(np.kron, blocks)
+        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+
+    def _real_gauge(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool,
+                    env_keep: str) -> np.ndarray:
+        """Spectrum of a one-bath component with S traced, from its real-gauge operator.
+
+        Every term has the same sigma on ket and bra, so its kept block is
+        R K(sigma) R^dag with K = ``snap.kept_state`` and R common to all terms;
+        sum w E_ij (x) K(sigma) is real symmetric when every weight is (always for S_ASE).
+        """
+        nq, terms = self._terms(comp, keep_a, False)
+        ne = self.model.fock_dim ** self.model.n_pairs
+        real = all(w.imag == 0.0 for _, _, w, _, _ in terms)
+        mat = self._operator(nq * ne, float if real else complex)
+        bath = 0 if env_keep == "b1" else 1
+        for i, j, w, ket, _ in terms:
+            mat[i * ne:(i + 1) * ne, j * ne:(j + 1) * ne] += (
+                (w.real if real else w) * snap.kept_state(env_keep, ket[bath]))
         return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
     def _fock_diagonal(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool, keep_s: bool,
@@ -695,17 +759,18 @@ class BranchComputer:
         """Entropy of the reduced state on the kept labels and the ``env_keep`` modes.
 
         That state is sum_{b,b'} [traced labels equal] a_b a_b'* |q_b><q_b'| (x)_m B_m(b, b'),
-        a direct sum over the branch components.  A single-branch component has
-        spectrum |a_b|^2 (x)_m local_spectrum; a classical component whose kept
-        displacement is fixed by its kept label splits into Fock-diagonal blocks;
-        any other component is assembled (the only place the budget applies).
+        a direct sum over the branch components.  With no mode kept it is a
+        marginal of rho_AS(t).  A single-branch component has spectrum
+        |a_b|^2 (x)_m local_spectrum; a classical component whose kept
+        displacement is fixed by its kept label splits into Fock-diagonal
+        blocks; a one-bath component with S traced is solved in the real gauge;
+        any other component is assembled.
         """
         if env_keep == "both" and self.model.env_kind == "entangled":
             # global state pure: S(kept labels, E1 E2) = S(traced labels)
             keep_a, keep_s, env_keep = not keep_a, not keep_s, "none"
         if env_keep == "none":
-            comp = range(self.br.nb)
-            return spectrum_entropy(self._assembled(snap, comp, keep_a, keep_s, "none"), tol=1e-9)
+            return self._env_free(snap)[keep_a, keep_s]
         kept, traced = self._labels(keep_a, keep_s)
         spectra = []
         for comp in _components(kept, traced):
@@ -715,9 +780,32 @@ class BranchComputer:
             # a kept S label fixes both displacements of its branches
             elif self.model.env_kind == "classical" and (keep_s or len(set(kept[comp])) == len(comp)):
                 spectra.append(self._fock_diagonal(snap, comp, keep_a, keep_s, env_keep))
+            elif not keep_s and env_keep != "both":
+                spectra.append(self._real_gauge(snap, comp, keep_a, env_keep))
             else:
                 spectra.append(self._assembled(snap, comp, keep_a, keep_s, env_keep))
         return spectrum_entropy(np.concatenate(spectra), tol=1e-9)
+
+    def _rho_as(self, snap: _Snapshot) -> np.ndarray:
+        """rho_AS(t) = psi psi^dag o (1_A (x) omega) on [A, S1, S2], Hermitian-symmetrized."""
+        br = self.br
+        psi = np.zeros(br.d_a * 4, dtype=complex)
+        psi[4 * br.a_lbl + br.s_idx] = br.amps
+        mat = np.outer(psi, psi.conj()) * np.tile(snap.omega, (br.d_a, br.d_a))
+        return 0.5 * (mat + mat.conj().T)
+
+    def _env_free(self, snap: _Snapshot) -> dict[tuple[bool, bool], float]:
+        """S(A S), S(S), S(A), S() by (keep_a, keep_s) from rho_AS, kept for the last snapshot."""
+        if self._memo is None or self._memo[0] is not snap:
+            d_a = self.br.d_a
+            rho = self._rho_as(snap)
+            blocks = rho.reshape(d_a, 4, d_a, 4)
+            marginals = {(True, True): rho, (False, True): np.einsum("asat->st", blocks),
+                         (True, False): np.einsum("asbs->ab", blocks)}
+            ent = {k: spectrum_entropy(np.linalg.eigvalsh(m), tol=1e-9) for k, m in marginals.items()}
+            ent[False, False] = 0.0
+            self._memo = (snap, ent)
+        return self._memo[1]
 
     def entropies_at(self, t: float, env_part: str, snap: _Snapshot | None = None) -> dict[str, float]:
         if env_part not in ENV_PARTS:
@@ -770,16 +858,7 @@ class BranchComputer:
         return {k: ScalarSeries(t, v) for k, v in acc.items()}
 
     def system_ancilla_state(self, t: float) -> DensityMatrix:
-        snap = _Snapshot(self.model, t)
-        br = self.br
-        d = br.d_a * 4
-        mat = np.zeros((d, d), dtype=complex)
-        for b in range(br.nb):
-            for bp in range(br.nb):
-                val = snap.overlap(self._sig(b), self._sig(bp), br.amps[b] * np.conj(br.amps[bp]))
-                mat[br.a_lbl[b] * 4 + br.s_idx[b], br.a_lbl[bp] * 4 + br.s_idx[bp]] += val
-        mat = 0.5 * (mat + mat.conj().T)
-        return DensityMatrix(mat, br.partition)
+        return DensityMatrix(self._rho_as(_Snapshot(self.model, t)), self.br.partition)
 
     def system_state(self, t: float) -> DensityMatrix:
         return partial_trace(self.system_ancilla_state(t), {"S1", "S2"})
@@ -815,11 +894,8 @@ def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFact
     picture (free eps phases excluded); converges to the continuum
     (closed-form) factors at eps = 0 as the mode count grows.
     """
-    snap = _Snapshot(model, t)
-    sig = [(_sigma(s1), _sigma(s2)) for s1, s2 in _BASIS]
-    return PhaseFactors(**{
-        name: snap.overlap(sig[i], sig[j], 1.0 + 0.0j) for name, (i, j) in _FACTOR_INDEX.items()
-    })
+    omega = _Snapshot(model, t).omega
+    return PhaseFactors(**{name: complex(omega[i, j]) for name, (i, j) in _FACTOR_INDEX.items()})
 
 
 # ---------------------------------------------------------------------------

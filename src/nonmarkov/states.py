@@ -119,6 +119,8 @@ class DensityMatrix:
                 f"matrix size {m.shape[0]} does not match partition dimension "
                 f"{self.partition.total_dim}"
             )
+        if not np.isfinite(m).all():
+            raise StateValidityError("matrix has non-finite entries")
         # every comparison is written so that NaN fails it
         herm = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
         if not herm <= HERMITICITY_TOL:

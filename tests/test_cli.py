@@ -81,6 +81,24 @@ class TestCmiMode:
         cfg["output_path"] = str(tmp_path / "x.csv")
         assert cli.run(write_config(tmp_path, cfg)) == 1
 
+    @pytest.mark.parametrize("env_kind,code", [("entangled", 2), ("classical", 0)])
+    def test_budget_bounds_the_kept_bath_operator(self, env_kind, code, tmp_path, capsys):
+        # at 2 pairs and n_max 14 the entangled one-bath entropies solve 225-dim
+        # operators; every classical entropy has a structured spectrum
+        out = str(tmp_path / "cmi.csv")
+        cfg = {**CMI_CFG, "output_path": out, "budget": 100,
+               "dephasing": {**CMI_CFG["dephasing"], "r": 0.8, "env_kind": env_kind},
+               "discrete": {"n_modes": 2, "n_max": 14},
+               "grid": {"t_start": 0.0, "t_end": 2.0, "dt": 1.0}}
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and os.path.exists(out)
+        else:
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+            assert "225 exceeds budget 100" in err
+            assert not os.path.exists(out)
+
 
 class TestMeasuresMode:
     def test_schema_and_revival_free_case(self, tmp_path):

@@ -511,6 +511,94 @@ class TestStructuredBranchEntropies:
                                - spectrum_entropy(ref, tol=1e-9)) <= 1e-12
 
 
+class TestRealGauge:
+    """D(sigma beta) = R O(sigma) R^dag: O(sigma) = exp(sigma |beta| (b^dag - b)) real
+    orthogonal, R = e^{i arg(beta) n} the same for both signs."""
+
+    @staticmethod
+    def _check(o, beta_, sigma):
+        from scipy.linalg import expm
+
+        n = o.shape[0]
+        alpha = sigma * beta_
+        r = np.power(complex(beta_ / abs(beta_)) if beta_ else 1.0, np.arange(n))
+        b = np.diag(np.sqrt(np.arange(1.0, n)), k=1)
+        assert o.dtype == np.float64
+        assert np.abs(o @ o.T - np.eye(n)).max() <= 1e-13
+        d = dephasing._displacement(n, alpha)
+        assert np.abs(r[:, None] * o * r.conj() - d).max() <= 1e-14
+        assert np.abs(d - expm(alpha * b.T - np.conj(alpha) * b)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n_dim", [2, 15, 61])
+    @pytest.mark.parametrize("beta_", [0.0, 0.7, 0.4 - 1.1j])
+    def test_gauge_matches_displacement(self, n_dim, beta_):
+        d, o = dephasing._displacement_gauge(n_dim, beta_)
+        assert np.array_equal(d, dephasing._displacement(n_dim, beta_))
+        for sigma, o_sigma in ((1, o), (-1, o.T)):
+            self._check(o_sigma, beta_, sigma)
+        if beta_ == 0.0:
+            assert np.array_equal(o, np.eye(n_dim))
+
+    def test_snapshot_gauges(self):
+        p = DephasingParams(**DESK, env_kind="entangled")
+        m = build_discrete_model(p, n_modes=2, n_max=14)
+        for t in (0.0, 1.3, 3.7):
+            snap = dephasing._Snapshot(m, t)
+            for k, (om, g1, g2) in enumerate(m.mode_pairs):
+                for d, o, b in ((snap.d1[k], snap.o1[k], g1 * beta(om, t, p.window1)),
+                                (snap.d2[k], snap.o2[k], g2 * beta(om, t, p.window2))):
+                    assert np.array_equal(o[-1], o[+1].T)
+                    for sigma in (1, -1):
+                        self._check(o[sigma], b, sigma)
+                        d_ref = dephasing._displacement(m.fock_dim, sigma * b)
+                        assert np.abs(d[sigma] - d_ref).max() <= 1e-14
+
+
+class TestSnapshotOverlaps:
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_omega_is_product_of_pair_overlaps(self, env_kind):
+        # the per-pair loop: Omega[s, s'] = prod_m Tr[Phi_s rho_m Phi_s'^dag]
+        p = DephasingParams(**DESK, env_kind=env_kind)
+        m = build_discrete_model(p, n_modes=2, n_max=12)
+        sigmas = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for t in (0.0, 1.3, 3.7):
+            snap = dephasing._Snapshot(m, t)
+            ref = np.ones((4, 4), dtype=complex)
+            for k in range(m.n_pairs):
+                for (i, ket), (j, bra) in itertools.product(enumerate(sigmas), repeat=2):
+                    if env_kind == "entangled":
+                        ref[i, j] *= np.vdot(snap.psi[k][bra], snap.psi[k][ket])
+                    else:
+                        c1 = np.diag(snap.d1[k][bra[0]].conj().T @ snap.d1[k][ket[0]])
+                        c2 = np.diag(snap.d2[k][bra[1]].conj().T @ snap.d2[k][ket[1]])
+                        ref[i, j] *= (snap.probs * c1 * c2).sum()
+            assert np.abs(snap.omega - ref).max() <= 1e-14
+
+
+class TestBranchSolves:
+    def test_one_real_kept_bath_solve_per_env_part_and_three_env_free(self, monkeypatch):
+        # entangled ops_state cmi run at 2 pairs, n_max 14: per time point, the
+        # S_ASE of E1 and E2 are the only kept-bath solves (S_SE splits into
+        # single-branch components), and S_AS, S_S, S_A are solved once for all
+        # three env parts
+        p = DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
+                            t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2, env_kind="entangled")
+        m = build_discrete_model(p, n_modes=2, n_max=14)
+        comp = dephasing.BranchComputer(m, measures.ops_state())
+        solves = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: solves.append((a.shape, a.dtype)) or real(a)
+        )
+        for t in np.linspace(0.5, 4.0, 5):
+            comp.trajectories([t], env_parts=("E1", "E2", "E1E2"), with_mi=False)
+            assert sorted(solves) == sorted(
+                [((225, 225), np.dtype(np.float64))] * 2
+                + [((k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
+            )
+            solves.clear()
+
+
 def _kron_evolved(dense, t):
     """The full-matrix evolution kron(1_A, blockdiag_s U_s) rho0 U^dag, kept as the test oracle."""
     model = dense.model

@@ -105,7 +105,7 @@ class TestDensityMatrixValidation:
         np.array([[0.5, np.inf], [np.inf, 0.5]]),
     ], ids=["diag_nan", "offdiag_nan", "diag_inf", "offdiag_inf"])
     def test_non_finite_rejected(self, m):
-        with pytest.raises(StateValidityError):
+        with pytest.raises(StateValidityError, match="non-finite"):
             DensityMatrix(m, QUBIT)
 
     def test_clamp_rejects_nan(self):
