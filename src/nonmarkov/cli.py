@@ -4,7 +4,11 @@ Exit codes: 0 success, 1 config error, 2 numerical-convergence failure,
 3 failed check suite.  Output files are written atomically
 (temp-then-rename) and are byte-identical for identical config + seed at a
 fixed BLAS thread count.
-``NONMARKOV_THREADS`` caps worker parallelism (default: all cores).
+``NONMARKOV_THREADS`` caps worker parallelism (default: all cores): the
+thread pool over ``measures`` candidates, and the ``check`` pool of
+``NONMARKOV_THREADS - 1`` forked processes that run identity-suite blocks
+while this process runs the cross-checks (see ``_identity_and_cross_checks``).
+Neither changes an output byte.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ EXIT_CHECK_FAILED = 3
 
 MODES = ("phase_factors", "cmi", "measures", "check")
 MAX_GRID_STEPS = 10**6
+CHECK_BLOCK = 5  # identity samples per task of the ``check`` process pool
 
 
 class ConfigError(ValueError):
@@ -95,11 +100,19 @@ def _fields(cfg, types: dict, what: str, build=dict):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _seed(value) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+def _int_at_least(low: int, what: str):
+    """A converter to ``int`` that rejects values below ``low``."""
+
+    def convert(value) -> int:
+        n = int(value)
+        if n < low:
+            raise ValueError(f"{what} must be >= {low}, got {n}")
+        return n
+
+    return convert
+
+
+_seed = _int_at_least(0, "seed")
 
 
 _QUAD_TYPES = {"cutoff_mult": float}
@@ -112,7 +125,7 @@ _DEPHASING_TYPES = {
     "quad": lambda q: _fields(q, _QUAD_TYPES, "quad", QuadratureConfig),
 }
 _MODEL_TYPES = {"dephasing": dict, "discrete": dict, "grid": dict, "candidates": list,
-                "seed": _seed, "budget": int}
+                "seed": _seed, "budget": _int_at_least(1, "budget")}
 _MODE_TYPES = {
     "phase_factors": {"dephasing": dict, "grid": dict},
     "cmi": _MODEL_TYPES,
@@ -277,15 +290,9 @@ def _run_measures(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_check(cfg: dict) -> tuple[str, bool]:
-    seed = cfg.get("seed", 0)
-    samples = _fields(cfg.get("check", {}), {"samples": int}, "check").get("samples", 100)
-    if samples < 1:
-        raise ConfigError("check samples must be >= 1")
-    reports = [
-        oracle.identity_suite(seed, samples),
-        oracle.special_function_suite(seed),
-    ]
+def _cross_checks(seed: int) -> list:
+    """The special-function suite and the dense dephasing cross-check of both env kinds."""
+    reports = [oracle.special_function_suite(seed)]
     # small fixed dephasing cross-check, both environment kinds
     for kind in ("entangled", "classical"):
         params = DephasingParams(omega_c=0.25, r=0.5, env_kind=kind)
@@ -293,6 +300,57 @@ def _run_check(cfg: dict) -> tuple[str, bool]:
         reports.append(
             oracle.dense_dephasing_check(model, measures.ops_state(), [0.0, 1.5, 3.0, 5.0])
         )
+    return reports
+
+
+def _identity_and_cross_checks(seed: int, samples: int) -> list:
+    """The identity-suite report, then the ``_cross_checks`` reports.
+
+    The identity samples are split into blocks of ``CHECK_BLOCK``.  With more
+    than one block, ``worker_count() - 1`` forked processes work through the
+    blocks while this process runs the cross-checks; it then cancels the
+    blocks no worker has started, last block first, and runs them itself.
+    Every row comes from ``oracle.identity_block`` with the same seed and is
+    folded in sample order, so the report does not depend on the worker count.
+    Without ``fork`` (or with one block, or ``NONMARKOV_THREADS=1``) it all
+    runs in this process.  ``fork`` rather than ``spawn``: a spawned worker
+    would import NumPy and the package again, most of a small job's gain.
+    The fork is safe here because ``check`` starts no thread of its own and a
+    fork-context executor launches its workers before its manager thread.
+    """
+    import multiprocessing
+
+    blocks = [(lo, min(lo + CHECK_BLOCK, samples)) for lo in range(0, samples, CHECK_BLOCK)]
+    workers = min(worker_count() - 1, len(blocks))
+    if len(blocks) < 2 or workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        rows = [oracle.identity_block(seed, lo, hi) for lo, hi in blocks]
+        cross = _cross_checks(seed)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            futures = [pool.submit(oracle.identity_block, seed, lo, hi) for lo, hi in blocks]
+            try:
+                cross = _cross_checks(seed)
+                rows = [None] * len(blocks)
+                for k in reversed(range(len(blocks))):
+                    if not futures[k].cancel():  # started, and so is every block before it
+                        break
+                    rows[k] = oracle.identity_block(seed, *blocks[k])
+                rows = [f.result() if r is None else r for r, f in zip(rows, futures)]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # rather than run blocks only to drop them
+                raise
+    return [oracle.identity_report(seed, [row for block in rows for row in block]), *cross]
+
+
+def _run_check(cfg: dict) -> tuple[str, bool]:
+    seed = cfg.get("seed", 0)
+    samples = _fields(cfg.get("check", {}), {"samples": int}, "check").get("samples", 100)
+    if samples < 1:
+        raise ConfigError("check samples must be >= 1")
+    reports = _identity_and_cross_checks(seed, samples)
     payload = {
         "seed": seed,
         "all_passed": all(r.all_passed for r in reports),

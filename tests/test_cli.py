@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from nonmarkov import cli
+from nonmarkov import cli, oracle
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -199,7 +200,7 @@ class TestConfigValidation:
         "removed_quad_max_doublings", "unknown_top_key_n2", "unknown_top_key_typo",
         "bare_number", "zero_modes", "t_end_infinity", "omega_c_nan", "t_end_1e999",
         "dt_5e-324", "dt_1e-300", "dt_1e-9", "check_seed_flag", "check_seed_key",
-        "measures_seed_random", "random_candidate_seed",
+        "measures_seed_random", "random_candidate_seed", "budget_negative", "budget_zero",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -227,6 +228,10 @@ class TestConfigValidation:
             "measures_seed_random": {**CMI_CFG, "mode": "measures", "seed": -5,
                                      "candidates": [{"kind": "random"}]},
             "random_candidate_seed": {**CMI_CFG, "candidates": [{"kind": "random", "seed": -1}]},
+            # a config error, whether or not some entropy of the run is budget-checked
+            "budget_negative": {**CMI_CFG, "budget": -3},
+            "budget_zero": {**CMI_CFG, "budget": 0, "dephasing": {
+                **CMI_CFG["dephasing"], "env_kind": "classical"}},
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
@@ -257,7 +262,8 @@ class TestThreadDeterminism:
 
     Bytes are identical across ``NONMARKOV_THREADS`` at a fixed BLAS thread
     count; across BLAS thread counts the assembled eigensolves may round
-    differently, so values agree to 1e-12.
+    differently, so values agree to 1e-12.  The ``check`` cases run in this
+    process, so that they can see its worker processes.
     """
 
     DEPHASING = {"omega_c": 0.05, "r": 0.8, "alpha1": 4.0, "alpha2": 4.0, "env_kind": "entangled",
@@ -291,3 +297,37 @@ class TestThreadDeterminism:
                 assert a == b
             else:
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (a, b)
+
+    def test_check_pool(self, tmp_path, monkeypatch):
+        # 23 samples make uneven blocks; 1 runs in-process, 2 and 3 fork 1 and 2 workers
+        outputs = {}
+        for workers in "123":
+            monkeypatch.setenv("NONMARKOV_THREADS", workers)
+            out = tmp_path / f"check-{workers}.json"
+            assert cli.main(["check", "--seed", "4", "--samples", "23", "--output", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outputs[workers] = out.read_bytes()
+        assert outputs["1"] == outputs["2"] == outputs["3"]
+        report = json.loads(outputs["1"])["suites"][0]
+        assert {c["samples"] for c in report["checks"]} == {23}
+
+    def test_check_pool_failure_reaches_the_caller(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        petz = oracle._petz_three_qubit
+
+        def fails_in_a_worker(rng):
+            if os.getpid() != parent:
+                raise BlockFailure("raised in a worker")
+            return petz(rng)
+
+        monkeypatch.setattr(oracle, "_petz_three_qubit", fails_in_a_worker)
+        monkeypatch.setenv("NONMARKOV_THREADS", "2")
+        out = tmp_path / "check.json"
+        with pytest.raises(BlockFailure, match="raised in a worker"):
+            cli.main(["check", "--seed", "4", "--samples", "23", "--output", str(out)])
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+
+class BlockFailure(RuntimeError):
+    """Raised by a patched identity check; module-level so it pickles back from a worker."""

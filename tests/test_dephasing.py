@@ -81,6 +81,25 @@ class TestClassicalCharFactor:
         assert np.isfinite(val)
 
 
+class TestLogBesselI0:
+    def test_matches_scipy(self):
+        i0e = pytest.importorskip("scipy.special").i0e
+        z = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 2000), np.linspace(19.0, 21.0, 201)])
+        ref = z + np.log(i0e(z))
+        val = dephasing.log_bessel_i0(z)
+        assert np.all(np.abs(val - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_small_argument_relative_accuracy(self):
+        # ln I0(z) = z^2/4 - z^4/64 + O(z^6); log(I0(z)) itself loses the digits here
+        z = np.geomspace(1e-12, 1e-4, 200)
+        series = z * z / 4 - z**4 / 64
+        assert np.all(np.abs(dephasing.log_bessel_i0(z) - series) <= 1e-15 * series)
+
+    def test_zero_is_exact_and_even(self):
+        assert dephasing.log_bessel_i0(0.0) == 0.0
+        assert dephasing.log_bessel_i0(-3.5) == dephasing.log_bessel_i0(3.5)
+
+
 class TestEntangledCharFactor:
     def test_single_bath_matches_classical(self):
         r, g = 0.9, 0.35 + 0.2j
@@ -388,7 +407,7 @@ class TestNumpyOnlyPath:
                 assert np.abs(d @ d.conj().T - np.eye(n_dim)).max() <= 1e-13
 
     def test_package_and_cli_import_no_scipy(self, tmp_path):
-        # importing, then running phase_factors for both env kinds, loads no SciPy
+        # importing, then running phase_factors for both env kinds and a check, loads no SciPy
         src = os.path.dirname(os.path.dirname(os.path.abspath(dephasing.__file__)))
         code = (
             "import json, sys, nonmarkov, nonmarkov.cli\n"
@@ -398,11 +417,12 @@ class TestNumpyOnlyPath:
             "           'dephasing': {'omega_c': 0.01, 'r': 3.0, 'env_kind': kind},\n"
             "           'grid': {'t_start': 0.0, 't_end': 5.0, 'dt': 0.25}}\n"
             "    assert nonmarkov.cli.execute(cfg) == 0\n"
+            "assert nonmarkov.cli.main(['check', '--samples', '2', '--output', sys.argv[1] + '/check.json']) == 0\n"
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         )
         subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                        env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert sorted(os.listdir(tmp_path)) == ["classical.csv", "entangled.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["check.json", "classical.csv", "entangled.csv"]
 
 
 class TestBuildDiscreteModel:

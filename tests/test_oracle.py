@@ -111,3 +111,38 @@ class TestDenseDephasingCheck:
         model = _small_model("entangled")
         with pytest.raises(dephasing.BudgetError):
             oracle.dense_dephasing_check(model, measures.ops_state(), [0.0], budget=16)
+
+
+class TestExpm:
+    """The oracle's Taylor ``expm`` against SciPy's Pade one."""
+
+    def test_displacement_generators(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(5)
+        n_dim = 61
+        b = np.diag(np.sqrt(np.arange(1.0, n_dim)), k=1)
+        gammas = [0.0, 2.0, -2.0, 2j, *np.linspace(-2, 2, 9),
+                  *(rng.uniform(-1.4, 1.4, 12) + 1j * rng.uniform(-1.4, 1.4, 12))]
+        for g in gammas:
+            gen = g * b.conj().T - np.conj(g) * b
+            assert np.abs(oracle.expm(gen) - expm(gen)).max() <= 1e-13, g
+
+    def test_small_hermitian_steps(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(6)
+        for d in range(8, 33, 4):
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = 0.5 * (h + h.conj().T)
+            for a in (0.05 * h, -0.05j * h):
+                assert np.abs(oracle.expm(a) - expm(a)).max() <= 1e-13, d
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(oracle.expm(np.zeros((4, 4))), np.eye(4))
+
+
+class TestIdentityBlocks:
+    def test_blocks_fold_to_the_suite(self):
+        rows = [row for lo, hi in ((0, 5), (5, 10), (10, 13)) for row in oracle.identity_block(3, lo, hi)]
+        assert oracle.identity_report(3, rows).to_dict() == oracle.identity_suite(3, 13).to_dict()
