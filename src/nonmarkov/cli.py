@@ -237,10 +237,10 @@ def _branch_computer(model, cand, cfg: dict) -> dephasing.BranchComputer:
 def _run_cmi(cfg: dict) -> str:
     model = _build_model(cfg)
     times = parse_grid(_require(cfg, "grid", dict))
-    cands = _candidates(cfg)[0]
-    if not cands:
-        raise ConfigError("cmi mode needs at least one system-ancilla candidate")
-    comp = _branch_computer(model, cands[0], cfg)
+    as_cands, pair_cands = _candidates(cfg)
+    if len(as_cands) != 1 or pair_cands:
+        raise ConfigError("cmi mode needs exactly one system-ancilla candidate and no tsio candidate")
+    comp = _branch_computer(model, as_cands[0], cfg)
     series = comp.trajectories(times, env_parts=("E1", "E2", "E1E2"), with_mi=False)
     lines = ["t,I_A_E1_S,I_A_E2_S,I_A_E1E2_S,env_kind"]
     for i, t in enumerate(times):

@@ -14,12 +14,18 @@ Two computation routes are provided:
   cut off at cutoff_mult * omega_c;
 * a discrete-mode model (Gauss rule with J as the weight function) whose
   truncated Fock dynamics supports conditional-mutual-information
-  trajectories via a branch Gram method, plus a dense full-Hilbert-space
-  path used as an independent cross-check.
+  trajectories for a pure or mixed initial state on [A, S1, S2], plus a
+  dense full-Hilbert-space path used as an independent cross-check.
 
-Branch entropies that keep no bath are marginals of one rho_AS(t) per
-time; one that keeps one bath and traces S is solved in the real gauge
-D(sigma beta) = R O(sigma) R^dag (R diagonal, O real orthogonal).
+The environment branch of a term depends only on its system label s, so
+rho(t) = sum_{s,s'} X_{ss'} (x) |s><s'| (x) |E_s><E_s'| with X_{ss'} = <s|rho0|s'>
+a block on A.  ``BranchComputer._entropy`` takes each entropy from one of six
+rules over these s-blocks: a marginal of rho_AS(t) when no bath is kept, a
+constant when S and both baths are kept, the complement of a pure global
+state, a solve in the real gauge D(sigma beta) = R O(sigma) R^dag (R diagonal,
+O real orthogonal) when one bath is kept and S traced, Fock-index blocks for
+a classical state that keeps S and one bath, and an assembled operator
+otherwise.
 
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
 single-mode displacement response and carried by the spectral density (the
@@ -48,7 +54,7 @@ class TruncationError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Branch count or operator dimension exceeds the configured budget."""
+    """An assembled operator or the dense state exceeds the configured dimension budget."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class DephasingParams:
 
     ``u`` is the classical-correlation parameter of the Fock-diagonal
     environment state; it defaults to tanh(r), which matches the thermal
-    marginals of the squeezed state.
+    marginals of the squeezed state, and is rejected for the entangled one.
     """
 
     omega_c: float
@@ -94,6 +100,8 @@ class DephasingParams:
             raise ValueError("interaction windows must satisfy t1s <= t1f <= t2s <= t2f")
         if self.env_kind not in ENV_KINDS:
             raise ValueError(f"env_kind must be one of {ENV_KINDS}")
+        if self.u is not None and self.env_kind != "classical":
+            raise ValueError("u applies only to env_kind 'classical'")
         if self.u is not None and not 0.0 <= self.u < 1.0:
             raise ValueError("u must lie in [0, 1)")
 
@@ -381,7 +389,6 @@ def _multipliers(i: int, j: int) -> tuple[int, int]:
 
 
 _SIGMAS = [(_sigma(s1), _sigma(s2)) for s1, s2 in _BASIS]  # sigma_z eigenvalues of each |s1 s2>
-_SIGMA_INDEX = {sig: i for i, sig in enumerate(_SIGMAS)}
 
 
 def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -> np.ndarray:
@@ -498,7 +505,7 @@ def build_discrete_model(params: DephasingParams, n_modes: int, n_max: int) -> D
         (float(om), math.sqrt(params.alpha1 * wt), math.sqrt(params.alpha2 * wt))
         for om, wt in zip(nodes, weights)
     )
-    u = params.u_eff if params.env_kind == "classical" else math.tanh(params.r)
+    u = params.u_eff
     per_pair = 1.0 - u ** (2 * (n_max + 1))
     captured = per_pair ** n_modes
     if captured < 0.999:
@@ -557,39 +564,11 @@ def _displacement(n_dim: int, alpha: complex) -> np.ndarray:
     return _displacement_gauge(n_dim, alpha)[0]
 
 
-class _Branches:
-    """Computational-basis branch decomposition of a pure state on [A, S1, S2]."""
-
-    def __init__(self, initial: DensityMatrix, amp_tol: float = 1e-14):
-        labels = initial.partition.labels
-        if labels != ("A", "S1", "S2"):
-            raise ValueError(f"initial state must live on [A, S1, S2], got {labels}")
-        if initial.partition.dims[1:] != (2, 2):
-            raise ValueError("S1 and S2 must be qubits")
-        eigs, vecs = np.linalg.eigh(initial.data)
-        if eigs[-1] < 1.0 - 1e-10:
-            raise ValueError("initial state is not pure (branch method requires purity)")
-        psi = vecs[:, -1]
-        self.d_a = initial.partition.dims[0]
-        idx = np.flatnonzero(np.abs(psi) > amp_tol)
-        self.amps = psi[idx]
-        self.a_lbl = (idx // 4).astype(int)
-        s = (idx % 4).astype(int)
-        self.s_idx = s
-        self.s1 = (s // 2).astype(int)
-        self.s2 = (s % 2).astype(int)
-        self.nb = idx.size
-        self.partition = initial.partition
-        # sigma_z eigenvalues per branch and qubit
-        self.sig1 = 1 - 2 * self.s1
-        self.sig2 = 1 - 2 * self.s2
-
-
 class _Snapshot:
     """Per-pair displaced environment data at one time.
 
     ``omega[s, s']`` = prod_m Tr[Phi_s rho_m Phi_s'^dag] (s = 2 s1 + s2), so
-    rho_AS(t) = psi psi^dag o (1_A (x) omega).
+    rho_AS(t) = rho0 o (1_A (x) omega).
     """
 
     def __init__(self, model: DiscreteDephasingModel, t: float):
@@ -633,22 +612,19 @@ class _Snapshot:
     # -- per-pair overlap objects; orientation: O_{b b'} = Tr_traced[Phi_b rho Phi_b'^dag]
 
     def local_spectrum(self) -> np.ndarray:
-        """Per-pair spectrum of one branch's kept environment block, which displacements leave unchanged.
+        """Per-pair thermal weights: the spectrum of one displaced bath, and of a classical pair.
 
-        Classical: the thermal weights for any kept bath(s); entangled: the Schmidt weights of one bath.
+        Classical: the pair-state weights; entangled: the Schmidt weights of the squeezed vacuum.
         """
         return self.probs if self.model.env_kind == "classical" else self.tmsv ** 2
 
     def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], keep: str) -> np.ndarray:
-        """Diagonal of a classical block once its kept displacements are conjugated away.
+        """Diagonal of a classical one-bath block once its kept displacement is conjugated away.
 
-        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath (1 if both are kept).
+        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath.
         """
-        if keep == "b1":
-            return self.probs * np.diag(self.d2[m][bra[1]].conj().T @ self.d2[m][ket[1]])
-        if keep == "b2":
-            return self.probs * np.diag(self.d1[m][bra[0]].conj().T @ self.d1[m][ket[0]])
-        return self.probs
+        i, d = (1, self.d2) if keep == "b1" else (0, self.d1)
+        return self.probs * np.diag(d[m][bra[i]].conj().T @ d[m][ket[i]])
 
     def block(self, m: int, ket: tuple[int, int], bra: tuple[int, int], keep: str) -> np.ndarray:
         if self.model.env_kind == "entangled":
@@ -686,43 +662,45 @@ class _Snapshot:
         return self._kept[keep, sig]
 
 
-def _components(kept: np.ndarray, traced: np.ndarray) -> list[list[int]]:
-    """Branch groups closed under sharing a kept label (same rows) or a traced label (a cross term)."""
-    groups: list[set[int]] = []
-    for b in range(kept.size):
-        linked = [g for g in groups if any(kept[x] == kept[b] or traced[x] == traced[b] for x in g)]
-        groups = [g for g in groups if g not in linked] + [set().union({b}, *linked)]
-    return [sorted(g) for g in groups]
+def _marginal(rho: np.ndarray, keep_a: bool, keep_s: bool) -> np.ndarray:
+    """The kept (A, S) part of a matrix on [A, S1, S2]: rows 4 a + s, a over the kept A (0 if traced)."""
+    if keep_a and keep_s:
+        return rho
+    d_a = rho.shape[0] // 4
+    return np.einsum("asat->st" if keep_s else "asbs->ab", rho.reshape(d_a, 4, d_a, 4))
 
 
 class BranchComputer:
-    """Branch Gram entropies and CMI series for one discrete model + pure state."""
+    """Entropies and CMI series for one discrete model and initial state on [A, S1, S2].
+
+    The environment branch of a term depends only on its system label s, so
+    rho(t) = sum_{s,s'} X_{ss'} (x) |s><s'| (x) |E_s><E_s'| with X_{ss'} = <s|rho0|s'>
+    a block on A; rho0 may be mixed.
+    """
 
     def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = 4096):
+        if initial.partition.labels != ("A", "S1", "S2"):
+            raise ValueError(f"initial state must live on [A, S1, S2], got {initial.partition.labels}")
+        if initial.partition.dims[1:] != (2, 2):
+            raise ValueError("S1 and S2 must be qubits")
         self.model = model
-        self.br = _Branches(initial)
         self.budget = budget
-        if self.br.nb > 64:
-            raise BudgetError(f"branch count {self.br.nb} exceeds 64")
+        self.partition = initial.partition
+        self.rho0 = initial.data
+        self.pure = float(initial.eigenvalues()[-1]) >= 1.0 - 1e-10
+        # rho0 on the kept A (by keep_a) and S, its entropy, and per kept bath the
+        # blocks M_sigma = sum_{s: sigma_bath(s) = sigma} tr_{traced A} X_ss with, when
+        # M_+ M_- = 0, their spectra
+        self._kept0 = {keep_a: _marginal(self.rho0, keep_a, True) for keep_a in (False, True)}
+        self._s0 = {k: spectrum_entropy(np.linalg.eigvalsh(x), tol=1e-9) for k, x in self._kept0.items()}
+        self._baths = {}
+        for bath, keep in enumerate(("b1", "b2")):
+            for keep_a, x in self._kept0.items():
+                ms = [sum(x[s::4, s::4] for s in range(4) if _SIGMAS[s][bath] == sig) for sig in (1, -1)]
+                ms = [m if np.any(m.imag) else m.real for m in ms]
+                direct = not np.any(ms[0] @ ms[1])
+                self._baths[keep, keep_a] = ms, [np.linalg.eigvalsh(m) for m in ms] if direct else None
         self._memo: tuple[_Snapshot, dict[tuple[bool, bool], float]] | None = None
-
-    def _sig(self, b: int) -> tuple[int, int]:
-        return (int(self.br.sig1[b]), int(self.br.sig2[b]))
-
-    def _labels(self, keep_a: bool, keep_s: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Kept and traced flat (A, S) label of every branch; a part not in the set reads 0."""
-        a, s = 4 * self.br.a_lbl, self.br.s_idx
-        return a * keep_a + s * keep_s, a * (not keep_a) + s * (not keep_s)
-
-    def _terms(self, comp: Sequence[int], keep_a: bool, keep_s: bool) -> tuple[int, list]:
-        """Kept-label count of ``comp`` and (row, column, weight, ket, bra) of its nonzero terms."""
-        kept, traced = self._labels(keep_a, keep_s)
-        uniq = sorted(set(kept[comp].tolist()))
-        return len(uniq), [
-            (uniq.index(kept[b]), uniq.index(kept[bp]), self.br.amps[b] * np.conj(self.br.amps[bp]),
-             self._sig(b), self._sig(bp))
-            for b in comp for bp in comp if traced[b] == traced[bp]
-        ]
 
     def _operator(self, dim: int, dtype) -> np.ndarray:
         """A zero ``dim``-square operator to assemble; the only place the budget applies."""
@@ -730,101 +708,111 @@ class BranchComputer:
             raise BudgetError(f"assembled operator dimension {dim} exceeds budget {self.budget}")
         return np.zeros((dim, dim), dtype=dtype)
 
-    def _assembled(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool, keep_s: bool,
-                   env_keep: str) -> np.ndarray:
-        """Spectrum of the branches ``comp`` from their assembled ``nq * n^P`` Kron operator."""
-        nq, terms = self._terms(comp, keep_a, keep_s)
-        n, n_pairs = self.model.fock_dim, self.model.n_pairs
-        ne = {"none": 1, "both": n * n}.get(env_keep, n) ** n_pairs
-        mat = self._operator(nq * ne, complex)
-        for i, j, w, ket, bra in terms:
-            if env_keep == "none":
-                mat[i, j] += w * snap.omega[_SIGMA_INDEX[ket], _SIGMA_INDEX[bra]]
-            else:
-                blocks = [snap.block(m, ket, bra, env_keep) for m in range(n_pairs)]
-                mat[i * ne:(i + 1) * ne, j * ne:(j + 1) * ne] += w * reduce(np.kron, blocks)
-        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-
-    def _real_gauge(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool,
-                    env_keep: str) -> np.ndarray:
-        """Spectrum of a one-bath component with S traced, from its real-gauge operator.
-
-        Every term has the same sigma on ket and bra, so its kept block is
-        R K(sigma) R^dag with K = ``snap.kept_state`` and R common to all terms;
-        sum w E_ij (x) K(sigma) is real symmetric when every weight is (always for S_ASE).
-        """
-        nq, terms = self._terms(comp, keep_a, False)
-        ne = self.model.fock_dim ** self.model.n_pairs
-        real = all(w.imag == 0.0 for _, _, w, _, _ in terms)
-        mat = self._operator(nq * ne, float if real else complex)
-        bath = 0 if env_keep == "b1" else 1
-        for i, j, w, ket, _ in terms:
-            mat[i * ne:(i + 1) * ne, j * ne:(j + 1) * ne] += (
-                (w.real if real else w) * snap.kept_state(env_keep, ket[bath]))
-        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-
-    def _fock_diagonal(self, snap: _Snapshot, comp: Sequence[int], keep_a: bool, keep_s: bool,
-                       env_keep: str) -> np.ndarray:
-        """Spectrum of a classical component whose kept displacement is fixed by the kept label.
-
-        Conjugating each row block by its kept displacements leaves an operator
-        diagonal in the kept Fock index n; each n gives one nq x nq block.
-        """
-        nq, terms = self._terms(comp, keep_a, keep_s)
-        mats = np.zeros((self.model.fock_dim ** self.model.n_pairs, nq, nq), dtype=complex)
-        for i, j, w, ket, bra in terms:
-            weights = [snap.fock_weights(m, ket, bra, env_keep) for m in range(self.model.n_pairs)]
-            mats[:, i, j] += w * reduce(np.kron, weights)
-        return np.linalg.eigvalsh(0.5 * (mats + mats.conj().transpose(0, 2, 1))).ravel()
-
     def _entropy(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> float:
-        """Entropy of the reduced state on the kept labels and the ``env_keep`` modes.
+        """Entropy of the reduced state on the kept A, S and ``env_keep`` modes.
 
-        That state is sum_{b,b'} [traced labels equal] a_b a_b'* |q_b><q_b'| (x)_m B_m(b, b'),
-        a direct sum over the branch components.  With no mode kept it is a
-        marginal of rho_AS(t).  A single-branch component has spectrum
-        |a_b|^2 (x)_m local_spectrum; a classical component whose kept
-        displacement is fixed by its kept label splits into Fock-diagonal
-        blocks; a one-bath component with S traced is solved in the real gauge;
-        any other component is assembled.
+        (a) No bath kept: a marginal of rho_AS(t).
+        (b) Both baths and S kept: W = sum_s |s><s| (x) U_s is unitary, so the
+            entropy is S(rho0_K) + S(rho_E) at every t.
+        (c) Entangled, pure rho0, S and one bath kept: the global state is pure,
+            so take the complement, which keeps the other bath and traces S: (d).
+        (d) One bath kept, S traced: ``_one_bath``.
+        (e) Classical, S and one bath kept: ``_fock_blocks``.
+        (f) Anything else: ``_assembled``.
         """
-        if env_keep == "both" and self.model.env_kind == "entangled":
-            # global state pure: S(kept labels, E1 E2) = S(traced labels)
-            keep_a, keep_s, env_keep = not keep_a, not keep_s, "none"
         if env_keep == "none":
             return self._env_free(snap)[keep_a, keep_s]
-        kept, traced = self._labels(keep_a, keep_s)
-        spectra = []
-        for comp in _components(kept, traced):
-            if len(comp) == 1:
-                lam = reduce(np.kron, [snap.local_spectrum()] * self.model.n_pairs)
-                spectra.append(abs(self.br.amps[comp[0]]) ** 2 * lam)
-            # a kept S label fixes both displacements of its branches
-            elif self.model.env_kind == "classical" and (keep_s or len(set(kept[comp])) == len(comp)):
-                spectra.append(self._fock_diagonal(snap, comp, keep_a, keep_s, env_keep))
-            elif not keep_s and env_keep != "both":
-                spectra.append(self._real_gauge(snap, comp, keep_a, env_keep))
+        entangled = self.model.env_kind == "entangled"
+        if env_keep == "both" and keep_s:
+            s_env = 0.0 if entangled else self.model.n_pairs * spectrum_entropy(snap.local_spectrum())
+            return self._s0[keep_a] + s_env
+        if entangled and self.pure and keep_s:
+            keep_a, keep_s, env_keep = not keep_a, False, {"b1": "b2", "b2": "b1"}[env_keep]
+        if not keep_s and env_keep != "both":
+            spectrum = self._one_bath(snap, keep_a, env_keep)
+        elif not entangled and keep_s:
+            spectrum = self._fock_blocks(snap, keep_a, env_keep)
+        else:
+            spectrum = self._assembled(snap, keep_a, keep_s, env_keep)
+        return spectrum_entropy(spectrum, tol=1e-9)
+
+    def _one_bath(self, snap: _Snapshot, keep_a: bool, env_keep: str) -> np.ndarray:
+        """Spectrum of sum_sigma M_sigma (x) K(sigma), K = ``snap.kept_state``: one bath kept, S traced.
+
+        With S traced only s = s' survives, and the kept bath of branch s is
+        D(sigma beta) rho_th D(sigma beta)^dag, sigma its label on that bath;
+        D = R O(sigma) R^dag with R common to every term, so R is dropped.
+        When M_+ M_- = 0 the sum is direct and K(sigma) has the spectrum lam^(x)P.
+        """
+        ms, spectra = self._baths[env_keep, keep_a]
+        if spectra is not None:
+            lam = reduce(np.kron, [snap.local_spectrum()] * self.model.n_pairs)
+            return np.concatenate([np.kron(e, lam) for e in spectra])
+        ne = self.model.fock_dim ** self.model.n_pairs
+        mat = self._operator(ms[0].shape[0] * ne, np.result_type(*ms))
+        for sig, m in zip((1, -1), ms):
+            mat += np.kron(m, snap.kept_state(env_keep, sig))
+        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+
+    def _fock_blocks(self, snap: _Snapshot, keep_a: bool, env_keep: str) -> np.ndarray:
+        """Spectrum of a classical state that keeps S and one bath.
+
+        The kept displacement is fixed by the row's s, so conjugating it away
+        leaves sum_n X_K o C_n (x) |n><n| with C_n[s, s'] = ``snap.fock_weights``:
+        one block per kept Fock index n, on the rows where X_K is nonzero.
+        """
+        x = self._kept0[keep_a]
+        rows = np.flatnonzero(np.any(x, axis=1))
+        labels, idx = np.unique(rows % 4, return_inverse=True)
+        w = np.array([[reduce(np.kron, [snap.fock_weights(m, _SIGMAS[i], _SIGMAS[j], env_keep)
+                                        for m in range(self.model.n_pairs)])
+                       for j in labels] for i in labels])
+        mats = x[np.ix_(rows, rows)] * w[idx[:, None], idx].transpose(2, 0, 1)
+        return np.linalg.eigvalsh(0.5 * (mats + mats.conj().transpose(0, 2, 1))).ravel()
+
+    def _assembled(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> np.ndarray:
+        """Spectrum of the reduced state from its assembled operator; also the test reference.
+
+        sum_{s,s'} X^K_{ss'} (x) |s><s'| (x) (x)_m B_m(s, s') with s = s' when S is
+        traced, on the rows where rho0 on the kept A and S is nonzero.
+        """
+        x = self._kept0[keep_a]
+        if keep_s:
+            rows = np.flatnonzero(np.any(x, axis=1))
+            lab = rows % 4
+            x = x[np.ix_(rows, rows)]
+            terms = [(s, t, np.where((lab[:, None] == s) & (lab == t), x, 0.0))
+                     for s in range(4) for t in range(4)]
+        else:
+            diag = [x[s::4, s::4] for s in range(4)]
+            rows = np.flatnonzero(np.any(sum(diag), axis=1))
+            terms = [(s, s, d[np.ix_(rows, rows)]) for s, d in enumerate(diag)]
+        n, n_pairs = self.model.fock_dim, self.model.n_pairs
+        ne = {"none": 1, "both": n * n}.get(env_keep, n) ** n_pairs
+        mat = self._operator(rows.size * ne, complex)
+        for s, t, c in terms:
+            if not c.any():
+                continue
+            if env_keep == "none":
+                env = snap.omega[s:s + 1, t:t + 1]
             else:
-                spectra.append(self._assembled(snap, comp, keep_a, keep_s, env_keep))
-        return spectrum_entropy(np.concatenate(spectra), tol=1e-9)
+                env = reduce(np.kron, [snap.block(m, _SIGMAS[s], _SIGMAS[t], env_keep)
+                                       for m in range(n_pairs)])
+            mat += np.kron(c, env)
+        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
     def _rho_as(self, snap: _Snapshot) -> np.ndarray:
-        """rho_AS(t) = psi psi^dag o (1_A (x) omega) on [A, S1, S2], Hermitian-symmetrized."""
-        br = self.br
-        psi = np.zeros(br.d_a * 4, dtype=complex)
-        psi[4 * br.a_lbl + br.s_idx] = br.amps
-        mat = np.outer(psi, psi.conj()) * np.tile(snap.omega, (br.d_a, br.d_a))
+        """rho_AS(t) = rho0 o (1_A (x) omega) on [A, S1, S2], Hermitian-symmetrized."""
+        d_a = self.partition.dims[0]
+        mat = self.rho0 * np.tile(snap.omega, (d_a, d_a))
         return 0.5 * (mat + mat.conj().T)
 
     def _env_free(self, snap: _Snapshot) -> dict[tuple[bool, bool], float]:
         """S(A S), S(S), S(A), S() by (keep_a, keep_s) from rho_AS, kept for the last snapshot."""
         if self._memo is None or self._memo[0] is not snap:
-            d_a = self.br.d_a
             rho = self._rho_as(snap)
-            blocks = rho.reshape(d_a, 4, d_a, 4)
-            marginals = {(True, True): rho, (False, True): np.einsum("asat->st", blocks),
-                         (True, False): np.einsum("asbs->ab", blocks)}
-            ent = {k: spectrum_entropy(np.linalg.eigvalsh(m), tol=1e-9) for k, m in marginals.items()}
+            ent = {(a, s): spectrum_entropy(np.linalg.eigvalsh(_marginal(rho, a, s)), tol=1e-9)
+                   for a, s in ((True, True), (False, True), (True, False))}
             ent[False, False] = 0.0
             self._memo = (snap, ent)
         return self._memo[1]
@@ -834,19 +822,13 @@ class BranchComputer:
             raise ValueError(f"env_part must be one of {ENV_PARTS}")
         if snap is None:
             snap = _Snapshot(self.model, t)
+        bath = {"E1": "b1", "E2": "b2", "E1E2": "both"}[env_part]
         out: dict[str, float] = {}
         out["S_AS"] = self._entropy(snap, True, True, "none")
         out["S_S"] = self._entropy(snap, False, True, "none")
         out["S_A"] = self._entropy(snap, True, False, "none")
-        if self.model.env_kind == "entangled":
-            # global state pure: S(S E) = S(A E'), S(A S E) = S(E') with E' the other env part
-            keep = {"E1": "b2", "E2": "b1", "E1E2": "none"}[env_part]
-            out["S_SE"] = self._entropy(snap, True, False, keep)
-            out["S_ASE"] = self._entropy(snap, False, False, keep)
-        else:
-            keep = {"E1": "b1", "E2": "b2", "E1E2": "both"}[env_part]
-            out["S_SE"] = self._entropy(snap, False, True, keep)
-            out["S_ASE"] = self._entropy(snap, True, True, keep)
+        out["S_SE"] = self._entropy(snap, False, True, bath)
+        out["S_ASE"] = self._entropy(snap, True, True, bath)
         cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
         if cmi < -1e-8:
             raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")
@@ -879,11 +861,8 @@ class BranchComputer:
                 acc["mi_sa"].append(ent["mi_sa"])
         return {k: ScalarSeries(t, v) for k, v in acc.items()}
 
-    def system_ancilla_state(self, t: float) -> DensityMatrix:
-        return DensityMatrix(self._rho_as(_Snapshot(self.model, t)), self.br.partition)
-
     def system_state(self, t: float) -> DensityMatrix:
-        return partial_trace(self.system_ancilla_state(t), {"S1", "S2"})
+        return DensityMatrix(_marginal(self._rho_as(_Snapshot(self.model, t)), False, True), _SYS_PARTITION)
 
 
 def cmi_trajectory(
@@ -893,20 +872,9 @@ def cmi_trajectory(
     env_part: str,
     budget: int = 4096,
 ) -> ScalarSeries:
-    """I(A : env_part | S1 S2)(t) along the discrete-model evolution.
-
-    Pure initial states run through the branch Gram method; mixed states fall
-    back to dense full-Hilbert-space evolution when the dimension allows.
-    """
-    t = np.asarray(times, dtype=float).reshape(-1)
-    top = float(initial.eigenvalues()[-1])
-    if top >= 1.0 - 1e-10:
-        comp = BranchComputer(model, initial, budget=budget)
-        vals = [comp.entropies_at(ti, env_part)["cmi"] for ti in t]
-        return ScalarSeries(t, vals)
-    dense = DenseComputer(model, initial, budget=budget)
-    vals = [dense.entropies_at(ti, env_part)["cmi"] for ti in t]
-    return ScalarSeries(t, vals)
+    """I(A : env_part | S1 S2)(t) along the discrete-model evolution, pure or mixed initial state."""
+    comp = BranchComputer(model, initial, budget=budget)
+    return comp.trajectories(times, env_parts=(env_part,), with_mi=False)[env_part]
 
 
 def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFactors:

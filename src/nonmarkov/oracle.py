@@ -2,7 +2,7 @@
 
 Random-state identity checks for the information-measure layer, truncated
 Fock-space checks for the special functions, and the dense cross-check of
-the branch Gram method.  Every suite is deterministic per seed; violations
+the s-block ``BranchComputer``.  Every suite is deterministic per seed; violations
 are reported, not thrown.  The identity suite is a fold of per-sample rows
 (``identity_block``), so its samples can be computed in any grouping and by
 any process; the report folds them in sample order.  Its negative control applies a
@@ -457,7 +457,7 @@ def special_function_suite(seed: int = 0) -> SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# dense cross-check of the branch Gram method
+# dense cross-check of the s-block branch computer
 
 
 def dense_dephasing_check(
@@ -466,7 +466,7 @@ def dense_dephasing_check(
     times: Sequence[float],
     budget: int = 4096,
 ) -> SuiteReport:
-    """Compare branch Gram entropies/CMI against dense full-space evolution.
+    """Compare ``BranchComputer`` entropies/CMI against dense full-space evolution.
 
     Also records how far the dense system coherences sit from the continuum
     (closed-form) factors, under the historical key

@@ -201,6 +201,7 @@ class TestConfigValidation:
         "bare_number", "zero_modes", "t_end_infinity", "omega_c_nan", "t_end_1e999",
         "dt_5e-324", "dt_1e-300", "dt_1e-9", "check_seed_flag", "check_seed_key",
         "measures_seed_random", "random_candidate_seed", "budget_negative", "budget_zero",
+        "cmi_two_candidates", "cmi_tsio_candidate", "cmi_no_candidate", "entangled_u",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -232,6 +233,14 @@ class TestConfigValidation:
             "budget_negative": {**CMI_CFG, "budget": -3},
             "budget_zero": {**CMI_CFG, "budget": 0, "dephasing": {
                 **CMI_CFG["dephasing"], "env_kind": "classical"}},
+            # cmi writes the series of one system-ancilla candidate, and never drops one
+            "cmi_two_candidates": {**CMI_CFG, "candidates": [{"kind": "ops_state"}, {"kind": "random"}]},
+            "cmi_tsio_candidate": {**CMI_CFG, "candidates": [
+                {"kind": "tsio", "state1": [[1, 0], [0, 0], [0, 0], [0, 0]],
+                 "state2": [[0, 0], [1, 0], [0, 0], [0, 0]]}, {"kind": "ops_state"}]},
+            "cmi_no_candidate": {**CMI_CFG, "candidates": []},
+            # the classical-correlation parameter has no meaning for the squeezed state
+            "entangled_u": {**CMI_CFG, "dephasing": {**CMI_CFG["dephasing"], "u": 0.3}},
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):

@@ -29,7 +29,14 @@ from nonmarkov.dephasing import (
     system_state,
     system_trajectory,
 )
-from nonmarkov.states import SystemPartition, pure_state, random_pure_state, spectrum_entropy
+from nonmarkov.states import (
+    DensityMatrix,
+    SystemPartition,
+    pure_state,
+    random_density_matrix,
+    random_pure_state,
+    spectrum_entropy,
+)
 
 PAPER = dict(omega_c=1e-2, r=3.0, alpha1=1.0, alpha2=1.0, t1s=0.0, t1f=2.5, t2s=2.5, t2f=5.0)
 DESK = dict(omega_c=0.25, r=0.8, alpha1=1.0, alpha2=1.0, t1s=0.0, t1f=2.5, t2s=2.5, t2f=5.0)
@@ -443,6 +450,12 @@ class TestBuildDiscreteModel:
         with pytest.raises(TruncationError):
             build_discrete_model(p, n_modes=2, n_max=2)
 
+    def test_u_is_rejected_for_the_entangled_state(self):
+        # u sets the classical pair correlations; the squeezed state has only r
+        with pytest.raises(ValueError, match="u applies only"):
+            DephasingParams(**DESK, env_kind="entangled", u=0.3)
+        assert DephasingParams(**DESK, env_kind="classical", u=0.3).u_eff == 0.3
+
 
 class TestCmiTrajectory:
     def test_zero_before_first_window(self):
@@ -466,24 +479,33 @@ class TestCmiTrajectory:
         total = tr["mi_sa"].values + tr["E1E2"].values
         assert np.max(np.abs(total - total[0])) <= 1e-8
 
-    def test_mixed_initial_uses_dense_fallback(self):
-        p = DephasingParams(**DESK, env_kind="entangled")
-        m = build_discrete_model(p, n_modes=1, n_max=8)
-        mixed = measures.optimal_pair_state(
-            pure_state([0, 1, 0, 0], SystemPartition([("S1", 2), ("S2", 2)])),
-            pure_state([0, 0, 1, 0], SystemPartition([("S1", 2), ("S2", 2)])),
-        )
-        # reorder to [A, S1, S2]
-        perm = np.einsum(
-            mixed.data.reshape([2, 2, 2] * 2),
-            [0, 1, 2, 3, 4, 5],
-            [2, 0, 1, 5, 3, 4],
-        ).reshape(8, 8)
-        from nonmarkov.states import DensityMatrix
-
-        initial = DensityMatrix(perm, SystemPartition([("A", 2), ("S1", 2), ("S2", 2)]))
-        series = cmi_trajectory(m, initial, [0.0, 1.0], "E2")
-        assert series.values[0] <= 1e-9
+    def test_branch_matches_dense_for_mixed_and_wide_initial_states(self):
+        # rank-2 and rank-8 states, the optimal-pair mixture, and a pure state on
+        # A(17) S1 S2 (68 amplitudes, dense dimension 1700): every entropy of the
+        # three parts against the dense path, for both env kinds
+        a_s = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+        s_part = SystemPartition([("S1", 2), ("S2", 2)])
+        pair = measures.optimal_pair_state(pure_state([0, 1, 0, 0], s_part), pure_state([0, 0, 1, 0], s_part))
+        # reorder [S1, S2, A] to [A, S1, S2]
+        perm = np.einsum(pair.data.reshape([2, 2, 2] * 2), [0, 1, 2, 3, 4, 5], [2, 0, 1, 5, 3, 4])
+        wide = random_pure_state(SystemPartition([("A", 17), ("S1", 2), ("S2", 2)]), 9)
+        cases = [
+            (random_density_matrix(a_s, 2, 5), [1.3, 3.7]),
+            (random_density_matrix(a_s, 8, 6), [1.3, 3.7]),
+            (DensityMatrix(perm.reshape(8, 8), a_s), [1.3, 3.7]),
+            (wide, [3.7]),  # both baths displaced; one 1700-dim dense state per env kind
+        ]
+        for env_kind in ENV_KINDS:
+            m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind), 1, 4)
+            for initial, times in cases:
+                branch = dephasing.BranchComputer(m, initial)
+                dense = dephasing.DenseComputer(m, initial)
+                for part in dephasing.ENV_PARTS:
+                    series = cmi_trajectory(m, initial, times, part)
+                    for t, cmi in zip(times, series.values):
+                        eb, ed = branch.entropies_at(t, part), dense.entropies_at(t, part)
+                        assert cmi == eb["cmi"]
+                        assert max(abs(eb[k] - ed[k]) for k in ed) <= 1e-7
 
     def test_n1_identity_on_monotone_window(self):
         p = DephasingParams(
@@ -503,7 +525,7 @@ class TestCmiTrajectory:
 
 
 class TestStructuredBranchEntropies:
-    """The direct-sum / closed-form / Fock-diagonal entropies against the assembled operator."""
+    """Every rule of ``BranchComputer._entropy`` against the assembled operator."""
 
     @staticmethod
     def _states():
@@ -526,7 +548,7 @@ class TestStructuredBranchEntropies:
                 for keep_a, keep_s, env_keep in itertools.product(
                     (False, True), (False, True), ("none", "b1", "b2", "both")
                 ):
-                    ref = comp._assembled(snap, range(comp.br.nb), keep_a, keep_s, env_keep)
+                    ref = comp._assembled(snap, keep_a, keep_s, env_keep)
                     assert abs(comp._entropy(snap, keep_a, keep_s, env_keep)
                                - spectrum_entropy(ref, tol=1e-9)) <= 1e-12
 
@@ -598,9 +620,9 @@ class TestSnapshotOverlaps:
 class TestBranchSolves:
     def test_one_real_kept_bath_solve_per_env_part_and_three_env_free(self, monkeypatch):
         # entangled ops_state cmi run at 2 pairs, n_max 14: per time point, the
-        # S_ASE of E1 and E2 are the only kept-bath solves (S_SE splits into
-        # single-branch components), and S_AS, S_S, S_A are solved once for all
-        # three env parts
+        # S_ASE of E1 and E2 are the only kept-bath solves (the blocks M_+ and M_-
+        # of S_SE are orthogonal, so its spectrum needs none), and S_AS, S_S, S_A
+        # are solved once for all three env parts
         p = DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
                             t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2, env_kind="entangled")
         m = build_discrete_model(p, n_modes=2, n_max=14)
@@ -617,6 +639,28 @@ class TestBranchSolves:
                 + [((k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
             )
             solves.clear()
+
+    def test_classical_e1e2_makes_no_bath_solve(self, monkeypatch):
+        # classical ops_state run at 2 pairs, n_max 14: E1E2 keeps S and both
+        # baths, whose entropies are S(rho0_K) + S(rho_E) at every t, so it adds
+        # nothing to the three env-free solves; E1 and E2 each add two batches
+        # of 225 Fock-index blocks, 2 x 2 on the support of rho0
+        p = DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
+                            t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2, env_kind="classical")
+        m = build_discrete_model(p, n_modes=2, n_max=14)
+        comp = dephasing.BranchComputer(m, measures.ops_state())
+        solves = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: solves.append((a.shape, a.dtype)) or real(a)
+        )
+        env_free = [((k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
+        blocks = [((225, 2, 2), np.dtype(np.complex128))] * 4
+        for t in np.linspace(0.5, 4.0, 5):
+            for parts, bath in ((("E1E2",), []), (("E1", "E2", "E1E2"), blocks)):
+                comp.trajectories([t], env_parts=parts, with_mi=False)
+                assert sorted(solves) == sorted(env_free + bath)
+                solves.clear()
 
 
 def _kron_evolved(dense, t):
