@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 config error, 2 numerical-convergence failure,
 3 failed check suite.  Output files are written atomically
 (temp-then-rename) and are byte-identical for identical config + seed at a
 fixed BLAS thread count.
-``NONMARKOV_THREADS`` caps worker parallelism (default: all cores): the
-thread pool over ``measures`` candidates, and the ``check`` pool of
-``NONMARKOV_THREADS - 1`` forked processes that run identity-suite blocks
-while this process runs the cross-checks (see ``_identity_and_cross_checks``).
-Neither changes an output byte.
+``NONMARKOV_THREADS`` caps worker parallelism (default, and upper limit: the
+CPUs this process may use): the thread pool over ``measures`` candidates, and
+the ``check`` pool of ``NONMARKOV_THREADS - 1`` forked processes that run
+identity samples while this process runs the cross-checks (see
+``_identity_and_cross_checks``).  Neither changes an output byte.
 """
 
 from __future__ import annotations
@@ -36,24 +36,33 @@ EXIT_CHECK_FAILED = 3
 
 MODES = ("phase_factors", "cmi", "measures", "check")
 MAX_GRID_STEPS = 10**6
-CHECK_BLOCK = 5  # identity samples per task of the ``check`` process pool
+CHECK_IN_PROCESS = 5  # a ``check`` of at most this many identity samples starts no pool
 
 
 class ConfigError(ValueError):
     pass
 
 
-def worker_count() -> int:
-    env = os.environ.get("NONMARKOV_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"NONMARKOV_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ConfigError("NONMARKOV_THREADS must be >= 1")
-        return n
+def available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def worker_count() -> int:
+    """``NONMARKOV_THREADS``, capped at ``available_cpus()``, which is also the default."""
+    cpus = available_cpus()
+    env = os.environ.get("NONMARKOV_THREADS")
+    if env is None:
+        return cpus
+    try:
+        n = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"NONMARKOV_THREADS must be an integer, got {env!r}") from exc
+    if n < 1:
+        raise ConfigError("NONMARKOV_THREADS must be >= 1")
+    return min(n, cpus)
 
 
 def _atomic_write(path: str, text: str):
@@ -306,43 +315,46 @@ def _cross_checks(seed: int) -> list:
 def _identity_and_cross_checks(seed: int, samples: int) -> list:
     """The identity-suite report, then the ``_cross_checks`` reports.
 
-    The identity samples are split into blocks of ``CHECK_BLOCK``.  With more
-    than one block, ``worker_count() - 1`` forked processes work through the
-    blocks while this process runs the cross-checks; it then cancels the
-    blocks no worker has started, last block first, and runs them itself.
+    A check of more than ``CHECK_IN_PROCESS`` samples hands them out one
+    sample per task: ``worker_count() - 1`` forked processes work through the
+    samples while this process runs the cross-checks; it then cancels the
+    samples no worker has started, last sample first, and runs them itself.
+    So at the end it waits only for the sample each worker runs and the one
+    queued behind it (the executor's call queue), which it cannot take back.
     Every row comes from ``oracle.identity_block`` with the same seed and is
     folded in sample order, so the report does not depend on the worker count.
-    Without ``fork`` (or with one block, or ``NONMARKOV_THREADS=1``) it all
-    runs in this process.  ``fork`` rather than ``spawn``: a spawned worker
-    would import NumPy and the package again, most of a small job's gain.
-    The fork is safe here because ``check`` starts no thread of its own and a
-    fork-context executor launches its workers before its manager thread.
+    Without ``fork`` (or with at most ``CHECK_IN_PROCESS`` samples, or one
+    worker) it all runs in this process.  ``fork`` rather than ``spawn``: a
+    spawned worker would import NumPy and the package again, most of a small
+    job's gain.  The fork is safe here because ``check`` starts no thread of
+    its own and a fork-context executor launches its workers before its
+    manager thread.
     """
     import multiprocessing
 
-    blocks = [(lo, min(lo + CHECK_BLOCK, samples)) for lo in range(0, samples, CHECK_BLOCK)]
-    workers = min(worker_count() - 1, len(blocks))
-    if len(blocks) < 2 or workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = [oracle.identity_block(seed, lo, hi) for lo, hi in blocks]
+    workers = min(worker_count() - 1, samples)
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    if samples <= CHECK_IN_PROCESS or workers < 1 or not fork:
+        rows = [oracle.identity_block(seed, 0, samples)]
         cross = _cross_checks(seed)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            futures = [pool.submit(oracle.identity_block, seed, lo, hi) for lo, hi in blocks]
+            futures = [pool.submit(oracle.identity_block, seed, i, i + 1) for i in range(samples)]
             try:
                 cross = _cross_checks(seed)
-                rows = [None] * len(blocks)
-                for k in reversed(range(len(blocks))):
-                    if not futures[k].cancel():  # started, and so is every block before it
+                rows = [None] * samples
+                for i in reversed(range(samples)):
+                    if not futures[i].cancel():  # started, and so is every sample before it
                         break
-                    rows[k] = oracle.identity_block(seed, *blocks[k])
+                    rows[i] = oracle.identity_block(seed, i, i + 1)
                 rows = [f.result() if r is None else r for r, f in zip(rows, futures)]
             except BaseException:
-                pool.shutdown(cancel_futures=True)  # rather than run blocks only to drop them
+                pool.shutdown(cancel_futures=True)  # rather than run samples only to drop them
                 raise
-    return [oracle.identity_report(seed, [row for block in rows for row in block]), *cross]
+    return [oracle.identity_report(seed, [row for part in rows for row in part]), *cross]
 
 
 def _run_check(cfg: dict) -> tuple[str, bool]:

@@ -924,13 +924,24 @@ class DenseComputer:
         env = reduce(np.kron, [pair_state] * model.n_pairs)
         self.rho0 = np.kron(initial.data, env)
         self.d_a = initial.partition.dims[0]
+        # block (k, l) of rho0 is initial[k, l] * env, so the live (a, s) blocks
+        # are those whose row or column of the initial state is nonzero
+        x = initial.data
+        self._live = np.flatnonzero(x.any(axis=1) | x.any(axis=0))
+        dim_env = env.shape[0]
+        nb = x.shape[0]
+        blocks = self.rho0.reshape(nb, dim_env, nb, dim_env).transpose(0, 2, 1, 3)
+        self._blocks = blocks[np.ix_(self._live, self._live)]
         self._memo: tuple[float, DensityMatrix] | None = None
 
     def state_at(self, t: float) -> DensityMatrix:
         """U(t) rho0 U(t)^dag with U = 1_A (x) blockdiag_s(U_s), applied block by block.
 
-        The last state is kept, so the entropies of every env part and the
-        system state at one t share a single evolution and validation.
+        Only the live (a, s) blocks of rho0 (found once, in ``__init__``) are
+        evolved, and only their U_s built; every other block is an exact zero,
+        so validation solves the state on its support.  The last state is
+        kept, so the entropies of every env part and the system state at one
+        t share a single evolution and validation.
         """
         t = float(t)
         if self._memo is not None and self._memo[0] == t:
@@ -938,8 +949,10 @@ class DenseComputer:
         model = self.model
         n = model.fock_dim
         dim_env = (n * n) ** model.n_pairs
-        u_s = np.empty((len(_BASIS), dim_env, dim_env), dtype=complex)
-        for s_idx, (b1bit, b2bit) in enumerate(_BASIS):
+        live = self._live
+        u_s = {}
+        for s_idx in np.unique(live % len(_BASIS)):
+            b1bit, b2bit = _BASIS[s_idx]
             s1, s2 = _sigma(b1bit), _sigma(b2bit)
             ops = []
             for om, g1, g2 in model.mode_pairs:
@@ -947,11 +960,12 @@ class DenseComputer:
                 d2 = _displacement(n, s2 * g2 * beta(om, t, model.params.window2))
                 ops.append(np.kron(d1, d2))
             u_s[s_idx] = reduce(np.kron, ops)
-        u_k = np.tile(u_s, (self.d_a, 1, 1))  # row block k = (a, s) evolves with U_s
-        nb = u_k.shape[0]
-        blocks = self.rho0.reshape(nb, dim_env, nb, dim_env).transpose(0, 2, 1, 3)
-        out = u_k[:, None] @ blocks @ u_k.conj().transpose(0, 2, 1)[None, :]
-        rho = out.transpose(0, 2, 1, 3).reshape(self.rho0.shape)
+        # row block k = (a, s) evolves with U_s
+        u_k = np.stack([u_s[k % len(_BASIS)] for k in live])
+        out = u_k[:, None] @ self._blocks @ u_k.conj().transpose(0, 2, 1)[None, :]
+        rho = np.zeros_like(self.rho0)
+        nb = self.d_a * len(_BASIS)
+        rho.reshape(nb, dim_env, nb, dim_env)[live[:, None], :, live, :] = out
         rho = 0.5 * (rho + rho.conj().T)
         state = DensityMatrix(rho, self.partition)
         self._memo = (t, state)

@@ -96,10 +96,13 @@ class DensityMatrix:
     """Hermitian PSD unit-trace matrix with a labeled factorization.
 
     ``spectrum`` is the raw ascending ``eigvalsh`` spectrum computed during
-    validation (read-only, like ``data``, so it can never go stale).  The
-    marginals :func:`partial_trace` builds are kept in ``_marginals`` of the
-    root state they are traced from; each marginal refers back to that root
-    through the weak reference ``_root`` (``None`` on a root).
+    validation (read-only, like ``data``, so it can never go stale).  A state
+    with zero rows is solved on its support only, the principal block of the
+    indices whose row or column is nonzero; its other eigenvalues are exact
+    zeros (see ``_spectrum``).  The marginals :func:`partial_trace` builds are
+    kept in ``_marginals`` of the root state they are traced from; each
+    marginal refers back to that root through the weak reference ``_root``
+    (``None`` on a root).
     """
 
     data: np.ndarray
@@ -122,13 +125,13 @@ class DensityMatrix:
         if not np.isfinite(m).all():
             raise StateValidityError("matrix has non-finite entries")
         # every comparison is written so that NaN fails it
-        herm = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        herm = np.abs(m - m.conj().T).max() if m.size else 0.0
         if not herm <= HERMITICITY_TOL:
             raise StateValidityError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
         tr = m.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateValidityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        eigs = np.linalg.eigvalsh(m)
+        eigs = _spectrum(m)
         lo = float(eigs[0])
         if not lo >= -PSD_TOL:
             raise StateValidityError(f"negative eigenvalue {lo:.3e} beyond tolerance")
@@ -148,6 +151,23 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum with small negatives clamped to zero."""
         return clamp_spectrum(self.spectrum)
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending ``eigvalsh`` spectrum of Hermitian ``m``, solved on its support.
+
+    A row and column of ``m`` that are both zero span an exact eigenvector of
+    eigenvalue 0, so only the principal block on the live indices (row or
+    column nonzero) is solved; the rest of the spectrum is padded with exact
+    zeros.  With every row live this is ``eigvalsh(m)`` itself.
+    """
+    if not m.diagonal().all():  # else every row is live, through its diagonal entry
+        live = m.any(axis=1) | m.any(axis=0)
+        if not live.all():
+            idx = np.flatnonzero(live)
+            dead = np.zeros(m.shape[0] - idx.size)
+            return np.sort(np.concatenate([dead, np.linalg.eigvalsh(m[np.ix_(idx, idx)])]))
+    return np.linalg.eigvalsh(m)
 
 
 def clamp_spectrum(eigs: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
@@ -346,30 +366,6 @@ def random_pure_state(partition: SystemPartition, seed: int) -> DensityMatrix:
     d = partition.total_dim
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return pure_state(v / np.linalg.norm(v), partition)
-
-
-# ---------------------------------------------------------------------------
-# stock channels
-
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel([np.eye(dim)])
-
-
-def unitary_channel(u: np.ndarray) -> QuantumChannel:
-    return QuantumChannel([u])
-
-
-def depolarizing_channel(dim: int) -> QuantumChannel:
-    """Fully depolarizing map X -> tr(X) I/d via the Heisenberg-Weyl set."""
-    w = np.exp(2j * np.pi / dim)
-    shift = np.roll(np.eye(dim), 1, axis=0)
-    clock = np.diag(w ** np.arange(dim))
-    ops = []
-    for a in range(dim):
-        for b in range(dim):
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) / dim)
-    return QuantumChannel(ops)
 
 
 def random_channel(dim_in: int, kraus_count: int, seed: int, dim_out: int | None = None) -> QuantumChannel:

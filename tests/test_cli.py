@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from nonmarkov import cli, oracle
+from nonmarkov import cli, dephasing, oracle
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -163,6 +164,32 @@ class TestCheckMode:
         assert rc == 0
         assert os.path.exists(out)
 
+    def test_cross_checks_solve_no_dense_state_above_its_support(self, monkeypatch):
+        # the check model's dense states are 392-dim; ops_state lives on 98 of
+        # those rows and the coherence probe on 196
+        depth = []
+        dense_dims = []
+
+        def counted(method):
+            def run(self, *args):
+                depth.append(method)
+                try:
+                    return method(self, *args)
+                finally:
+                    depth.pop()
+            return run
+
+        for name in ("state_at", "entropies_at", "system_state"):
+            method = getattr(dephasing.DenseComputer, name)
+            monkeypatch.setattr(dephasing.DenseComputer, name, counted(method))
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: (depth and dense_dims.append(a.shape[0])) or real(a)
+        )
+        reports = cli._cross_checks(0)
+        assert all(r.all_passed for r in reports)
+        assert max(dense_dims) == 196
+
 
 class TestConfigValidation:
     def test_unknown_mode(self, tmp_path):
@@ -188,11 +215,21 @@ class TestConfigValidation:
         assert cli.run(write_config(tmp_path, cfg)) == 1
 
     def test_thread_env_validation(self, monkeypatch):
+        monkeypatch.setattr(cli, "available_cpus", lambda: 4)
         monkeypatch.setenv("NONMARKOV_THREADS", "3")
         assert cli.worker_count() == 3
         monkeypatch.setenv("NONMARKOV_THREADS", "zero")
         with pytest.raises(cli.ConfigError):
             cli.worker_count()
+
+    def test_worker_count_is_capped_at_the_available_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "available_cpus", lambda: 2)
+        monkeypatch.setenv("NONMARKOV_THREADS", "64")
+        assert cli.worker_count() == 2
+        monkeypatch.delenv("NONMARKOV_THREADS")
+        assert cli.worker_count() == 2
+        monkeypatch.undo()
+        assert 1 <= cli.available_cpus() <= (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("case", [
         "flagged_unnormalised", "flagged_bad_index", "check_samples_flag", "check_samples_key",
@@ -308,7 +345,8 @@ class TestThreadDeterminism:
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (a, b)
 
     def test_check_pool(self, tmp_path, monkeypatch):
-        # 23 samples make uneven blocks; 1 runs in-process, 2 and 3 fork 1 and 2 workers
+        # 23 samples, one per task; 1 runs in-process, 2 and 3 fork 1 and 2 workers
+        monkeypatch.setattr(cli, "available_cpus", lambda: 3)
         outputs = {}
         for workers in "123":
             monkeypatch.setenv("NONMARKOV_THREADS", workers)
@@ -330,12 +368,28 @@ class TestThreadDeterminism:
             return petz(rng)
 
         monkeypatch.setattr(oracle, "_petz_three_qubit", fails_in_a_worker)
+        monkeypatch.setattr(cli, "available_cpus", lambda: 2)
         monkeypatch.setenv("NONMARKOV_THREADS", "2")
         out = tmp_path / "check.json"
         with pytest.raises(BlockFailure, match="raised in a worker"):
             cli.main(["check", "--seed", "4", "--samples", "23", "--output", str(out)])
         assert multiprocessing.active_children() == []
         assert not out.exists()
+
+    def test_small_check_builds_no_process_pool(self, monkeypatch):
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
+        monkeypatch.setattr(cli, "available_cpus", lambda: 3)
+        monkeypatch.setenv("NONMARKOV_THREADS", "3")
+        monkeypatch.setattr(cli, "_cross_checks", lambda seed: [])
+        for samples in range(1, cli.CHECK_IN_PROCESS + 1):
+            [report] = cli._identity_and_cross_checks(4, samples)
+            assert {c.samples for c in report.checks} == {samples}
+        with pytest.raises(AssertionError, match="process pool"):
+            cli._identity_and_cross_checks(4, cli.CHECK_IN_PROCESS + 1)
 
 
 class BlockFailure(RuntimeError):

@@ -696,20 +696,34 @@ class TestDenseComputer:
                 assert np.max(np.abs(dense.state_at(t).data - _kron_evolved(dense, t))) <= 1e-13
 
     def test_one_state_per_time(self, monkeypatch):
+        # ops_state has 2 live (a, s) rows of 8: the 200-dim state is solved on
+        # its 50-dim support, once per time, and never at full size
         p = DephasingParams(**{**DESK, "r": 0.2}, env_kind="entangled")
         m = build_discrete_model(p, n_modes=1, n_max=4)
         dense = dephasing.DenseComputer(m, measures.ops_state())
         dim = dense.partition.total_dim
-        full_solves = []
+        validating = []
+        solves = []  # (dimension of the state being validated, dimension solved)
+        real_post = dephasing.DensityMatrix.__post_init__
+
+        def post_init(state):
+            validating.append(state.partition.total_dim)
+            try:
+                real_post(state)
+            finally:
+                validating.pop()
+
         real = np.linalg.eigvalsh
+        monkeypatch.setattr(dephasing.DensityMatrix, "__post_init__", post_init)
         monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: full_solves.append(a.shape[0] == dim) or real(a)
+            np.linalg, "eigvalsh", lambda a: solves.append((validating[-1], a.shape[0])) or real(a)
         )
         for k, t in enumerate((1.3, 3.7), start=1):
             for part in dephasing.ENV_PARTS:
                 dense.entropies_at(t, part)
             dense.system_state(t)
-            assert sum(full_solves) == k
+            assert [n for of, n in solves if of == dim] == [50] * k
+            assert max(n for _, n in solves) < dim
 
     @pytest.mark.parametrize("env_kind", ENV_KINDS)
     def test_env_parts_share_marginals(self, env_kind, monkeypatch):

@@ -15,16 +15,13 @@ from nonmarkov.states import (
     apply_channel,
     basis_state,
     clamp_spectrum,
-    depolarizing_channel,
     haar_random_unitary,
-    identity_channel,
     maximally_mixed,
     partial_trace,
     pure_state,
     random_channel,
     random_density_matrix,
     tensor,
-    unitary_channel,
 )
 
 QUBIT = SystemPartition([("S", 2)])
@@ -126,6 +123,31 @@ class TestValidatedSpectrum:
             assert not rho.spectrum.flags.writeable
             with pytest.raises(ValueError):
                 rho.spectrum[0] = 0.5
+
+    def test_zero_rows_are_exact_zeros_of_the_spectrum(self, monkeypatch):
+        rho = random_density_matrix(SystemPartition([("A", 2), ("S", 2)]), 3, seed=7)
+        flag = basis_state(SystemPartition([("F", 3)]), [1])
+        solved = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m.shape[0]) or real(m))
+        state = tensor(rho, flag)
+        assert solved == [4]  # the support of the 12-dim state: rows (a, s, 1)
+        dead = np.flatnonzero(~state.data.any(axis=1))
+        assert dead.size == 8
+        assert np.count_nonzero(state.spectrum == 0.0) >= dead.size
+        assert np.all(np.diff(state.spectrum) >= 0.0)
+        assert np.max(np.abs(state.spectrum - real(state.data))) <= 1e-14
+
+    def test_zero_row_with_a_small_column_entry_stays_live(self, monkeypatch):
+        # within the Hermiticity tolerance, row 0 is zero but column 0 is not
+        m = np.zeros((3, 3), dtype=complex)
+        m[1, 1], m[2, 2], m[1, 0] = 0.5, 0.5, 1e-10
+        solved = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape[0]) or real(a))
+        rho = DensityMatrix(m, SystemPartition([("S", 3)]))
+        assert solved == [3]
+        assert np.array_equal(rho.spectrum, real(rho.data))
 
     def test_eigenvalues_reuse_the_spectrum(self, monkeypatch):
         rho = random_density_matrix(SystemPartition([("S", 3)]), 2, seed=5)
@@ -261,11 +283,15 @@ class TestMarginalMemo:
 class TestApplyChannel:
     def test_identity_channel(self):
         rho = random_density_matrix(SystemPartition([("S", 2), ("E", 2)]), 4, seed=0)
-        out = apply_channel(rho, identity_channel(2), "E")
+        out = apply_channel(rho, QuantumChannel([np.eye(2)]), "E")
         assert_allclose(out.data, rho.data, atol=1e-14)
 
     def test_depolarizing_destroys_correlations(self):
-        out = apply_channel(bell_state(), depolarizing_channel(2), "A")
+        # X -> tr(X) I/2 through the four Heisenberg-Weyl (Pauli) operators, each / 2
+        shift = np.array([[0, 1], [1, 0]])
+        clock = np.diag([1, -1])
+        paulis = [np.eye(2), clock, shift, shift @ clock]
+        out = apply_channel(bell_state(), QuantumChannel([p / 2 for p in paulis]), "A")
         expected = tensor(maximally_mixed(SystemPartition([("S", 2)])),
                           maximally_mixed(SystemPartition([("A", 2)])))
         assert_allclose(out.data, expected.data, atol=1e-12)
@@ -273,13 +299,13 @@ class TestApplyChannel:
     def test_unitary_preserves_spectrum(self):
         rho = random_density_matrix(SystemPartition([("S", 3)]), 3, seed=5)
         u = haar_random_unitary(3, seed=6)
-        out = apply_channel(rho, unitary_channel(u), "S")
+        out = apply_channel(rho, QuantumChannel([u]), "S")
         assert_allclose(out.eigenvalues(), rho.eigenvalues(), atol=1e-12)
 
     def test_dimension_mismatch(self):
         rho = maximally_mixed(SystemPartition([("S", 3)]))
         with pytest.raises(ChannelError):
-            apply_channel(rho, identity_channel(2), "S")
+            apply_channel(rho, QuantumChannel([np.eye(2)]), "S")
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ChannelError):
