@@ -106,17 +106,19 @@ def _fields(cfg, types: dict, what: str, build=dict):
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from exc
+        # the top level is the config itself, which the "invalid config" of ``execute`` names
+        raise ConfigError(exc if what == "config" else f"invalid {what}: {exc}") from exc
 
 
 def _int_at_least(low: int, what: str):
-    """A converter to ``int`` that rejects values below ``low``."""
+    """A converter that takes a JSON integer of at least ``low``, and no bool or fractional number."""
 
     def convert(value) -> int:
-        n = int(value)
-        if n < low:
-            raise ValueError(f"{what} must be >= {low}, got {n}")
-        return n
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{what} must be >= {low}, got {value}")
+        return value
 
     return convert
 
@@ -180,6 +182,8 @@ _AS_PARTITION = SystemPartition([("A", 2)]).concat(_S_PARTITION)
 
 def parse_candidate(spec: dict, seed: int):
     """Returns ("as", DensityMatrix) or ("pair", (amps1, amps2))."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a candidate must be a JSON object, got {spec!r}")
     kind = _require(spec, "kind", str)
     if kind not in _CANDIDATE_TYPES:
         raise ConfigError(f"unknown candidate kind {kind!r}")
@@ -192,7 +196,8 @@ def parse_candidate(spec: dict, seed: int):
         amps = _complex_list(_require(spec, "amplitudes"), len(spec["amplitudes"]), "amplitudes")
         idx = _require(spec, "system_indices")
         try:
-            return ("as", measures.flagged_ancilla_state(amps, [int(i) for i in idx], _S_PARTITION))
+            idx = [_int_at_least(0, "a system index")(i) for i in idx]
+            return ("as", measures.flagged_ancilla_state(amps, idx, _S_PARTITION))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid flagged candidate: {exc}") from exc
     a1 = _complex_list(_require(spec, "state1"), 4, "state1")
@@ -231,11 +236,9 @@ def _run_phase_factors(cfg: dict) -> str:
 
 def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
     params = parse_dephasing(_require(cfg, "dephasing", dict))
-    disc = _fields(_require(cfg, "discrete", dict), {"n_modes": int, "n_max": int}, "discrete")
-    n_modes, n_max = _require(disc, "n_modes"), _require(disc, "n_max")
-    if n_modes < 1 or n_max < 1:
-        raise ConfigError("discrete needs n_modes >= 1 and n_max >= 1")
-    return dephasing.build_discrete_model(params, n_modes, n_max)
+    types = {k: _int_at_least(1, k) for k in ("n_modes", "n_max")}
+    disc = _fields(_require(cfg, "discrete", dict), types, "discrete")
+    return dephasing.build_discrete_model(params, _require(disc, "n_modes"), _require(disc, "n_max"))
 
 
 def _branch_computer(model, cand, cfg: dict) -> dephasing.BranchComputer:
@@ -359,9 +362,8 @@ def _identity_and_cross_checks(seed: int, samples: int) -> list:
 
 def _run_check(cfg: dict) -> tuple[str, bool]:
     seed = cfg.get("seed", 0)
-    samples = _fields(cfg.get("check", {}), {"samples": int}, "check").get("samples", 100)
-    if samples < 1:
-        raise ConfigError("check samples must be >= 1")
+    check = _fields(cfg.get("check", {}), {"samples": _int_at_least(1, "samples")}, "check")
+    samples = check.get("samples", 100)
     reports = _identity_and_cross_checks(seed, samples)
     payload = {
         "seed": seed,
@@ -416,8 +418,15 @@ def run(config_path: str) -> int:
     return execute(cfg)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as a ``ConfigError`` (exit 1), not argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nonmarkov",
         description="Information-measure non-Markovianity experiments",
     )
@@ -428,7 +437,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--samples", type=int, default=100)
     p_check.add_argument("--output", default="check_report.json")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ConfigError as exc:
+        print(f"error: invalid arguments: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "run":
         return run(args.config)
     rc = execute({

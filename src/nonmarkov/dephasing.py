@@ -24,8 +24,8 @@ rules over these s-blocks: a marginal of rho_AS(t) when no bath is kept, a
 constant when S and both baths are kept, the complement of a pure global
 state, a solve in the real gauge D(sigma beta) = R O(sigma) R^dag (R diagonal,
 O real orthogonal) when one bath is kept and S traced, Fock-index blocks for
-a classical state that keeps S and one bath, and an assembled operator
-otherwise.
+a classical state that keeps S and one bath, and otherwise the Gram matrix
+of one purified global state on [A, S, E1, E2] and two purifying registers.
 
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
 single-mode displacement response and carried by the spectral density (the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -48,13 +48,19 @@ from .states import DensityMatrix, SystemPartition, partial_trace, pure_state, s
 
 ENV_KINDS = ("entangled", "classical")
 ENV_PARTS = ("E1", "E2", "E1E2")
+RANK_CUTOFF = 1e-14  # eigenvalues of rho0 at or below this are left out of its purification
 
 class TruncationError(ValueError):
     """Fock truncation captures too little of the initial environment state."""
 
 
 class BudgetError(RuntimeError):
-    """An assembled operator or the dense state exceeds the configured dimension budget."""
+    """A solve or the dense state exceeds the configured dimension budget.
+
+    The budget bounds the operator of rule (d), the Gram matrix of rule (f)
+    and the dense state; rule (f)'s purified state may hold at most budget^2
+    amplitudes, as many as the largest operator the budget admits.
+    """
 
 
 @dataclass(frozen=True)
@@ -398,10 +404,8 @@ def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -
     out = np.ones((t.size, 4, 4), dtype=complex)
     for i in range(4):
         for j in range(4):
-            if i == j:
-                continue
             m1, m2 = _multipliers(i, j)
-            if m1 == 0 and m2 == 0:
+            if m1 == 0 and m2 == 0:  # i == j
                 continue
             if m2 == 0:
                 lg = logs["single1"]
@@ -461,6 +465,15 @@ class DiscreteDephasingModel:
         return self.n_max + 1
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n)``, computed once per n; the arrays are read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def spectral_gauss_rule(omega_c: float, cutoff_mult: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes/weights with weight function w * exp(-w/omega_c) on (0, K*omega_c].
 
@@ -471,7 +484,7 @@ def spectral_gauss_rule(omega_c: float, cutoff_mult: float, n_modes: int) -> tup
     high-degree Legendre weights.
     """
     hi = cutoff_mult * omega_c
-    x0, w0 = np.polynomial.legendre.leggauss(200)
+    x0, w0 = _legendre_rule(200)
     x = 0.5 * hi * (x0 + 1.0)
     w = 0.5 * hi * w0 * x * np.exp(-x / omega_c)
     m0 = w.sum()
@@ -577,8 +590,7 @@ class _Snapshot:
         u = model.u
         if model.env_kind == "entangled":
             v = u ** np.arange(n)
-            v = v / np.linalg.norm(v)
-            self.tmsv = v
+            self.tmsv = v / np.linalg.norm(v)
         else:
             p = (u * u) ** np.arange(n)
             self.probs = p / p.sum()
@@ -609,8 +621,6 @@ class _Snapshot:
                           for ds in (np.stack([d1[+1], d1[-1]]), np.stack([d2[+1], d2[-1]])))
                 self.omega *= np.einsum("n,acn,bdn->abcd", self.probs, c1, c2).reshape(4, 4)
 
-    # -- per-pair overlap objects; orientation: O_{b b'} = Tr_traced[Phi_b rho Phi_b'^dag]
-
     def local_spectrum(self) -> np.ndarray:
         """Per-pair thermal weights: the spectrum of one displaced bath, and of a classical pair.
 
@@ -625,29 +635,6 @@ class _Snapshot:
         """
         i, d = (1, self.d2) if keep == "b1" else (0, self.d1)
         return self.probs * np.diag(d[m][bra[i]].conj().T @ d[m][ket[i]])
-
-    def block(self, m: int, ket: tuple[int, int], bra: tuple[int, int], keep: str) -> np.ndarray:
-        if self.model.env_kind == "entangled":
-            pk, pb = self.psi[m][ket], self.psi[m][bra]
-            if keep == "b1":
-                return pk @ pb.conj().T
-            if keep == "b2":
-                return pk.T @ pb.conj()
-            if keep == "both":
-                return np.outer(pk.ravel(), pb.ravel().conj())
-            raise ValueError(f"unknown keep spec {keep!r}")
-        if keep in ("b1", "b2"):
-            i = 0 if keep == "b1" else 1
-            d = (self.d1, self.d2)[i][m]
-            return d[ket[i]] @ (self.fock_weights(m, ket, bra, keep)[:, None] * d[bra[i]].conj().T)
-        if keep == "both":
-            dk = np.kron(self.d1[m][ket[0]], self.d2[m][ket[1]])
-            db = np.kron(self.d1[m][bra[0]], self.d2[m][bra[1]])
-            n = self.model.fock_dim
-            diag = np.zeros(n * n)
-            diag[np.arange(n) * n + np.arange(n)] = self.probs
-            return dk @ (diag[:, None] * db.conj().T)
-        raise ValueError(f"unknown keep spec {keep!r}")
 
     def kept_state(self, keep: str, sig: int) -> np.ndarray:
         """(x)_m O_m(sig) rho_m O_m(sig)^T on bath ``keep``, rho_m = diag(``local_spectrum``).
@@ -701,12 +688,13 @@ class BranchComputer:
                 direct = not np.any(ms[0] @ ms[1])
                 self._baths[keep, keep_a] = ms, [np.linalg.eigvalsh(m) for m in ms] if direct else None
         self._memo: tuple[_Snapshot, dict[tuple[bool, bool], float]] | None = None
+        self._psi_memo: tuple[_Snapshot, np.ndarray] | None = None
 
-    def _operator(self, dim: int, dtype) -> np.ndarray:
-        """A zero ``dim``-square operator to assemble; the only place the budget applies."""
+    def _within_budget(self, dim: int, what: str) -> int:
+        """``dim``, the side of a matrix to solve, checked against the budget."""
         if dim > self.budget:
-            raise BudgetError(f"assembled operator dimension {dim} exceeds budget {self.budget}")
-        return np.zeros((dim, dim), dtype=dtype)
+            raise BudgetError(f"{what} dimension {dim} exceeds budget {self.budget}")
+        return dim
 
     def _entropy(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> float:
         """Entropy of the reduced state on the kept A, S and ``env_keep`` modes.
@@ -718,7 +706,7 @@ class BranchComputer:
             so take the complement, which keeps the other bath and traces S: (d).
         (d) One bath kept, S traced: ``_one_bath``.
         (e) Classical, S and one bath kept: ``_fock_blocks``.
-        (f) Anything else: ``_assembled``.
+        (f) Anything else: ``_purified_spectrum``.
         """
         if env_keep == "none":
             return self._env_free(snap)[keep_a, keep_s]
@@ -733,7 +721,7 @@ class BranchComputer:
         elif not entangled and keep_s:
             spectrum = self._fock_blocks(snap, keep_a, env_keep)
         else:
-            spectrum = self._assembled(snap, keep_a, keep_s, env_keep)
+            spectrum = self._purified_spectrum(snap, keep_a, keep_s, env_keep)
         return spectrum_entropy(spectrum, tol=1e-9)
 
     def _one_bath(self, snap: _Snapshot, keep_a: bool, env_keep: str) -> np.ndarray:
@@ -749,7 +737,8 @@ class BranchComputer:
             lam = reduce(np.kron, [snap.local_spectrum()] * self.model.n_pairs)
             return np.concatenate([np.kron(e, lam) for e in spectra])
         ne = self.model.fock_dim ** self.model.n_pairs
-        mat = self._operator(ms[0].shape[0] * ne, np.result_type(*ms))
+        dim = self._within_budget(ms[0].shape[0] * ne, "assembled operator")
+        mat = np.zeros((dim, dim), dtype=np.result_type(*ms))
         for sig, m in zip((1, -1), ms):
             mat += np.kron(m, snap.kept_state(env_keep, sig))
         return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
@@ -770,36 +759,51 @@ class BranchComputer:
         mats = x[np.ix_(rows, rows)] * w[idx[:, None], idx].transpose(2, 0, 1)
         return np.linalg.eigvalsh(0.5 * (mats + mats.conj().transpose(0, 2, 1))).ravel()
 
-    def _assembled(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> np.ndarray:
-        """Spectrum of the reduced state from its assembled operator; also the test reference.
+    @cached_property
+    def _kets(self) -> np.ndarray:
+        """(Q, d_A, 4): rho0 = sum_i |psi_i><psi_i| over its eigenvalues above ``RANK_CUTOFF``."""
+        w, v = np.linalg.eigh(self.rho0)
+        live = w > RANK_CUTOFF
+        return (v[:, live] * np.sqrt(w[live])).T.reshape(-1, self.partition.dims[0], 4)
 
-        sum_{s,s'} X^K_{ss'} (x) |s><s'| (x) (x)_m B_m(s, s') with s = s' when S is
-        traced, on the rows where rho0 on the kept A and S is nonzero.
+    def _purified(self, snap: _Snapshot) -> np.ndarray:
+        """The global state as one vector on [Q, A, S, E1, E2, R], kept for the last snapshot.
+
+        sum_{i,s} psi_i[a, s] |i a s> (x)_m |e_m(s)>: Q purifies rho0 (``_kets``),
+        and pair m of branch s is the displaced squeezed vacuum ``snap.psi``, or
+        sum_k sqrt(p_k) D1(sigma1)|k> D2(sigma2)|k> |k>_R with R purifying the
+        classical pair state.
         """
-        x = self._kept0[keep_a]
-        if keep_s:
-            rows = np.flatnonzero(np.any(x, axis=1))
-            lab = rows % 4
-            x = x[np.ix_(rows, rows)]
-            terms = [(s, t, np.where((lab[:, None] == s) & (lab == t), x, 0.0))
-                     for s in range(4) for t in range(4)]
-        else:
-            diag = [x[s::4, s::4] for s in range(4)]
-            rows = np.flatnonzero(np.any(sum(diag), axis=1))
-            terms = [(s, s, d[np.ix_(rows, rows)]) for s, d in enumerate(diag)]
-        n, n_pairs = self.model.fock_dim, self.model.n_pairs
-        ne = {"none": 1, "both": n * n}.get(env_keep, n) ** n_pairs
-        mat = self._operator(rows.size * ne, complex)
-        for s, t, c in terms:
-            if not c.any():
-                continue
-            if env_keep == "none":
-                env = snap.omega[s:s + 1, t:t + 1]
-            else:
-                env = reduce(np.kron, [snap.block(m, _SIGMAS[s], _SIGMAS[t], env_keep)
-                                       for m in range(n_pairs)])
-            mat += np.kron(c, env)
-        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        if self._psi_memo is None or self._psi_memo[0] is not snap:
+            envs = []
+            for s1, s2 in _SIGMAS:
+                env = np.ones((1, 1, 1))
+                for m in range(self.model.n_pairs):
+                    pair = (snap.psi[m][s1, s2][:, :, None] if self.model.env_kind == "entangled"
+                            else snap.d1[m][s1][:, None] * snap.d2[m][s2] * np.sqrt(snap.probs))
+                    env = np.einsum("abc,ijk->aibjck", env, pair).reshape(np.multiply(env.shape, pair.shape))
+                envs.append(env)
+            self._psi_memo = (snap, np.einsum("qas,sxyz->qasxyz", self._kets, np.stack(envs)))
+        return self._psi_memo[1]
+
+    def _purified_spectrum(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> np.ndarray:
+        """Spectrum of any kept set K from ``_purified``; also the test reference for every rule.
+
+        As a K x (the rest) matrix, Psi's Gram matrix on either side has the
+        nonzero spectrum of rho_K; the smaller side is solved.  Before Psi is
+        built, that side is checked against the budget, and Psi's size against budget^2.
+        """
+        kept = [1] * keep_a + [2] * keep_s + {"none": [], "b1": [3], "b2": [4], "both": [3, 4]}[env_keep]
+        ne = self.model.fock_dim ** self.model.n_pairs
+        dims = (*self._kets.shape, ne, ne, 1 if self.model.env_kind == "entangled" else ne)
+        dim_k, size = math.prod(dims[i] for i in kept), math.prod(dims)
+        side = self._within_budget(min(dim_k, size // dim_k), "Gram matrix")
+        if size > self.budget ** 2:
+            raise BudgetError(f"purified state of {size} amplitudes exceeds budget^2 = {self.budget ** 2}")
+        rest = [i for i in range(len(dims)) if i not in kept]
+        summed = rest if side == dim_k else kept  # contract the side that is not solved
+        psi = self._purified(snap)
+        return np.linalg.eigvalsh(np.tensordot(psi, psi.conj(), axes=(summed, summed)).reshape(side, side))
 
     def _rho_as(self, snap: _Snapshot) -> np.ndarray:
         """rho_AS(t) = rho0 o (1_A (x) omega) on [A, S1, S2], Hermitian-symmetrized."""
@@ -823,12 +827,11 @@ class BranchComputer:
         if snap is None:
             snap = _Snapshot(self.model, t)
         bath = {"E1": "b1", "E2": "b2", "E1E2": "both"}[env_part]
-        out: dict[str, float] = {}
-        out["S_AS"] = self._entropy(snap, True, True, "none")
-        out["S_S"] = self._entropy(snap, False, True, "none")
-        out["S_A"] = self._entropy(snap, True, False, "none")
-        out["S_SE"] = self._entropy(snap, False, True, bath)
-        out["S_ASE"] = self._entropy(snap, True, True, bath)
+        out = {"S_AS": self._entropy(snap, True, True, "none"),
+               "S_S": self._entropy(snap, False, True, "none"),
+               "S_A": self._entropy(snap, True, False, "none"),
+               "S_SE": self._entropy(snap, False, True, bath),
+               "S_ASE": self._entropy(snap, True, True, bath)}
         cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
         if cmi < -1e-8:
             raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")
@@ -849,16 +852,12 @@ class BranchComputer:
             acc["mi_sa"] = []
         for ti in t:
             snap = _Snapshot(self.model, ti)
-            first = True
-            for p in env_parts:
-                ent = self.entropies_at(ti, p, snap=snap)
+            # mi_sa is the same for every env part; E1E2 supplies it when none is asked for
+            ents = [self.entropies_at(ti, p, snap=snap) for p in env_parts or ("E1E2",) * with_mi]
+            for p, ent in zip(env_parts, ents):
                 acc[p].append(ent["cmi"])
-                if with_mi and first:
-                    acc["mi_sa"].append(ent["mi_sa"])
-                    first = False
-            if with_mi and not env_parts:
-                ent = self.entropies_at(ti, "E1E2", snap=snap)
-                acc["mi_sa"].append(ent["mi_sa"])
+            if with_mi:
+                acc["mi_sa"].append(ents[0]["mi_sa"])
         return {k: ScalarSeries(t, v) for k, v in acc.items()}
 
     def system_state(self, t: float) -> DensityMatrix:

@@ -239,6 +239,10 @@ class TestConfigValidation:
         "dt_5e-324", "dt_1e-300", "dt_1e-9", "check_seed_flag", "check_seed_key",
         "measures_seed_random", "random_candidate_seed", "budget_negative", "budget_zero",
         "cmi_two_candidates", "cmi_tsio_candidate", "cmi_no_candidate", "entangled_u",
+        "fractional_and_bool_ints", "n_modes_fraction", "n_max_whole_float", "n_max_bool",
+        "budget_fraction", "seed_bool", "random_candidate_seed_fraction", "check_samples_fraction",
+        "check_seed_fraction", "system_index_fraction", "check_samples_text_flag", "check_unknown_flag",
+        "no_command", "candidates_object", "candidate_number",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -278,6 +282,22 @@ class TestConfigValidation:
             "cmi_no_candidate": {**CMI_CFG, "candidates": []},
             # the classical-correlation parameter has no meaning for the squeezed state
             "entangled_u": {**CMI_CFG, "dephasing": {**CMI_CFG["dephasing"], "u": 0.3}},
+            # integer keys take JSON integers only: nothing is truncated, no bool counts as 0 or 1
+            "fractional_and_bool_ints": {**CMI_CFG, "discrete": {"n_modes": 1.9, "n_max": 6.7},
+                                         "budget": 99.9, "seed": True},
+            "n_modes_fraction": {**CMI_CFG, "discrete": {"n_modes": 1.9, "n_max": 3}},
+            "n_max_whole_float": {**CMI_CFG, "discrete": {"n_modes": 1, "n_max": 3.0}},
+            "n_max_bool": {**CMI_CFG, "discrete": {"n_modes": 1, "n_max": True}},
+            "budget_fraction": {**CMI_CFG, "budget": 99.9},
+            "seed_bool": {**CMI_CFG, "mode": "measures", "seed": True, "candidates": [{"kind": "random"}]},
+            "random_candidate_seed_fraction": {**CMI_CFG, "candidates": [{"kind": "random", "seed": 1.5}]},
+            "check_samples_fraction": {"mode": "check", "check": {"samples": 2.5}},
+            "check_seed_fraction": {"mode": "check", "seed": 0.5, "check": {"samples": 1}},
+            "system_index_fraction": {**CMI_CFG, "candidates": [
+                {**flagged, "amplitudes": [[s, 0], [s, 0]], "system_indices": [1.5, 2]}]},
+            # a candidate list whose entries are not objects (a bare object is read as its keys)
+            "candidates_object": {**CMI_CFG, "candidates": {"kind": "ops_state"}},
+            "candidate_number": {**CMI_CFG, "candidates": [5]},
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
@@ -287,10 +307,15 @@ class TestConfigValidation:
             "bare_number": "5",
             "t_end_1e999": json.dumps({**PF_CFG, "output_path": out}).replace('"t_end": 5.0', '"t_end": 1e999'),
         }
-        if case == "check_samples_flag":
-            argv = ["check", "--samples", "0", "--output", out]
-        elif case == "check_seed_flag":
-            argv = ["check", "--seed", "-1", "--samples", "1", "--output", out]
+        argvs = {  # argument errors exit 1 like config errors, not argparse's 2
+            "check_samples_flag": ["check", "--samples", "0", "--output", out],
+            "check_seed_flag": ["check", "--seed", "-1", "--samples", "1", "--output", out],
+            "check_samples_text_flag": ["check", "--samples", "abc", "--output", out],
+            "check_unknown_flag": ["check", "--samples", "1", "--bogus", "--output", out],
+            "no_command": [],
+        }
+        if case in argvs:
+            argv = argvs[case]
         elif case in raw:
             (tmp_path / "raw.json").write_text(raw[case])
             argv = ["run", str(tmp_path / "raw.json")]
@@ -301,6 +326,17 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert not os.path.exists(out)
+
+    def test_top_level_error_says_invalid_config_once(self, tmp_path, capsys):
+        cfg = {**CMI_CFG, "output_path": str(tmp_path / "x.csv"), "seed": -1}
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == "error: invalid config: seed must be >= 0, got -1\n"
+
+    def test_help_is_left_to_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nonmarkov check")
 
 
 class TestThreadDeterminism:

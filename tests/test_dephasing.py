@@ -32,6 +32,7 @@ from nonmarkov.dephasing import (
 from nonmarkov.states import (
     DensityMatrix,
     SystemPartition,
+    partial_trace,
     pure_state,
     random_density_matrix,
     random_pure_state,
@@ -390,6 +391,15 @@ class TestSpectralGaussRule:
         weights = np.array([float(mom[0] * vecs[0, i] ** 2) for i in order])
         return nodes, weights
 
+    def test_legendre_rule_is_computed_once_and_read_only(self, monkeypatch):
+        x, w = np.polynomial.legendre.leggauss(200)
+        cached = dephasing._legendre_rule(200)
+        assert np.array_equal(cached[0], x) and np.array_equal(cached[1], w)
+        assert not cached[0].flags.writeable and not cached[1].flags.writeable
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail("recomputed"))
+        assert dephasing._legendre_rule(200) is cached
+        spectral_gauss_rule(0.05, 60.0, 4)
+
     @pytest.mark.parametrize("cutoff_mult", [60.0, 20.0])
     def test_matches_60_digit_reference(self, cutoff_mult):
         for n_modes in range(1, 13):
@@ -524,8 +534,11 @@ class TestCmiTrajectory:
         assert abs(n1 - drop) <= 1e-6
 
 
+KEEP_SETS = list(itertools.product((False, True), (False, True), ("none", "b1", "b2", "both")))
+
+
 class TestStructuredBranchEntropies:
-    """Every rule of ``BranchComputer._entropy`` against the assembled operator."""
+    """Every rule of ``BranchComputer._entropy`` against the purified global state."""
 
     @staticmethod
     def _states():
@@ -536,21 +549,56 @@ class TestStructuredBranchEntropies:
         )
         return [measures.ops_state(), flagged] + [random_pure_state(part, s) for s in (1, 2, 3)]
 
+    @staticmethod
+    def _purified_entropy(comp, snap, keep_a, keep_s, env_keep):
+        return spectrum_entropy(comp._purified_spectrum(snap, keep_a, keep_s, env_keep), tol=1e-9)
+
     @pytest.mark.parametrize("env_kind", ENV_KINDS)
-    @pytest.mark.parametrize("n_modes,n_max", [(1, 4), (2, 3)])
+    @pytest.mark.parametrize("n_modes,n_max", [(1, 4), (2, 3), (3, 2)])
     def test_matches_assembled_operator(self, env_kind, n_modes, n_max):
+        # the reference is the Gram spectrum of the purified global state (the
+        # name is kept from the assembled operator it replaced)
         p = DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind)
         m = build_discrete_model(p, n_modes=n_modes, n_max=n_max)
         for state in self._states():
             comp = dephasing.BranchComputer(m, state)
             for t in (1.3, 3.7):
                 snap = dephasing._Snapshot(m, t)
-                for keep_a, keep_s, env_keep in itertools.product(
-                    (False, True), (False, True), ("none", "b1", "b2", "both")
-                ):
-                    ref = comp._assembled(snap, keep_a, keep_s, env_keep)
-                    assert abs(comp._entropy(snap, keep_a, keep_s, env_keep)
-                               - spectrum_entropy(ref, tol=1e-9)) <= 1e-12
+                for keep in KEEP_SETS:
+                    assert abs(comp._entropy(snap, *keep) - self._purified_entropy(comp, snap, *keep)) <= 1e-12
+
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_purified_state_matches_dense(self, env_kind):
+        # the reference itself against the independent dense evolution and
+        # partial traces: every kept set, the five states and a rank-2 state
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind), 1, 4)
+        part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+        labels = {"none": set(), "b1": {"E1m0"}, "b2": {"E2m0"}, "both": {"E1m0", "E2m0"}}
+        for state in self._states() + [random_density_matrix(part, 2, 5)]:
+            comp = dephasing.BranchComputer(m, state)
+            dense = dephasing.DenseComputer(m, state)
+            for t in (1.3, 3.7):
+                snap = dephasing._Snapshot(m, t)
+                for keep_a, keep_s, env_keep in KEEP_SETS:
+                    keep = {f for f, on in (("A", keep_a), ("S1", keep_s), ("S2", keep_s)) if on}
+                    keep |= labels[env_keep]
+                    ref = info.von_neumann_entropy(partial_trace(dense.state_at(t), keep)) if keep else 0.0
+                    assert abs(self._purified_entropy(comp, snap, keep_a, keep_s, env_keep) - ref) <= 1e-12
+
+    def test_budget_is_checked_before_the_purified_state_is_built(self, monkeypatch):
+        # entangled rank-2 rho0 at 2 pairs and n_max 14: Psi has 2 x 2 x 4 x 225^2 =
+        # 810000 amplitudes; keeping S E1 is a 900-dim Gram matrix on either side,
+        # and keeping A S E1 a 450-dim one, within budget 500, but Psi exceeds 500^2
+        p = DephasingParams(**{**DESK, "r": 0.8}, env_kind="entangled")
+        m = build_discrete_model(p, n_modes=2, n_max=14)
+        state = random_density_matrix(SystemPartition([("A", 2), ("S1", 2), ("S2", 2)]), 2, 5)
+        comp = dephasing.BranchComputer(m, state, budget=500)
+        snap = dephasing._Snapshot(m, 1.3)
+        monkeypatch.setattr(comp, "_purified", lambda snap: pytest.fail("purified state built"))
+        with pytest.raises(dephasing.BudgetError, match="Gram matrix dimension 900 exceeds budget 500"):
+            comp._entropy(snap, False, True, "b1")
+        with pytest.raises(dephasing.BudgetError, match=r"810000 amplitudes exceeds budget\^2 = 250000"):
+            comp._entropy(snap, True, True, "b1")
 
 
 class TestRealGauge:
@@ -746,8 +794,9 @@ class TestDenseComputer:
 
 class TestModeCountConvergence:
     def test_classical_cmi_converges_with_mode_count(self):
-        # at n_max 14, 3 and 4 pairs need 6750- and 101250-dim assembled
-        # operators, beyond the 4096 budget: only the structured rule reaches them
+        # at n_max 14, 3 and 4 pairs keep 3375- and 50625-dim baths, but the
+        # classical entropies of a cmi run are constants (rule (b)) and batches of
+        # 2 x 2 Fock-index blocks (rule (e)): only the batch grows with the pairs
         p = DephasingParams(
             omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0, t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2,
             env_kind="classical",
