@@ -92,9 +92,10 @@ def _require(cfg: dict, key: str, kind=None):
 
 
 def _fields(cfg, types: dict, what: str, build=dict):
-    """``build(**fields)`` from the keys present in ``cfg``, each coerced through ``types``.
+    """``build(**fields)`` from the keys present in ``cfg``, each converted through ``types``.
 
     Keys outside ``types`` are rejected; absent keys keep ``build``'s defaults.
+    A ``TypeError`` of a converter is reported with the key it came from.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -102,12 +103,39 @@ def _fields(cfg, types: dict, what: str, build=dict):
     if unknown:
         raise ConfigError(f"unknown {what} keys {sorted(unknown)}")
     try:
-        return build(**{k: types[k](v) for k, v in cfg.items()})
+        return build(**{k: _convert(types[k], k, v) for k, v in cfg.items()})
     except ConfigError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         # the top level is the config itself, which the "invalid config" of ``execute`` names
         raise ConfigError(exc if what == "config" else f"invalid {what}: {exc}") from exc
+
+
+def _convert(convert, key: str, value):
+    try:
+        return convert(value)
+    except TypeError as exc:
+        raise TypeError(f"{key} {exc}") from exc
+
+
+def _json(kind: type, accept, name: str):
+    """A converter that returns ``kind(value)`` for a JSON ``name`` (Python ``accept``) only.
+
+    A bool is no number: ``True`` is an ``int`` to Python, not to JSON configs.
+    """
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, accept):
+            raise TypeError(f"must be a JSON {name}, got {value!r}")
+        return kind(value)
+
+    return convert
+
+
+_number = _json(float, (int, float), "number")  # a JSON integer counts as a number
+_string = _json(str, str, "string")
+_object = _json(dict, dict, "object")
+_array = _json(list, list, "array")
 
 
 def _int_at_least(low: int, what: str):
@@ -126,28 +154,28 @@ def _int_at_least(low: int, what: str):
 _seed = _int_at_least(0, "seed")
 
 
-_QUAD_TYPES = {"cutoff_mult": float}
+_QUAD_TYPES = {"cutoff_mult": _number}
 _DEPHASING_TYPES = {
     **dict.fromkeys(
-        ("omega_c", "r", "alpha1", "alpha2", "eps1", "eps2", "t1s", "t1f", "t2s", "t2f"), float
+        ("omega_c", "r", "alpha1", "alpha2", "eps1", "eps2", "t1s", "t1f", "t2s", "t2f"), _number
     ),
-    "env_kind": str,
-    "u": lambda v: None if v is None else float(v),
+    "env_kind": _string,
+    "u": lambda v: None if v is None else _number(v),
     "quad": lambda q: _fields(q, _QUAD_TYPES, "quad", QuadratureConfig),
 }
-_MODEL_TYPES = {"dephasing": dict, "discrete": dict, "grid": dict, "candidates": list,
+_MODEL_TYPES = {"dephasing": _object, "discrete": _object, "grid": _object, "candidates": _array,
                 "seed": _seed, "budget": _int_at_least(1, "budget")}
 _MODE_TYPES = {
-    "phase_factors": {"dephasing": dict, "grid": dict},
+    "phase_factors": {"dephasing": _object, "grid": _object},
     "cmi": _MODEL_TYPES,
     "measures": _MODEL_TYPES,
-    "check": {"check": dict, "seed": _seed},
+    "check": {"check": _object, "seed": _seed},
 }
 _CANDIDATE_TYPES = {
     "ops_state": {},
     "random": {"seed": _seed},
-    "flagged": {"amplitudes": list, "system_indices": list},
-    "tsio": {"state1": list, "state2": list},
+    "flagged": {"amplitudes": _array, "system_indices": _array},
+    "tsio": {"state1": _array, "state2": _array},
 }
 
 
@@ -156,7 +184,7 @@ def parse_dephasing(cfg: dict) -> DephasingParams:
 
 
 def parse_grid(cfg: dict) -> np.ndarray:
-    grid = _fields(cfg, dict.fromkeys(("t_start", "t_end", "dt"), float), "grid")
+    grid = _fields(cfg, dict.fromkeys(("t_start", "t_end", "dt"), _number), "grid")
     t0, t1, dt = (_require(grid, k) for k in ("t_start", "t_end", "dt"))
     if dt <= 0 or t1 < t0:
         raise ConfigError("grid needs dt > 0 and t_end >= t_start")
@@ -187,7 +215,7 @@ def parse_candidate(spec: dict, seed: int):
     kind = _require(spec, "kind", str)
     if kind not in _CANDIDATE_TYPES:
         raise ConfigError(f"unknown candidate kind {kind!r}")
-    spec = _fields(spec, {"kind": str, **_CANDIDATE_TYPES[kind]}, f"{kind} candidate")
+    spec = _fields(spec, {"kind": _string, **_CANDIDATE_TYPES[kind]}, f"{kind} candidate")
     if kind == "ops_state":
         return ("as", measures.ops_state())
     if kind == "random":
@@ -385,7 +413,7 @@ def execute(cfg: dict) -> int:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         output_path = _require(cfg, "output_path", str)
-        cfg = _fields(cfg, {"mode": str, "output_path": str, **_MODE_TYPES[mode]}, "config")
+        cfg = _fields(cfg, {"mode": _string, "output_path": _string, **_MODE_TYPES[mode]}, "config")
         text, ok = _run_check(cfg) if mode == "check" else (_RUNNERS[mode](cfg), True)
         _atomic_write(output_path, text)
     except ConfigError as exc:

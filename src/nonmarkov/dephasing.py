@@ -892,7 +892,9 @@ def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFact
 
 
 class DenseComputer:
-    """Full-Hilbert-space evolution; the independent cross-check for the branch path."""
+    """Full-space evolution of rho0's live (a, s) blocks, one full-size state at a time.
+
+    The independent cross-check for the branch path."""
 
     def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = 4096):
         self.model = model
@@ -908,29 +910,23 @@ class DenseComputer:
         if dim > budget:
             raise BudgetError(f"dense dimension {dim} exceeds budget {budget}")
         u = model.u
+        ii = np.arange(n) * (n + 1)  # |k k> in one pair's n*n space
         if model.env_kind == "entangled":
             v = u ** np.arange(n)
-            v = v / np.linalg.norm(v)
             vec = np.zeros(n * n, dtype=complex)
-            vec[np.arange(n) * n + np.arange(n)] = v
+            vec[ii] = v / np.linalg.norm(v)
             pair_state = np.outer(vec, vec.conj())
         else:
             p = (u * u) ** np.arange(n)
-            p = p / p.sum()
             pair_state = np.zeros((n * n, n * n), dtype=complex)
-            ii = np.arange(n) * n + np.arange(n)
-            pair_state[ii, ii] = p
+            pair_state[ii, ii] = p / p.sum()
         env = reduce(np.kron, [pair_state] * model.n_pairs)
-        self.rho0 = np.kron(initial.data, env)
         self.d_a = initial.partition.dims[0]
-        # block (k, l) of rho0 is initial[k, l] * env, so the live (a, s) blocks
-        # are those whose row or column of the initial state is nonzero
+        # block (k, l) of rho0 = kron(initial, env) is initial[k, l] * env; only the live
+        # (a, s) blocks, whose row or column of the initial state is nonzero, are built
         x = initial.data
         self._live = np.flatnonzero(x.any(axis=1) | x.any(axis=0))
-        dim_env = env.shape[0]
-        nb = x.shape[0]
-        blocks = self.rho0.reshape(nb, dim_env, nb, dim_env).transpose(0, 2, 1, 3)
-        self._blocks = blocks[np.ix_(self._live, self._live)]
+        self._blocks = x[np.ix_(self._live, self._live)][:, :, None, None] * env
         self._memo: tuple[float, DensityMatrix] | None = None
 
     def state_at(self, t: float) -> DensityMatrix:
@@ -939,20 +935,20 @@ class DenseComputer:
         Only the live (a, s) blocks of rho0 (found once, in ``__init__``) are
         evolved, and only their U_s built; every other block is an exact zero,
         so validation solves the state on its support.  The last state is
-        kept, so the entropies of every env part and the system state at one
-        t share a single evolution and validation.
+        kept until the next is built, so the entropies of every env part and
+        the system state at one t share a single evolution and validation.
         """
         t = float(t)
         if self._memo is not None and self._memo[0] == t:
             return self._memo[1]
+        self._memo = None
         model = self.model
         n = model.fock_dim
         dim_env = (n * n) ** model.n_pairs
         live = self._live
         u_s = {}
         for s_idx in np.unique(live % len(_BASIS)):
-            b1bit, b2bit = _BASIS[s_idx]
-            s1, s2 = _sigma(b1bit), _sigma(b2bit)
+            s1, s2 = _SIGMAS[s_idx]
             ops = []
             for om, g1, g2 in model.mode_pairs:
                 d1 = _displacement(n, s1 * g1 * beta(om, t, model.params.window1))
@@ -962,10 +958,11 @@ class DenseComputer:
         # row block k = (a, s) evolves with U_s
         u_k = np.stack([u_s[k % len(_BASIS)] for k in live])
         out = u_k[:, None] @ self._blocks @ u_k.conj().transpose(0, 2, 1)[None, :]
-        rho = np.zeros_like(self.rho0)
+        # 0.5 (rho + rho^dag) block by block: block (k, l) pairs with block (l, k)^dag
+        out = 0.5 * (out + out.conj().transpose(1, 0, 3, 2))
         nb = self.d_a * len(_BASIS)
+        rho = np.zeros((nb * dim_env, nb * dim_env), dtype=complex)
         rho.reshape(nb, dim_env, nb, dim_env)[live[:, None], :, live, :] = out
-        rho = 0.5 * (rho + rho.conj().T)
         state = DensityMatrix(rho, self.partition)
         self._memo = (t, state)
         return state

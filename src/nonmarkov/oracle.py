@@ -485,6 +485,7 @@ def dense_dephasing_check(
             worst_cmi = max(worst_cmi, abs(eb["cmi"] - ed["cmi"]))
             for key in ("S_AS", "S_S", "S_A", "S_SE", "S_ASE", "mi_sa"):
                 worst_ent = max(worst_ent, abs(eb[key] - ed[key]))
+    del branch, dense  # so the probe pair below never holds a dense state beside theirs
     # coherence convergence vs the continuum factors (recorded); probed with a state that
     # populates every system coherence (the measurement initial usually doesn't)
     part_as = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])

@@ -39,8 +39,9 @@ class SystemPartition:
 
     The factor order is authoritative: no operation ever reorders factors
     silently, so label-driven conditioning is unambiguous.  ``labels``,
-    ``dims`` and ``total_dim`` are computed once; equality and hash depend
-    on ``factors`` alone.
+    ``dims`` and ``total_dim`` are computed once, and so is the bookkeeping
+    of each kept label set (``_kept``); equality and hash depend on
+    ``factors`` alone.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -48,6 +49,7 @@ class SystemPartition:
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
     total_dim: int = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _memo: dict[frozenset, tuple] = field(init=False, repr=False, compare=False)
 
     def __init__(self, factors: Iterable[tuple[str, int]]):
         factors = tuple((str(lbl), int(dim)) for lbl, dim in factors)
@@ -65,6 +67,24 @@ class SystemPartition:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "total_dim", math.prod(dims))
         object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(labels)})
+        object.__setattr__(self, "_memo", {})
+
+    def _kept(self, labels: frozenset) -> tuple[list[int], "SystemPartition", list[int], list[int]]:
+        """Positions, sub-partition and ``partial_trace`` einsum subscripts (in, out) of ``labels``.
+
+        Computed once per label set and memoised; callers must not mutate them.
+        """
+        hit = self._memo.get(labels)
+        if hit is None:
+            unknown = labels - self._index.keys()
+            if unknown:
+                raise PartitionError(f"unknown labels {sorted(unknown)}; have {self.labels}")
+            pos = sorted(self._index[lbl] for lbl in labels)
+            n = len(self.factors)
+            bra = [(i + n) if i in pos else i for i in range(n)]
+            sub = SystemPartition(tuple(self.factors[i] for i in pos))
+            hit = self._memo.setdefault(labels, (pos, sub, [*range(n), *bra], pos + [i + n for i in pos]))
+        return hit
 
     def dim_of(self, label: str) -> int:
         if label not in self._index:
@@ -73,16 +93,11 @@ class SystemPartition:
 
     def positions(self, labels: Iterable[str]) -> list[int]:
         """Factor indices of ``labels`` in original order."""
-        want = set(labels)
-        unknown = want - self._index.keys()
-        if unknown:
-            raise PartitionError(f"unknown labels {sorted(unknown)}; have {self.labels}")
-        return sorted(self._index[lbl] for lbl in want)
+        return list(self._kept(frozenset(labels))[0])
 
     def restrict(self, labels: Iterable[str]) -> "SystemPartition":
         """Sub-partition of ``labels`` keeping the original factor order."""
-        keep = self.positions(labels)
-        return SystemPartition(tuple(self.factors[i] for i in keep))
+        return self._kept(frozenset(labels))[1]
 
     def concat(self, other: "SystemPartition") -> "SystemPartition":
         clash = set(self.labels) & set(other.labels)
@@ -125,7 +140,8 @@ class DensityMatrix:
         if not np.isfinite(m).all():
             raise StateValidityError("matrix has non-finite entries")
         # every comparison is written so that NaN fails it
-        herm = np.abs(m - m.conj().T).max() if m.size else 0.0
+        dev = m.conj().T  # the one full-size temporary: M - M^dag is written into it
+        herm = np.abs(np.subtract(m, dev, out=dev)).max() if m.size else 0.0
         if not herm <= HERMITICITY_TOL:
             raise StateValidityError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
         tr = m.trace()
@@ -170,18 +186,28 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def clamp_spectrum(eigs: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Clamp eigenvalues in [-tol, 0) to 0; reject anything more negative."""
+def _checked_spectrum(eigs: np.ndarray, tol: float) -> np.ndarray:
+    """``eigs`` as a float array; anything below -tol is rejected."""
     eigs = np.asarray(eigs, dtype=float)
     lo = eigs.min() if eigs.size else 0.0
     if not lo >= -tol:
         raise StateValidityError(f"eigenvalue {lo:.3e} below -{tol:.0e}")
+    return eigs
+
+
+def clamp_spectrum(eigs: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """Clamp eigenvalues in [-tol, 0) to 0; reject anything more negative."""
+    eigs = _checked_spectrum(eigs, tol)
     return np.where(eigs < 0.0, 0.0, eigs)
 
 
 def spectrum_entropy(eigs: np.ndarray, tol: float = PSD_TOL) -> float:
-    """-sum p ln p over a spectrum or distribution clamped at ``tol``, in nats."""
-    lam = clamp_spectrum(eigs, tol=tol)
+    """-sum p ln p over a spectrum or distribution clamped at ``tol``, in nats.
+
+    The clamped entries are zeros, which add nothing, so only the positive
+    entries are summed.
+    """
+    lam = _checked_spectrum(eigs, tol)
     pos = lam[lam > 0.0]
     return float(-(pos * np.log(pos)).sum())
 
@@ -272,7 +298,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     ``keep`` must name factors of ``rho``; keeping all of them returns ``rho``.
     """
     keep = frozenset(keep)
-    n_keep = len(rho.partition.positions(keep))
+    n_keep = len(rho.partition._kept(keep)[0])
     if n_keep == len(rho.partition.factors):
         return rho
     if not n_keep:
@@ -284,16 +310,9 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     if hit is not None:
         return hit
     part = root.partition
-    keep_pos = part.positions(keep)
-    dims = list(part.dims)
-    n = len(dims)
-    t = root.data.reshape(dims + dims)
-    ket = list(range(n))
-    bra = [(i + n) if i in keep_pos else i for i in range(n)]
-    out = keep_pos + [i + n for i in keep_pos]
-    red = np.einsum(t, ket + bra, out)
-    d_keep = math.prod(dims[i] for i in keep_pos)
-    marginal = DensityMatrix(red.reshape(d_keep, d_keep), part.restrict(keep))
+    _, sub, subscripts, out = part._kept(keep)
+    red = np.einsum(root.data.reshape(part.dims * 2), subscripts, out)
+    marginal = DensityMatrix(red.reshape(sub.total_dim, sub.total_dim), sub)
     object.__setattr__(marginal, "_root", weakref.ref(root))
     return root._marginals.setdefault(keep, marginal)
 

@@ -242,7 +242,8 @@ class TestConfigValidation:
         "fractional_and_bool_ints", "n_modes_fraction", "n_max_whole_float", "n_max_bool",
         "budget_fraction", "seed_bool", "random_candidate_seed_fraction", "check_samples_fraction",
         "check_seed_fraction", "system_index_fraction", "check_samples_text_flag", "check_unknown_flag",
-        "no_command", "candidates_object", "candidate_number",
+        "no_command", "candidates_object", "candidate_number", "number_as_string", "number_as_bool",
+        "object_as_pairs", "object_as_number", "string_as_number", "u_as_string", "array_as_string",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -298,6 +299,21 @@ class TestConfigValidation:
             # a candidate list whose entries are not objects (a bare object is read as its keys)
             "candidates_object": {**CMI_CFG, "candidates": {"kind": "ops_state"}},
             "candidate_number": {**CMI_CFG, "candidates": [5]},
+            # number, string, object and array keys take that JSON type only; nothing is coerced
+            "number_as_string": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "omega_c": "0.25"}},
+            "number_as_bool": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "r": True}},
+            "object_as_pairs": {**PF_CFG, "dephasing": [["omega_c", 0.25]]},
+            "object_as_number": {**PF_CFG, "dephasing": 5},
+            "string_as_number": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "env_kind": 1}},
+            "u_as_string": {**CMI_CFG, "dephasing": {
+                **CMI_CFG["dephasing"], "env_kind": "classical", "u": "0.3"}},
+            "array_as_string": {**CMI_CFG, "candidates": [
+                {**flagged, "amplitudes": [[s, 0], [s, 0]], "system_indices": "12"}]},
+        }
+        named = {  # the key at fault is named in the message
+            "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
+            "object_as_number": "dephasing", "string_as_number": "env_kind", "u_as_string": "u must",
+            "array_as_string": "system_indices",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
@@ -325,6 +341,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert named.get(case, "") in err, err
         assert not os.path.exists(out)
 
     def test_top_level_error_says_invalid_config_once(self, tmp_path, capsys):

@@ -711,11 +711,25 @@ class TestBranchSolves:
                 solves.clear()
 
 
-def _kron_evolved(dense, t):
-    """The full-matrix evolution kron(1_A, blockdiag_s U_s) rho0 U^dag, kept as the test oracle."""
+def _kron_evolved(dense, initial, t):
+    """The full-matrix evolution kron(1_A, blockdiag_s U_s) rho0 U^dag, kept as the test oracle.
+
+    rho0 = initial (x) env, with env the product over pairs of the truncated
+    two-mode squeezed vacuum sum_k u^k |k k> (entangled) or of its
+    Fock-diagonal counterpart sum_k u^(2k) |k k><k k| (classical), normalised.
+    """
     model = dense.model
     n = model.fock_dim
     dim_env = (n * n) ** model.n_pairs
+    diag = np.arange(n) * (n + 1)  # |k k> in one pair's n*n space
+    pair = np.zeros((n * n, n * n), dtype=complex)
+    if model.env_kind == "entangled":
+        v = model.u ** np.arange(n)
+        pair[np.ix_(diag, diag)] = np.outer(v, v) / (v @ v)
+    else:
+        p = model.u ** (2 * np.arange(n))
+        pair[diag, diag] = p / p.sum()
+    rho0 = np.kron(initial.data, functools.reduce(np.kron, [pair] * model.n_pairs))
     u_mat = np.zeros((4 * dim_env, 4 * dim_env), dtype=complex)
     for s_idx, (s1, s2) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
         ops = [
@@ -728,7 +742,7 @@ def _kron_evolved(dense, t):
         lo = s_idx * dim_env
         u_mat[lo:lo + dim_env, lo:lo + dim_env] = functools.reduce(np.kron, ops)
     u = np.kron(np.eye(dense.d_a), u_mat)
-    return u @ dense.rho0 @ u.conj().T
+    return u @ rho0 @ u.conj().T
 
 
 class TestDenseComputer:
@@ -741,7 +755,8 @@ class TestDenseComputer:
         for initial in (measures.ops_state(), random_pure_state(part, 4)):
             dense = dephasing.DenseComputer(m, initial)
             for t in (1.3, 3.7):
-                assert np.max(np.abs(dense.state_at(t).data - _kron_evolved(dense, t))) <= 1e-13
+                ref = _kron_evolved(dense, initial, t)
+                assert np.max(np.abs(dense.state_at(t).data - ref)) <= 1e-13
 
     def test_one_state_per_time(self, monkeypatch):
         # ops_state has 2 live (a, s) rows of 8: the 200-dim state is solved on

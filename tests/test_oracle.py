@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,23 @@ class TestDenseDephasingCheck:
         model = _small_model("entangled")
         with pytest.raises(dephasing.BudgetError):
             oracle.dense_dephasing_check(model, measures.ops_state(), [0.0], budget=16)
+
+    @pytest.mark.parametrize("kind", ["entangled", "classical"])
+    def test_peak_memory_is_a_few_dense_states(self, kind):
+        # the check model's dense states are 392 x 392: the cross-check holds one
+        # at a time, with its validation temporaries, and only the live blocks of rho0
+        model = dephasing.build_discrete_model(
+            dephasing.DephasingParams(omega_c=0.25, r=0.5, env_kind=kind), n_modes=1, n_max=6
+        )
+        times = [0.0, 1.5, 3.0, 5.0]
+        oracle.dense_dephasing_check(model, measures.ops_state(), times)  # caches warmed
+        tracemalloc.start()
+        try:
+            oracle.dense_dephasing_check(model, measures.ops_state(), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 392**2 * 16
 
 
 class TestExpm:

@@ -21,6 +21,7 @@ from nonmarkov.states import (
     pure_state,
     random_channel,
     random_density_matrix,
+    spectrum_entropy,
     tensor,
 )
 
@@ -72,6 +73,14 @@ class TestSystemPartition:
         assert p.dims == (2, 3, 5) and p.total_dim == 30 and type(p.total_dim) is int
         assert p.positions(["E", "A"]) == [0, 2]
 
+    def test_kept_label_sets_are_memoised(self):
+        p = SystemPartition([("A", 2), ("S", 3), ("E", 5)])
+        sub = p.restrict({"E", "A"})
+        assert p.restrict(["A", "E"]) is sub and sub == SystemPartition([("A", 2), ("E", 5)])
+        pos = p.positions({"A", "E"})
+        pos.append(1)  # a caller's list, not the memo's
+        assert p.positions(["E", "A"]) == [0, 2]
+
     def test_unknown_label_messages(self):
         p = SystemPartition([("A", 2), ("S", 4)])
         with pytest.raises(PartitionError, match=r"^unknown label 'Q'; have \('A', 'S'\)$"):
@@ -108,6 +117,16 @@ class TestDensityMatrixValidation:
     def test_clamp_rejects_nan(self):
         with pytest.raises(StateValidityError):
             clamp_spectrum(np.array([np.nan, 0.5]))
+
+    def test_spectrum_entropy_sums_the_clamped_spectrum(self):
+        eigs = np.array([-5e-11, -0.0, 0.0, 1e-300, 0.25, 0.75])
+        lam = clamp_spectrum(eigs)
+        pos = lam[lam > 0.0]
+        assert spectrum_entropy(eigs) == float(-(pos * np.log(pos)).sum())
+        assert spectrum_entropy(np.array([])) == 0.0
+        for bad in (np.array([-2e-10, 1.0]), np.array([np.nan, 1.0])):
+            with pytest.raises(StateValidityError, match="below -1e-10"):
+                spectrum_entropy(bad)
 
     def test_data_read_only(self):
         rho = maximally_mixed(QUBIT)
