@@ -27,7 +27,7 @@ import numpy as np
 from . import dephasing, measures, oracle
 from .dephasing import BudgetError, DephasingParams, QuadratureConfig, TruncationError
 from .measures import negative_decrement_integral, positive_increment_integral
-from .states import SystemPartition, pure_state, random_pure_state
+from .states import pure_state, random_pure_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -204,10 +204,6 @@ def _complex_list(spec, length: int, what: str) -> np.ndarray:
     return arr
 
 
-_S_PARTITION = SystemPartition([("S1", 2), ("S2", 2)])
-_AS_PARTITION = SystemPartition([("A", 2)]).concat(_S_PARTITION)
-
-
 def parse_candidate(spec: dict, seed: int):
     """Returns ("as", DensityMatrix) or ("pair", (amps1, amps2))."""
     if not isinstance(spec, dict):
@@ -219,13 +215,13 @@ def parse_candidate(spec: dict, seed: int):
     if kind == "ops_state":
         return ("as", measures.ops_state())
     if kind == "random":
-        return ("as", random_pure_state(_AS_PARTITION, spec.get("seed", seed)))
+        return ("as", random_pure_state(measures.AS_PARTITION, spec.get("seed", seed)))
     if kind == "flagged":
         amps = _complex_list(_require(spec, "amplitudes"), len(spec["amplitudes"]), "amplitudes")
         idx = _require(spec, "system_indices")
         try:
             idx = [_int_at_least(0, "a system index")(i) for i in idx]
-            return ("as", measures.flagged_ancilla_state(amps, idx, _S_PARTITION))
+            return ("as", measures.flagged_ancilla_state(amps, idx, measures.S_PARTITION))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid flagged candidate: {exc}") from exc
     a1 = _complex_list(_require(spec, "state1"), 4, "state1")
@@ -301,7 +297,7 @@ def _run_measures(cfg: dict) -> str:
 
     # distance measures over dephasing-channel pair trajectories
     pair_trajs = [
-        tuple(dephasing.system_trajectory(params, pure_state(a, _S_PARTITION), times) for a in pair)
+        tuple(dephasing.system_trajectory(params, pure_state(a, measures.S_PARTITION), times) for a in pair)
         for pair in pair_cands
     ]
     results = [
@@ -319,9 +315,9 @@ def _run_measures(cfg: dict) -> str:
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             all_series = list(pool.map(one, as_cands))
         results.append(measures.best_candidate(
-            "LFS", [positive_increment_integral(s["mi_sa"]) for s in all_series]))
+            "LFS", [measures.integrate(positive_increment_integral, s["mi_sa"]) for s in all_series]))
         results.append(measures.best_candidate(
-            "N1", [negative_decrement_integral(s["E1E2"]) for s in all_series]))
+            "N1", [measures.integrate(negative_decrement_integral, s["E1E2"]) for s in all_series]))
 
     lines = ["measure,value,best_candidate,increment_count"]
     for r in results:
@@ -415,7 +411,10 @@ def execute(cfg: dict) -> int:
         output_path = _require(cfg, "output_path", str)
         cfg = _fields(cfg, {"mode": _string, "output_path": _string, **_MODE_TYPES[mode]}, "config")
         text, ok = _run_check(cfg) if mode == "check" else (_RUNNERS[mode](cfg), True)
-        _atomic_write(output_path, text)
+        try:
+            _atomic_write(output_path, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output_path {output_path!r}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

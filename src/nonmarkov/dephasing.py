@@ -19,12 +19,13 @@ Two computation routes are provided:
 
 The environment branch of a term depends only on its system label s, so
 rho(t) = sum_{s,s'} X_{ss'} (x) |s><s'| (x) |E_s><E_s'| with X_{ss'} = <s|rho0|s'>
-a block on A.  ``BranchComputer._entropy`` takes each entropy from one of six
-rules over these s-blocks: a marginal of rho_AS(t) when no bath is kept, a
-constant when S and both baths are kept, the complement of a pure global
-state, a solve in the real gauge D(sigma beta) = R O(sigma) R^dag (R diagonal,
-O real orthogonal) when one bath is kept and S traced, Fock-index blocks for
-a classical state that keeps S and one bath, and otherwise the Gram matrix
+a block on A.  Each entropy is that of a kept set K, a subset of ``LABELS`` =
+{A, S, E1, E2} (S = S1 S2, Ej = the modes of bath j).  ``BranchComputer._entropy``
+takes it from one of six rules over the s-blocks: a marginal of rho_AS(t) when K
+holds no bath, a constant when K holds S and both baths, the complement of K when
+the global state is pure, a solve in the real gauge D(sigma beta) = R O(sigma) R^dag
+(R diagonal, O real orthogonal) when K holds one bath and not S, Fock-index blocks
+for a classical state when K holds S and one bath, and otherwise the Gram matrix
 of one purified global state on [A, S, E1, E2] and two purifying registers.
 
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
@@ -43,12 +44,16 @@ from typing import Sequence
 import numpy as np
 
 from . import info
-from .measures import ScalarSeries, StateTrajectory
+from .measures import S_PARTITION, ScalarSeries, StateTrajectory
 from .states import DensityMatrix, SystemPartition, partial_trace, pure_state, spectrum_entropy
 
 ENV_KINDS = ("entangled", "classical")
 ENV_PARTS = ("E1", "E2", "E1E2")
+BATHS = ("E1", "E2")  # bath j of the model is BATHS[j]
+LABELS = frozenset({"A", "S", *BATHS})  # every kept set is a subset of these
+_PSI_AXES = {"A": 1, "S": 2, "E1": 3, "E2": 4}  # their axes in the purified state on [Q, A, S, E1, E2, R]
 RANK_CUTOFF = 1e-14  # eigenvalues of rho0 at or below this are left out of its purification
+_MAX_COSH_ARG = math.acosh(np.finfo(float).max)  # math.cosh overflows above this
 
 class TruncationError(ValueError):
     """Fock truncation captures too little of the initial environment state."""
@@ -110,6 +115,10 @@ class DephasingParams:
             raise ValueError("u applies only to env_kind 'classical'")
         if self.u is not None and not 0.0 <= self.u < 1.0:
             raise ValueError("u must lie in [0, 1)")
+        if self.env_kind == "classical" and self.u_eff == 1.0:
+            raise ValueError(f"r = {self.r} is too large: u = tanh(r) rounds to 1")
+        if self.env_kind == "entangled" and 2 * self.r > _MAX_COSH_ARG:
+            raise ValueError(f"r = {self.r} is too large: cosh(2r) overflows")
 
     @property
     def u_eff(self) -> float:
@@ -424,12 +433,9 @@ def coherence_factor_matrix(params: DephasingParams, t: float) -> np.ndarray:
     return coherence_factor_matrices(params, [t])[0]
 
 
-_SYS_PARTITION = SystemPartition([("S1", 2), ("S2", 2)])
-
-
 def system_state(params: DephasingParams, amplitudes, t: float) -> DensityMatrix:
     """The 4x4 dephased system state from initial amplitudes a_{ij} of |ij>."""
-    return system_trajectory(params, pure_state(amplitudes, _SYS_PARTITION), [t]).states[0]
+    return system_trajectory(params, pure_state(amplitudes, S_PARTITION), [t]).states[0]
 
 
 def system_trajectory(params: DephasingParams, rho0: DensityMatrix, times: Sequence[float]) -> StateTrajectory:
@@ -594,22 +600,19 @@ class _Snapshot:
         else:
             p = (u * u) ** np.arange(n)
             self.probs = p / p.sum()
-        self.d1: list[dict[int, np.ndarray]] = []   # sigma -> D(sigma g1 beta_1m)
-        self.d2: list[dict[int, np.ndarray]] = []
-        self.o1: list[dict[int, np.ndarray]] = []   # sigma -> O_m(sigma), the real gauge of D
-        self.o2: list[dict[int, np.ndarray]] = []
+        # bath j, pair m: d[j][m][sigma] = D(sigma g_jm beta_j), o[j][m][sigma] = O_m(sigma), its real gauge
+        self.d: tuple[list[dict[int, np.ndarray]], ...] = ([], [])
+        self.o: tuple[list[dict[int, np.ndarray]], ...] = ([], [])
         self.psi: list[dict[tuple[int, int], np.ndarray]] = []
         self.omega = np.ones((4, 4), dtype=complex)
-        self._kept: dict[tuple[str, int], np.ndarray] = {}
-        for om, g1, g2 in model.mode_pairs:
-            d1p, o1p = _displacement_gauge(n, g1 * beta(om, t, model.params.window1))
-            d2p, o2p = _displacement_gauge(n, g2 * beta(om, t, model.params.window2))
-            d1 = {+1: d1p, -1: d1p.conj().T}
-            d2 = {+1: d2p, -1: d2p.conj().T}
-            self.d1.append(d1)
-            self.d2.append(d2)
-            self.o1.append({+1: o1p, -1: o1p.T})
-            self.o2.append({+1: o2p, -1: o2p.T})
+        self._kept: dict[tuple[int, int], np.ndarray] = {}
+        windows = (model.params.window1, model.params.window2)
+        for om, *gs in model.mode_pairs:
+            for d, o, g, window in zip(self.d, self.o, gs, windows):
+                dp, op = _displacement_gauge(n, g * beta(om, t, window))
+                d.append({+1: dp, -1: dp.conj().T})
+                o.append({+1: op, -1: op.T})
+            d1, d2 = (d[-1] for d in self.d)
             if model.env_kind == "entangled":
                 psi = {(s1, s2): d1[s1] @ (self.tmsv[:, None] * d2[s2].T) for s1, s2 in _SIGMAS}
                 self.psi.append(psi)
@@ -628,33 +631,54 @@ class _Snapshot:
         """
         return self.probs if self.model.env_kind == "classical" else self.tmsv ** 2
 
-    def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], keep: str) -> np.ndarray:
+    def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], j: int) -> np.ndarray:
         """Diagonal of a classical one-bath block once its kept displacement is conjugated away.
 
-        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath.
+        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath j.
         """
-        i, d = (1, self.d2) if keep == "b1" else (0, self.d1)
-        return self.probs * np.diag(d[m][bra[i]].conj().T @ d[m][ket[i]])
+        d = self.d[j][m]
+        return self.probs * np.diag(d[bra[j]].conj().T @ d[ket[j]])
 
-    def kept_state(self, keep: str, sig: int) -> np.ndarray:
-        """(x)_m O_m(sig) rho_m O_m(sig)^T on bath ``keep``, rho_m = diag(``local_spectrum``).
+    def kept_state(self, j: int, sig: int) -> np.ndarray:
+        """(x)_m O_m(sig) rho_m O_m(sig)^T on bath j, rho_m = diag(``local_spectrum``).
 
         The kept block of a term whose ket and bra share sig, with R conjugated
         away; built on first use.
         """
-        if (keep, sig) not in self._kept:
+        if (j, sig) not in self._kept:
             lam = self.local_spectrum()
-            gauges = self.o1 if keep == "b1" else self.o2
-            self._kept[keep, sig] = reduce(np.kron, [(o[sig] * lam) @ o[sig].T for o in gauges])
-        return self._kept[keep, sig]
+            self._kept[j, sig] = reduce(np.kron, [(o[sig] * lam) @ o[sig].T for o in self.o[j]])
+        return self._kept[j, sig]
 
 
-def _marginal(rho: np.ndarray, keep_a: bool, keep_s: bool) -> np.ndarray:
-    """The kept (A, S) part of a matrix on [A, S1, S2]: rows 4 a + s, a over the kept A (0 if traced)."""
-    if keep_a and keep_s:
+def _marginal(rho: np.ndarray, kept: frozenset) -> np.ndarray:
+    """The part of a matrix on [A, S1, S2] on the A and S of ``kept``: rows 4 a + s, a 0 if A is traced."""
+    if {"A", "S"} <= kept:
         return rho
     d_a = rho.shape[0] // 4
-    return np.einsum("asat->st" if keep_s else "asbs->ab", rho.reshape(d_a, 4, d_a, 4))
+    return np.einsum("asat->st" if "S" in kept else "asbs->ab", rho.reshape(d_a, 4, d_a, 4))
+
+
+def _check_initial(initial: DensityMatrix):
+    """Reject an initial state that does not live on [A, S1, S2] with qubits S1 and S2."""
+    if initial.partition.labels != ("A", "S1", "S2"):
+        raise ValueError(f"initial state must live on [A, S1, S2], got {initial.partition.labels}")
+    if initial.partition.factors[1:] != S_PARTITION.factors:
+        raise ValueError("S1 and S2 must be qubits")
+
+
+_ENV_FREE = {"S_AS": frozenset({"A", "S"}), "S_S": frozenset({"S"}), "S_A": frozenset({"A"})}
+_ENTROPY_SETS = {
+    part: {**_ENV_FREE, "S_SE": frozenset({"S", *env}), "S_ASE": frozenset({"A", "S", *env})}
+    for part, env in zip(ENV_PARTS, (("E1",), ("E2",), BATHS))
+}
+
+
+def entropy_sets(env_part: str) -> dict[str, frozenset]:
+    """The kept set of each entropy of I(A : env_part | S), as subsets of ``LABELS``."""
+    if env_part not in ENV_PARTS:
+        raise ValueError(f"env_part must be one of {ENV_PARTS}")
+    return _ENTROPY_SETS[env_part]
 
 
 class BranchComputer:
@@ -666,28 +690,25 @@ class BranchComputer:
     """
 
     def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = 4096):
-        if initial.partition.labels != ("A", "S1", "S2"):
-            raise ValueError(f"initial state must live on [A, S1, S2], got {initial.partition.labels}")
-        if initial.partition.dims[1:] != (2, 2):
-            raise ValueError("S1 and S2 must be qubits")
+        _check_initial(initial)
         self.model = model
         self.budget = budget
         self.partition = initial.partition
         self.rho0 = initial.data
         self.pure = float(initial.eigenvalues()[-1]) >= 1.0 - 1e-10
-        # rho0 on the kept A (by keep_a) and S, its entropy, and per kept bath the
-        # blocks M_sigma = sum_{s: sigma_bath(s) = sigma} tr_{traced A} X_ss with, when
-        # M_+ M_- = 0, their spectra
-        self._kept0 = {keep_a: _marginal(self.rho0, keep_a, True) for keep_a in (False, True)}
+        # by kept set: rho0 and its entropy on {S} and {A, S}, and on one bath (and A or
+        # not) the blocks M_sigma = sum_{s: sigma_bath(s) = sigma} tr_{traced A} X_ss with,
+        # when M_+ M_- = 0, their spectra
+        self._kept0 = {k: _marginal(self.rho0, k) for k in (frozenset({"S"}), frozenset({"A", "S"}))}
         self._s0 = {k: spectrum_entropy(np.linalg.eigvalsh(x), tol=1e-9) for k, x in self._kept0.items()}
         self._baths = {}
-        for bath, keep in enumerate(("b1", "b2")):
-            for keep_a, x in self._kept0.items():
-                ms = [sum(x[s::4, s::4] for s in range(4) if _SIGMAS[s][bath] == sig) for sig in (1, -1)]
+        for j, bath in enumerate(BATHS):
+            for k, x in self._kept0.items():
+                ms = [sum(x[s::4, s::4] for s in range(4) if _SIGMAS[s][j] == sig) for sig in (1, -1)]
                 ms = [m if np.any(m.imag) else m.real for m in ms]
                 direct = not np.any(ms[0] @ ms[1])
-                self._baths[keep, keep_a] = ms, [np.linalg.eigvalsh(m) for m in ms] if direct else None
-        self._memo: tuple[_Snapshot, dict[tuple[bool, bool], float]] | None = None
+                self._baths[k - {"S"} | {bath}] = ms, [np.linalg.eigvalsh(m) for m in ms] if direct else None
+        self._memo: tuple[_Snapshot, dict[frozenset, float]] | None = None
         self._psi_memo: tuple[_Snapshot, np.ndarray] | None = None
 
     def _within_budget(self, dim: int, what: str) -> int:
@@ -696,35 +717,37 @@ class BranchComputer:
             raise BudgetError(f"{what} dimension {dim} exceeds budget {self.budget}")
         return dim
 
-    def _entropy(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> float:
-        """Entropy of the reduced state on the kept A, S and ``env_keep`` modes.
+    def _entropy(self, snap: _Snapshot, kept: frozenset) -> float:
+        """Entropy of the reduced state on ``kept``, a subset of {A, S, E1, E2}.
 
         (a) No bath kept: a marginal of rho_AS(t).
         (b) Both baths and S kept: W = sum_s |s><s| (x) U_s is unitary, so the
             entropy is S(rho0_K) + S(rho_E) at every t.
         (c) Entangled, pure rho0, S and one bath kept: the global state is pure,
-            so take the complement, which keeps the other bath and traces S: (d).
+            so take the complement {A, S, E1, E2} - kept, which keeps the other
+            bath and traces S: (d).
         (d) One bath kept, S traced: ``_one_bath``.
         (e) Classical, S and one bath kept: ``_fock_blocks``.
         (f) Anything else: ``_purified_spectrum``.
         """
-        if env_keep == "none":
-            return self._env_free(snap)[keep_a, keep_s]
+        n_baths = len(kept - {"A", "S"})
+        if not n_baths:
+            return self._env_free(snap)[kept]
         entangled = self.model.env_kind == "entangled"
-        if env_keep == "both" and keep_s:
+        if n_baths == 2 and "S" in kept:
             s_env = 0.0 if entangled else self.model.n_pairs * spectrum_entropy(snap.local_spectrum())
-            return self._s0[keep_a] + s_env
-        if entangled and self.pure and keep_s:
-            keep_a, keep_s, env_keep = not keep_a, False, {"b1": "b2", "b2": "b1"}[env_keep]
-        if not keep_s and env_keep != "both":
-            spectrum = self._one_bath(snap, keep_a, env_keep)
-        elif not entangled and keep_s:
-            spectrum = self._fock_blocks(snap, keep_a, env_keep)
+            return self._s0[kept & {"A", "S"}] + s_env
+        if entangled and self.pure and "S" in kept:
+            kept = LABELS - kept
+        if "S" not in kept and n_baths == 1:
+            spectrum = self._one_bath(snap, kept)
+        elif not entangled and "S" in kept:
+            spectrum = self._fock_blocks(snap, kept)
         else:
-            spectrum = self._purified_spectrum(snap, keep_a, keep_s, env_keep)
+            spectrum = self._purified_spectrum(snap, kept)
         return spectrum_entropy(spectrum, tol=1e-9)
 
-    def _one_bath(self, snap: _Snapshot, keep_a: bool, env_keep: str) -> np.ndarray:
+    def _one_bath(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
         """Spectrum of sum_sigma M_sigma (x) K(sigma), K = ``snap.kept_state``: one bath kept, S traced.
 
         With S traced only s = s' survives, and the kept bath of branch s is
@@ -732,28 +755,31 @@ class BranchComputer:
         D = R O(sigma) R^dag with R common to every term, so R is dropped.
         When M_+ M_- = 0 the sum is direct and K(sigma) has the spectrum lam^(x)P.
         """
-        ms, spectra = self._baths[env_keep, keep_a]
+        ms, spectra = self._baths[kept]
         if spectra is not None:
             lam = reduce(np.kron, [snap.local_spectrum()] * self.model.n_pairs)
             return np.concatenate([np.kron(e, lam) for e in spectra])
         ne = self.model.fock_dim ** self.model.n_pairs
         dim = self._within_budget(ms[0].shape[0] * ne, "assembled operator")
         mat = np.zeros((dim, dim), dtype=np.result_type(*ms))
+        j = BATHS.index(*(kept - {"A"}))
         for sig, m in zip((1, -1), ms):
-            mat += np.kron(m, snap.kept_state(env_keep, sig))
+            mat += np.kron(m, snap.kept_state(j, sig))
         return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
-    def _fock_blocks(self, snap: _Snapshot, keep_a: bool, env_keep: str) -> np.ndarray:
+    def _fock_blocks(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
         """Spectrum of a classical state that keeps S and one bath.
 
         The kept displacement is fixed by the row's s, so conjugating it away
-        leaves sum_n X_K o C_n (x) |n><n| with C_n[s, s'] = ``snap.fock_weights``:
-        one block per kept Fock index n, on the rows where X_K is nonzero.
+        leaves sum_n X_K o C_n (x) |n><n| with C_n[s, s'] = ``snap.fock_weights``
+        of the traced bath: one block per kept Fock index n, on the rows where
+        X_K is nonzero.
         """
-        x = self._kept0[keep_a]
+        x = self._kept0[kept & {"A", "S"}]
+        traced = BATHS.index(*(LABELS - kept - {"A"}))
         rows = np.flatnonzero(np.any(x, axis=1))
         labels, idx = np.unique(rows % 4, return_inverse=True)
-        w = np.array([[reduce(np.kron, [snap.fock_weights(m, _SIGMAS[i], _SIGMAS[j], env_keep)
+        w = np.array([[reduce(np.kron, [snap.fock_weights(m, _SIGMAS[i], _SIGMAS[j], traced)
                                         for m in range(self.model.n_pairs)])
                        for j in labels] for i in labels])
         mats = x[np.ix_(rows, rows)] * w[idx[:, None], idx].transpose(2, 0, 1)
@@ -776,32 +802,33 @@ class BranchComputer:
         """
         if self._psi_memo is None or self._psi_memo[0] is not snap:
             envs = []
+            d1, d2 = snap.d
             for s1, s2 in _SIGMAS:
                 env = np.ones((1, 1, 1))
                 for m in range(self.model.n_pairs):
                     pair = (snap.psi[m][s1, s2][:, :, None] if self.model.env_kind == "entangled"
-                            else snap.d1[m][s1][:, None] * snap.d2[m][s2] * np.sqrt(snap.probs))
+                            else d1[m][s1][:, None] * d2[m][s2] * np.sqrt(snap.probs))
                     env = np.einsum("abc,ijk->aibjck", env, pair).reshape(np.multiply(env.shape, pair.shape))
                 envs.append(env)
             self._psi_memo = (snap, np.einsum("qas,sxyz->qasxyz", self._kets, np.stack(envs)))
         return self._psi_memo[1]
 
-    def _purified_spectrum(self, snap: _Snapshot, keep_a: bool, keep_s: bool, env_keep: str) -> np.ndarray:
+    def _purified_spectrum(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
         """Spectrum of any kept set K from ``_purified``; also the test reference for every rule.
 
         As a K x (the rest) matrix, Psi's Gram matrix on either side has the
         nonzero spectrum of rho_K; the smaller side is solved.  Before Psi is
         built, that side is checked against the budget, and Psi's size against budget^2.
         """
-        kept = [1] * keep_a + [2] * keep_s + {"none": [], "b1": [3], "b2": [4], "both": [3, 4]}[env_keep]
+        axes = sorted(_PSI_AXES[label] for label in kept)
         ne = self.model.fock_dim ** self.model.n_pairs
         dims = (*self._kets.shape, ne, ne, 1 if self.model.env_kind == "entangled" else ne)
-        dim_k, size = math.prod(dims[i] for i in kept), math.prod(dims)
+        dim_k, size = math.prod(dims[i] for i in axes), math.prod(dims)
         side = self._within_budget(min(dim_k, size // dim_k), "Gram matrix")
         if size > self.budget ** 2:
             raise BudgetError(f"purified state of {size} amplitudes exceeds budget^2 = {self.budget ** 2}")
-        rest = [i for i in range(len(dims)) if i not in kept]
-        summed = rest if side == dim_k else kept  # contract the side that is not solved
+        rest = [i for i in range(len(dims)) if i not in axes]
+        summed = rest if side == dim_k else axes  # contract the side that is not solved
         psi = self._purified(snap)
         return np.linalg.eigvalsh(np.tensordot(psi, psi.conj(), axes=(summed, summed)).reshape(side, side))
 
@@ -811,27 +838,21 @@ class BranchComputer:
         mat = self.rho0 * np.tile(snap.omega, (d_a, d_a))
         return 0.5 * (mat + mat.conj().T)
 
-    def _env_free(self, snap: _Snapshot) -> dict[tuple[bool, bool], float]:
-        """S(A S), S(S), S(A), S() by (keep_a, keep_s) from rho_AS, kept for the last snapshot."""
+    def _env_free(self, snap: _Snapshot) -> dict[frozenset, float]:
+        """S(A S), S(S), S(A), S() by kept set from rho_AS, kept for the last snapshot."""
         if self._memo is None or self._memo[0] is not snap:
             rho = self._rho_as(snap)
-            ent = {(a, s): spectrum_entropy(np.linalg.eigvalsh(_marginal(rho, a, s)), tol=1e-9)
-                   for a, s in ((True, True), (False, True), (True, False))}
-            ent[False, False] = 0.0
+            ent = {k: spectrum_entropy(np.linalg.eigvalsh(_marginal(rho, k)), tol=1e-9)
+                   for k in _ENV_FREE.values()}
+            ent[frozenset()] = 0.0
             self._memo = (snap, ent)
         return self._memo[1]
 
     def entropies_at(self, t: float, env_part: str, snap: _Snapshot | None = None) -> dict[str, float]:
-        if env_part not in ENV_PARTS:
-            raise ValueError(f"env_part must be one of {ENV_PARTS}")
+        kept = entropy_sets(env_part)
         if snap is None:
             snap = _Snapshot(self.model, t)
-        bath = {"E1": "b1", "E2": "b2", "E1E2": "both"}[env_part]
-        out = {"S_AS": self._entropy(snap, True, True, "none"),
-               "S_S": self._entropy(snap, False, True, "none"),
-               "S_A": self._entropy(snap, True, False, "none"),
-               "S_SE": self._entropy(snap, False, True, bath),
-               "S_ASE": self._entropy(snap, True, True, bath)}
+        out = {name: self._entropy(snap, k) for name, k in kept.items()}
         cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
         if cmi < -1e-8:
             raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")
@@ -861,7 +882,7 @@ class BranchComputer:
         return {k: ScalarSeries(t, v) for k, v in acc.items()}
 
     def system_state(self, t: float) -> DensityMatrix:
-        return DensityMatrix(_marginal(self._rho_as(_Snapshot(self.model, t)), False, True), _SYS_PARTITION)
+        return DensityMatrix(_marginal(self._rho_as(_Snapshot(self.model, t)), frozenset({"S"})), S_PARTITION)
 
 
 def cmi_trajectory(
@@ -897,15 +918,14 @@ class DenseComputer:
     The independent cross-check for the branch path."""
 
     def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = 4096):
+        _check_initial(initial)
         self.model = model
         n = model.fock_dim
-        labels = initial.partition.labels
-        if labels != ("A", "S1", "S2"):
-            raise ValueError(f"initial state must live on [A, S1, S2], got {labels}")
-        env_factors = []
-        for m in range(model.n_pairs):
-            env_factors += [(f"E1m{m}", n), (f"E2m{m}", n)]
+        env_factors = [(f"{bath}m{m}", n) for m in range(model.n_pairs) for bath in BATHS]
         self.partition = initial.partition.concat(SystemPartition(env_factors))
+        # the factors of each label of ``LABELS``
+        self._factors = {"A": {"A"}, "S": set(S_PARTITION.labels),
+                         **{bath: {f"{bath}m{m}" for m in range(model.n_pairs)} for bath in BATHS}}
         dim = self.partition.total_dim
         if dim > budget:
             raise BudgetError(f"dense dimension {dim} exceeds budget {budget}")
@@ -968,25 +988,15 @@ class DenseComputer:
         return state
 
     def entropies_at(self, t: float, env_part: str) -> dict[str, float]:
-        if env_part not in ENV_PARTS:
-            raise ValueError(f"env_part must be one of {ENV_PARTS}")
         state = self.state_at(t)
-        e1 = {l for l in self.partition.labels if l.startswith("E1")}
-        e2 = {l for l in self.partition.labels if l.startswith("E2")}
-        env = e1 if env_part == "E1" else e2 if env_part == "E2" else (e1 | e2)
-        sys_l = {"S1", "S2"}
-        reduced = partial_trace(state, {"A"} | sys_l | env)
-        rho_as = partial_trace(state, {"A"} | sys_l)
-        out = {
-            "S_AS": info.von_neumann_entropy(rho_as),
-            "S_S": info.von_neumann_entropy(partial_trace(state, sys_l)),
-            "S_A": info.von_neumann_entropy(partial_trace(state, {"A"})),
-            "S_SE": info.von_neumann_entropy(partial_trace(reduced, sys_l | env)),
-            "S_ASE": info.von_neumann_entropy(reduced),
-        }
-        out["cmi"] = info.conditional_mutual_information(reduced, {"A"}, env, sys_l)
-        out["mi_sa"] = info.mutual_information(rho_as, sys_l, {"A"})
+        marg = {name: partial_trace(state, set().union(*(self._factors[label] for label in kept)))
+                for name, kept in entropy_sets(env_part).items()}
+        out = {name: info.von_neumann_entropy(rho) for name, rho in marg.items()}
+        a, s = self._factors["A"], self._factors["S"]
+        env = set(marg["S_ASE"].labels) - a - s
+        out["cmi"] = info.conditional_mutual_information(marg["S_ASE"], a, env, s)
+        out["mi_sa"] = info.mutual_information(marg["S_AS"], s, a)
         return out
 
     def system_state(self, t: float) -> DensityMatrix:
-        return partial_trace(self.state_at(t), {"S1", "S2"})
+        return partial_trace(self.state_at(t), self._factors["S"])

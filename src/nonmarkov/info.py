@@ -17,6 +17,7 @@ from .states import (
     PartitionError,
     StateValidityError,
     clamp_spectrum,
+    embed,
     partial_trace,
     spectrum_entropy,
 )
@@ -181,23 +182,6 @@ def _psd_power(m: np.ndarray, power: float) -> np.ndarray:
     return (vecs * out) @ vecs.conj().T
 
 
-def _embed(op: np.ndarray, rho_part, labels: Iterable[str]) -> np.ndarray:
-    """Lift an operator on a label subset to the full space (identity elsewhere)."""
-    pos = rho_part.positions(labels)
-    dims = rho_part.dims
-    n = len(dims)
-    sub_dims = [dims[i] for i in pos]
-    t = op.reshape(sub_dims + sub_dims)
-    operands = [t, [i for i in pos] + [i + n for i in pos]]
-    for i in range(n):
-        if i not in pos:
-            operands += [np.eye(dims[i]), [i, i + n]]
-    out_idx = list(range(n)) + [i + n for i in range(n)]
-    full = np.einsum(*operands, out_idx)
-    d = int(np.prod(dims, dtype=np.int64))
-    return full.reshape(d, d)
-
-
 def petz_recovery(
     rho_full: DensityMatrix,
     part_a: Iterable[str],
@@ -217,9 +201,9 @@ def petz_recovery(
     rho_ab = partial_trace(rho_full, a | b)
     rho_b = partial_trace(rho_full, b)
     rho_bc = partial_trace(rho_full, b | c)
-    sqrt_bc = _embed(_psd_power(rho_bc.data, 0.5), part, b | c)
-    inv_sqrt_b = _embed(_psd_power(rho_b.data, -0.5), part, b)
-    lifted_ab = _embed(rho_ab.data, part, a | b)
+    sqrt_bc = embed(_psd_power(rho_bc.data, 0.5), part, b | c)
+    inv_sqrt_b = embed(_psd_power(rho_b.data, -0.5), part, b)
+    lifted_ab = embed(rho_ab.data, part, a | b)
     out = sqrt_bc @ inv_sqrt_b @ lifted_ab @ inv_sqrt_b @ sqrt_bc
     out = 0.5 * (out + out.conj().T)
     drift = abs(out.trace() - 1.0)

@@ -10,7 +10,7 @@ jitter is not counted as backflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .states import DensityMatrix, PartitionError, SystemPartition, partial_trac
 DEFAULT_NOISE_TOL = 1e-10
 
 MEASURE_NAMES = ("BLP", "tBLP", "LFS", "N1", "N2")
+
+S_PARTITION = SystemPartition([("S1", 2), ("S2", 2)])  # the two dephasing qubits
+AS_PARTITION = SystemPartition([("A", 2)]).concat(S_PARTITION)  # with a qubit ancilla
 
 
 class TrajectoryError(ValueError):
@@ -121,6 +124,17 @@ def negative_decrement_integral(
     return positive_increment_integral(flipped, noise_tol)
 
 
+def integrate(
+    integral: Callable[[ScalarSeries, float], tuple[float, ScalarSeries]],
+    series: ScalarSeries,
+    noise_tol: float = DEFAULT_NOISE_TOL,
+) -> tuple[float, ScalarSeries]:
+    """``integral(series, noise_tol)``, or 0 with no increments when ``series`` has no step."""
+    if len(series) < 2:
+        return 0.0, ScalarSeries(series.times[:0], np.zeros(0))
+    return integral(series, noise_tol)
+
+
 def best_candidate(name: str, per_candidate: Sequence[tuple[float, ScalarSeries]]) -> MeasureResult:
     """The candidate with the largest value, as the measure ``name``; ties go to the first."""
     if not per_candidate:
@@ -128,10 +142,6 @@ def best_candidate(name: str, per_candidate: Sequence[tuple[float, ScalarSeries]
     idx = int(np.argmax([v for v, _ in per_candidate]))
     value, inc = per_candidate[idx]
     return MeasureResult(name, value, idx, inc)
-
-
-def _empty_increments(times: np.ndarray) -> ScalarSeries:
-    return ScalarSeries(np.asarray(times)[:0], np.zeros(0))
 
 
 def measure_distance_blp(
@@ -156,11 +166,8 @@ def measure_distance_blp(
             raise TrajectoryError("pair trajectories sampled on different grids")
         if t1.partition != t2.partition:
             raise TrajectoryError("pair trajectories on different partitions")
-        if len(t1) < 2:
-            per.append((0.0, _empty_increments(t1.times)))
-            continue
         vals = [dist(a, b) for a, b in zip(t1.states, t2.states)]
-        per.append(positive_increment_integral(ScalarSeries(t1.times, vals), noise_tol))
+        per.append(integrate(positive_increment_integral, ScalarSeries(t1.times, vals), noise_tol))
     return best_candidate(name, per)
 
 
@@ -181,10 +188,7 @@ def measure_lfs(
     for traj in trajectories:
         if not anc <= set(traj.partition.labels):
             raise PartitionError(f"trajectory partition lacks ancilla labels {sorted(anc)}")
-        if len(traj) < 2:
-            per.append((0.0, _empty_increments(traj.times)))
-            continue
-        per.append(positive_increment_integral(_mi_series(traj, anc), noise_tol))
+        per.append(integrate(positive_increment_integral, _mi_series(traj, anc), noise_tol))
     return best_candidate("LFS", per)
 
 
@@ -229,11 +233,8 @@ def measure_n1(
         for group in (env, system, anc):
             if not group <= labels:
                 raise PartitionError(f"labels {sorted(group - labels)} missing from trajectory")
-        if len(traj) < 2:
-            per.append((0.0, _empty_increments(traj.times)))
-            continue
         series = _cmi_series(traj, anc, env, system)
-        per.append(negative_decrement_integral(series, noise_tol))
+        per.append(integrate(negative_decrement_integral, series, noise_tol))
     return best_candidate("N1", per)
 
 
@@ -270,11 +271,8 @@ def measure_n2(
                 raise TrajectoryError(
                     f"A' marginal drifts by {drift:.3e} along the trajectory"
                 )
-        if len(traj) < 2:
-            per.append((0.0, _empty_increments(traj.times)))
-            continue
         series = _cmi_series(traj, anc, env, system, frozenset({aprime_label}))
-        per.append(negative_decrement_integral(series, noise_tol))
+        per.append(integrate(negative_decrement_integral, series, noise_tol))
     return best_candidate("N2", per)
 
 
@@ -351,7 +349,4 @@ def flagged_ancilla_state(
 
 def ops_state() -> DensityMatrix:
     """The default flagged candidate (|0>_A |01>_S + |1>_A |10>_S)/sqrt(2)."""
-    sys_part = SystemPartition([("S1", 2), ("S2", 2)])
-    return flagged_ancilla_state(
-        [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], [0b01, 0b10], sys_part
-    )
+    return flagged_ancilla_state([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], [0b01, 0b10], S_PARTITION)

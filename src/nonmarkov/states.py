@@ -317,6 +317,19 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return root._marginals.setdefault(keep, marginal)
 
 
+def embed(op: np.ndarray, partition: SystemPartition, labels: Iterable[str]) -> np.ndarray:
+    """Lift an operator on the factors ``labels`` to the whole of ``partition`` (identity elsewhere)."""
+    pos = partition.positions(labels)
+    dims = partition.dims
+    n = len(dims)
+    operands = [op.reshape([dims[i] for i in pos] * 2), pos + [i + n for i in pos]]
+    for i in range(n):
+        if i not in pos:
+            operands += [np.eye(dims[i]), [i, i + n]]
+    d = partition.total_dim
+    return np.einsum(*operands, list(range(2 * n))).reshape(d, d)
+
+
 def _apply_on_factor(mat: np.ndarray, op: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
     """K rho K^dag contribution with K acting on factor ``pos`` only."""
     n = len(dims)

@@ -143,6 +143,15 @@ class TestMeasuresMode:
         assert [r[0] for r in rows] == ["BLP", "tBLP", "LFS", "N1"]
         assert all(r[2] == "0" for r in rows)  # one candidate of each kind
 
+    def test_one_sample_grid_has_no_increment(self, tmp_path):
+        # t_start == t_end: no step to integrate, so every measure is 0 with no increment
+        out = str(tmp_path / "m.csv")
+        cfg = {"mode": "measures", "output_path": out, "dephasing": CMI_CFG["dephasing"],
+               "discrete": {"n_modes": 1, "n_max": 3}, "grid": {"t_start": 1.0, "t_end": 1.0, "dt": 0.25}}
+        assert cli.run(write_config(tmp_path, cfg)) == 0
+        _, rows = read_csv(out)
+        assert rows == [[name, "0", "0", "0"] for name in ("BLP", "tBLP", "LFS", "N1")]
+
 
 class TestCheckMode:
     def test_check_runs_and_reports(self, tmp_path):
@@ -244,6 +253,7 @@ class TestConfigValidation:
         "check_seed_fraction", "system_index_fraction", "check_samples_text_flag", "check_unknown_flag",
         "no_command", "candidates_object", "candidate_number", "number_as_string", "number_as_bool",
         "object_as_pairs", "object_as_number", "string_as_number", "u_as_string", "array_as_string",
+        "classical_r_tanh_one", "classical_r_tanh_one_measures", "entangled_r_cosh_overflow",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -309,11 +319,18 @@ class TestConfigValidation:
                 **CMI_CFG["dephasing"], "env_kind": "classical", "u": "0.3"}},
             "array_as_string": {**CMI_CFG, "candidates": [
                 {**flagged, "amplitudes": [[s, 0], [s, 0]], "system_indices": "12"}]},
+            # r past the floating-point range of the pair state: tanh(r) rounds to 1, cosh(2r) overflows
+            "classical_r_tanh_one": {**PF_CFG, "dephasing": {
+                **PF_CFG["dephasing"], "r": 19.5, "env_kind": "classical"}},
+            "classical_r_tanh_one_measures": {**CMI_CFG, "mode": "measures", "dephasing": {
+                **CMI_CFG["dephasing"], "r": 19.5, "env_kind": "classical"}},
+            "entangled_r_cosh_overflow": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "r": 400.0}},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
             "object_as_number": "dephasing", "string_as_number": "env_kind", "u_as_string": "u must",
-            "array_as_string": "system_indices",
+            "array_as_string": "system_indices", "classical_r_tanh_one": "r = 19.5",
+            "classical_r_tanh_one_measures": "r = 19.5", "entangled_r_cosh_overflow": "r = 400",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
@@ -343,6 +360,17 @@ class TestConfigValidation:
         assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert named.get(case, "") in err, err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("where", ["directory", "missing_directory"])
+    def test_unwritable_output_is_one_line_exit_1(self, where, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out if where == "directory" else out / "missing" / "x.csv"
+        assert cli.main(["run", write_config(tmp_path, {**PF_CFG, "output_path": str(path)})]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and str(path) in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]  # no temporary file left
+        assert not any(out.iterdir())
 
     def test_top_level_error_says_invalid_config_once(self, tmp_path, capsys):
         cfg = {**CMI_CFG, "output_path": str(tmp_path / "x.csv"), "seed": -1}

@@ -534,7 +534,7 @@ class TestCmiTrajectory:
         assert abs(n1 - drop) <= 1e-6
 
 
-KEEP_SETS = list(itertools.product((False, True), (False, True), ("none", "b1", "b2", "both")))
+KEEP_SETS = [frozenset(c) for n in range(5) for c in itertools.combinations(("A", "S", "E1", "E2"), n)]
 
 
 class TestStructuredBranchEntropies:
@@ -550,8 +550,8 @@ class TestStructuredBranchEntropies:
         return [measures.ops_state(), flagged] + [random_pure_state(part, s) for s in (1, 2, 3)]
 
     @staticmethod
-    def _purified_entropy(comp, snap, keep_a, keep_s, env_keep):
-        return spectrum_entropy(comp._purified_spectrum(snap, keep_a, keep_s, env_keep), tol=1e-9)
+    def _purified_entropy(comp, snap, kept):
+        return spectrum_entropy(comp._purified_spectrum(snap, kept), tol=1e-9)
 
     @pytest.mark.parametrize("env_kind", ENV_KINDS)
     @pytest.mark.parametrize("n_modes,n_max", [(1, 4), (2, 3), (3, 2)])
@@ -564,8 +564,8 @@ class TestStructuredBranchEntropies:
             comp = dephasing.BranchComputer(m, state)
             for t in (1.3, 3.7):
                 snap = dephasing._Snapshot(m, t)
-                for keep in KEEP_SETS:
-                    assert abs(comp._entropy(snap, *keep) - self._purified_entropy(comp, snap, *keep)) <= 1e-12
+                for kept in KEEP_SETS:
+                    assert abs(comp._entropy(snap, kept) - self._purified_entropy(comp, snap, kept)) <= 1e-12
 
     @pytest.mark.parametrize("env_kind", ENV_KINDS)
     def test_purified_state_matches_dense(self, env_kind):
@@ -573,17 +573,16 @@ class TestStructuredBranchEntropies:
         # partial traces: every kept set, the five states and a rank-2 state
         m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind), 1, 4)
         part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
-        labels = {"none": set(), "b1": {"E1m0"}, "b2": {"E2m0"}, "both": {"E1m0", "E2m0"}}
+        factors = {"A": {"A"}, "S": {"S1", "S2"}, "E1": {"E1m0"}, "E2": {"E2m0"}}
         for state in self._states() + [random_density_matrix(part, 2, 5)]:
             comp = dephasing.BranchComputer(m, state)
             dense = dephasing.DenseComputer(m, state)
             for t in (1.3, 3.7):
                 snap = dephasing._Snapshot(m, t)
-                for keep_a, keep_s, env_keep in KEEP_SETS:
-                    keep = {f for f, on in (("A", keep_a), ("S1", keep_s), ("S2", keep_s)) if on}
-                    keep |= labels[env_keep]
+                for kept in KEEP_SETS:
+                    keep = set().union(*(factors[label] for label in kept))
                     ref = info.von_neumann_entropy(partial_trace(dense.state_at(t), keep)) if keep else 0.0
-                    assert abs(self._purified_entropy(comp, snap, keep_a, keep_s, env_keep) - ref) <= 1e-12
+                    assert abs(self._purified_entropy(comp, snap, kept) - ref) <= 1e-12
 
     def test_budget_is_checked_before_the_purified_state_is_built(self, monkeypatch):
         # entangled rank-2 rho0 at 2 pairs and n_max 14: Psi has 2 x 2 x 4 x 225^2 =
@@ -596,9 +595,9 @@ class TestStructuredBranchEntropies:
         snap = dephasing._Snapshot(m, 1.3)
         monkeypatch.setattr(comp, "_purified", lambda snap: pytest.fail("purified state built"))
         with pytest.raises(dephasing.BudgetError, match="Gram matrix dimension 900 exceeds budget 500"):
-            comp._entropy(snap, False, True, "b1")
+            comp._entropy(snap, frozenset({"S", "E1"}))
         with pytest.raises(dephasing.BudgetError, match=r"810000 amplitudes exceeds budget\^2 = 250000"):
-            comp._entropy(snap, True, True, "b1")
+            comp._entropy(snap, frozenset({"A", "S", "E1"}))
 
 
 class TestRealGauge:
@@ -635,8 +634,8 @@ class TestRealGauge:
         for t in (0.0, 1.3, 3.7):
             snap = dephasing._Snapshot(m, t)
             for k, (om, g1, g2) in enumerate(m.mode_pairs):
-                for d, o, b in ((snap.d1[k], snap.o1[k], g1 * beta(om, t, p.window1)),
-                                (snap.d2[k], snap.o2[k], g2 * beta(om, t, p.window2))):
+                for d, o, b in ((snap.d[0][k], snap.o[0][k], g1 * beta(om, t, p.window1)),
+                                (snap.d[1][k], snap.o[1][k], g2 * beta(om, t, p.window2))):
                     assert np.array_equal(o[-1], o[+1].T)
                     for sigma in (1, -1):
                         self._check(o[sigma], b, sigma)
@@ -659,8 +658,8 @@ class TestSnapshotOverlaps:
                     if env_kind == "entangled":
                         ref[i, j] *= np.vdot(snap.psi[k][bra], snap.psi[k][ket])
                     else:
-                        c1 = np.diag(snap.d1[k][bra[0]].conj().T @ snap.d1[k][ket[0]])
-                        c2 = np.diag(snap.d2[k][bra[1]].conj().T @ snap.d2[k][ket[1]])
+                        c1 = np.diag(snap.d[0][k][bra[0]].conj().T @ snap.d[0][k][ket[0]])
+                        c2 = np.diag(snap.d[1][k][bra[1]].conj().T @ snap.d[1][k][ket[1]])
                         ref[i, j] *= (snap.probs * c1 * c2).sum()
             assert np.abs(snap.omega - ref).max() <= 1e-14
 
@@ -757,6 +756,14 @@ class TestDenseComputer:
             for t in (1.3, 3.7):
                 ref = _kron_evolved(dense, initial, t)
                 assert np.max(np.abs(dense.state_at(t).data - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("computer", ["BranchComputer", "DenseComputer"])
+    def test_rejects_a_non_qubit_system(self, computer):
+        # both computers share one input check; a qutrit S1 never reaches the dense evolution
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind="entangled"), 1, 4)
+        state = random_pure_state(SystemPartition([("A", 2), ("S1", 3), ("S2", 2)]), 0)
+        with pytest.raises(ValueError, match="S1 and S2 must be qubits"):
+            getattr(dephasing, computer)(m, state)
 
     def test_one_state_per_time(self, monkeypatch):
         # ops_state has 2 live (a, s) rows of 8: the 200-dim state is solved on

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,17 @@ class TestIdentitySuite:
         )
         oracle.identity_suite(seed=11, samples=10)
         assert len(calls) == 870
+
+    @pytest.mark.parametrize("column,name", [
+        (2, "c_chain_rule"), (8, "negative_control_detected"), (9, "petz_racmi_bound"),
+    ])
+    def test_a_nan_in_one_row_fails_its_check(self, column, name):
+        # row layout of ``identity_block``: checks (a)-(h), the negative control, the Petz margins
+        rows = [list(row) for row in oracle.identity_block(4, 0, 3)]
+        rows[1][column] = math.nan
+        report = oracle.identity_report(4, [tuple(row) for row in rows])
+        assert not report.all_passed
+        assert [c.name for c in report.checks if not c.passed] == [name]
 
     def test_negative_control_fails_without_rotation(self, monkeypatch):
         monkeypatch.setattr(oracle, "_u_on", lambda part, labels, seed: np.eye(part.total_dim))
