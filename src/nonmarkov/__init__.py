@@ -30,11 +30,13 @@ from .measures import (
     MeasureResult,
     ScalarSeries,
     StateTrajectory,
+    cmi_series,
     flagged_ancilla_state,
     measure_distance_blp,
     measure_lfs,
     measure_n1,
     measure_n2,
+    mi_series,
     negative_decrement_integral,
     ops_state,
     optimal_pair_state,

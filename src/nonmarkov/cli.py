@@ -14,6 +14,7 @@ identity samples while this process runs the cross-checks (see
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import dephasing, measures, oracle
 from .dephasing import BudgetError, DephasingParams, QuadratureConfig, TruncationError
-from .measures import negative_decrement_integral, positive_increment_integral
 from .states import pure_state, random_pure_state
 
 EXIT_OK = 0
@@ -224,13 +224,10 @@ def parse_candidate(spec: dict, seed: int):
             return ("as", measures.flagged_ancilla_state(amps, idx, measures.S_PARTITION))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid flagged candidate: {exc}") from exc
-    a1 = _complex_list(_require(spec, "state1"), 4, "state1")
-    a2 = _complex_list(_require(spec, "state2"), 4, "state2")
-    for a in (a1, a2):
-        n = np.linalg.norm(a)
-        if abs(n - 1.0) > 1e-9:
-            raise ConfigError("tsio states must be normalized amplitude vectors")
-    return ("pair", (a1 / np.linalg.norm(a1), a2 / np.linalg.norm(a2)))
+    pair = [_complex_list(_require(spec, k), 4, k) for k in ("state1", "state2")]
+    if any(abs(np.linalg.norm(a) - 1.0) > 1e-9 for a in pair):
+        raise ConfigError("tsio states must be normalized amplitude vectors")
+    return ("pair", tuple(a / np.linalg.norm(a) for a in pair))
 
 
 def _candidates(cfg: dict) -> tuple[list, list]:
@@ -277,7 +274,7 @@ def _run_cmi(cfg: dict) -> str:
     if len(as_cands) != 1 or pair_cands:
         raise ConfigError("cmi mode needs exactly one system-ancilla candidate and no tsio candidate")
     comp = _branch_computer(model, as_cands[0], cfg)
-    series = comp.trajectories(times, env_parts=("E1", "E2", "E1E2"), with_mi=False)
+    series = comp.trajectories(times, env_parts=("E1", "E2", "E1E2"))
     lines = ["t,I_A_E1_S,I_A_E2_S,I_A_E1E2_S,env_kind"]
     for i, t in enumerate(times):
         vals = [series[p].values[i] for p in ("E1", "E2", "E1E2")]
@@ -307,17 +304,12 @@ def _run_measures(cfg: dict) -> str:
     # information measures over discrete-model candidates
     if as_cands:
         model = _build_model(cfg)
-
-        def one(cand):
-            comp = _branch_computer(model, cand, cfg)
-            return comp.trajectories(times, env_parts=("E1E2",), with_mi=True)
-
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            all_series = list(pool.map(one, as_cands))
-        results.append(measures.best_candidate(
-            "LFS", [measures.integrate(positive_increment_integral, s["mi_sa"]) for s in all_series]))
-        results.append(measures.best_candidate(
-            "N1", [measures.integrate(negative_decrement_integral, s["E1E2"]) for s in all_series]))
+            all_series = list(pool.map(
+                lambda cand: _branch_computer(model, cand, cfg).trajectories(times, env_parts=("E1E2",)),
+                as_cands))
+        results.append(measures.measure_lfs([s["mi_sa"] for s in all_series]))
+        results.append(measures.measure_n1([s["E1E2"] for s in all_series]))
 
     lines = ["measure,value,best_candidate,increment_count"]
     for r in results:
@@ -410,11 +402,18 @@ def execute(cfg: dict) -> int:
             raise ConfigError(f"mode must be one of {MODES}")
         output_path = _require(cfg, "output_path", str)
         cfg = _fields(cfg, {"mode": _string, "output_path": _string, **_MODE_TYPES[mode]}, "config")
+        unwritable = f"cannot write output_path {output_path!r}: "
+        try:  # refuse before the run what ``_atomic_write`` would refuse after it
+            if os.path.isdir(output_path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(output_path))).close()
+        except OSError as exc:
+            raise ConfigError(unwritable + exc.strerror) from exc
         text, ok = _run_check(cfg) if mode == "check" else (_RUNNERS[mode](cfg), True)
         try:
             _atomic_write(output_path, text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output_path {output_path!r}: {exc.strerror}") from exc
+            raise ConfigError(unwritable + exc.strerror) from exc
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

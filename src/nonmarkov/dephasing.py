@@ -337,6 +337,14 @@ def _decay_integral(params: DephasingParams, a: np.ndarray) -> np.ndarray:
     return f[inverse].reshape(a.shape)
 
 
+def _scaled(coef: float, f: np.ndarray) -> np.ndarray:
+    """``coef * f``, but exactly 0 where f is 0 (a closed window), even for an infinite coef."""
+    out = np.zeros_like(f)
+    live = f != 0.0
+    out[live] = coef * f[live]
+    return out
+
+
 def _log_factor_grid(params: DephasingParams, times: np.ndarray) -> dict[str, np.ndarray]:
     """Log magnitudes (T,) of the four coherence patterns.
 
@@ -364,10 +372,10 @@ def _log_factor_grid(params: DephasingParams, times: np.ndarray) -> dict[str, np
     else:
         c = math.cosh(2 * params.r)
         # grouped so that the sum is exactly 0 while either window is still closed
-        cross = -4.0 * math.sinh(2 * params.r) * math.sqrt(params.alpha1 * params.alpha2) * (
-            (fa + fa12) - (fa1 + fa2))
-    single1 = -4.0 * c * params.alpha1 * f1
-    single2 = -4.0 * c * params.alpha2 * f2
+        cross = _scaled(-4.0 * math.sinh(2 * params.r) * math.sqrt(params.alpha1 * params.alpha2),
+                        (fa + fa12) - (fa1 + fa2))
+    single1 = _scaled(-4.0 * c * params.alpha1, f1)
+    single2 = _scaled(-4.0 * c * params.alpha2, f2)
     marg = single1 + single2
     return {"single1": single1, "single2": single2, "same": marg + cross, "opp": marg - cross}
 
@@ -861,24 +869,23 @@ class BranchComputer:
         return out
 
     def trajectories(
-        self, times: Sequence[float], env_parts: Sequence[str] = ENV_PARTS, with_mi: bool = True
+        self, times: Sequence[float], env_parts: Sequence[str] = ENV_PARTS
     ) -> dict[str, ScalarSeries]:
         """CMI series per env part (keys "E1", "E2", "E1E2") plus "mi_sa".
 
-        One snapshot per time sample is shared across all requested series.
+        One snapshot per time sample is shared across all requested series;
+        mi_sa, the same for every env part, comes from the first.
         """
+        if not env_parts:
+            raise ValueError("env_parts must be nonempty")
         t = np.asarray(times, dtype=float).reshape(-1)
-        acc: dict[str, list[float]] = {p: [] for p in env_parts}
-        if with_mi:
-            acc["mi_sa"] = []
+        acc: dict[str, list[float]] = {k: [] for k in (*env_parts, "mi_sa")}
         for ti in t:
             snap = _Snapshot(self.model, ti)
-            # mi_sa is the same for every env part; E1E2 supplies it when none is asked for
-            ents = [self.entropies_at(ti, p, snap=snap) for p in env_parts or ("E1E2",) * with_mi]
+            ents = [self.entropies_at(ti, p, snap=snap) for p in env_parts]
             for p, ent in zip(env_parts, ents):
                 acc[p].append(ent["cmi"])
-            if with_mi:
-                acc["mi_sa"].append(ents[0]["mi_sa"])
+            acc["mi_sa"].append(ents[0]["mi_sa"])
         return {k: ScalarSeries(t, v) for k, v in acc.items()}
 
     def system_state(self, t: float) -> DensityMatrix:
@@ -894,7 +901,7 @@ def cmi_trajectory(
 ) -> ScalarSeries:
     """I(A : env_part | S1 S2)(t) along the discrete-model evolution, pure or mixed initial state."""
     comp = BranchComputer(model, initial, budget=budget)
-    return comp.trajectories(times, env_parts=(env_part,), with_mi=False)[env_part]
+    return comp.trajectories(times, env_parts=(env_part,))[env_part]
 
 
 def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFactors:

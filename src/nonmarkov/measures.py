@@ -1,4 +1,9 @@
-"""Non-Markovianity measures as functionals of sampled state trajectories.
+"""Non-Markovianity measures as functionals of sampled series.
+
+BLP and tBLP take pairs of state trajectories.  LFS, N1 and N2 take one
+``ScalarSeries`` per candidate: ``mi_series`` and ``cmi_series`` produce it
+from a dense ``StateTrajectory``, ``dephasing.BranchComputer.trajectories``
+on the branch path of the discrete model.
 
 The supremum over initial states in each measure definition is replaced by a
 maximization over an explicit candidate list; values are therefore lower
@@ -124,23 +129,25 @@ def negative_decrement_integral(
     return positive_increment_integral(flipped, noise_tol)
 
 
-def integrate(
+def _best(
+    name: str,
     integral: Callable[[ScalarSeries, float], tuple[float, ScalarSeries]],
-    series: ScalarSeries,
-    noise_tol: float = DEFAULT_NOISE_TOL,
-) -> tuple[float, ScalarSeries]:
-    """``integral(series, noise_tol)``, or 0 with no increments when ``series`` has no step."""
-    if len(series) < 2:
-        return 0.0, ScalarSeries(series.times[:0], np.zeros(0))
-    return integral(series, noise_tol)
+    series: Sequence[ScalarSeries],
+    noise_tol: float,
+) -> MeasureResult:
+    """The candidate series with the largest ``integral``, as the measure ``name``.
 
-
-def best_candidate(name: str, per_candidate: Sequence[tuple[float, ScalarSeries]]) -> MeasureResult:
-    """The candidate with the largest value, as the measure ``name``; ties go to the first."""
-    if not per_candidate:
+    A series with no step integrates to 0 with no increments; ties go to the
+    first candidate.
+    """
+    per = [
+        integral(s, noise_tol) if len(s) > 1 else (0.0, ScalarSeries(s.times[:0], np.zeros(0)))
+        for s in series
+    ]
+    if not per:
         raise TrajectoryError("candidate list is empty")
-    idx = int(np.argmax([v for v, _ in per_candidate]))
-    value, inc = per_candidate[idx]
+    idx = int(np.argmax([v for v, _ in per]))
+    value, inc = per[idx]
     return MeasureResult(name, value, idx, inc)
 
 
@@ -160,104 +167,72 @@ def measure_distance_blp(
         name, dist = "tBLP", info.jensen_shannon_telescopic
     else:
         raise ValueError(f"unknown distance {distance!r}")
-    per = []
+    series = []
     for t1, t2 in pair_trajectories:
         if t1.times.shape != t2.times.shape or not np.allclose(t1.times, t2.times):
             raise TrajectoryError("pair trajectories sampled on different grids")
         if t1.partition != t2.partition:
             raise TrajectoryError("pair trajectories on different partitions")
-        vals = [dist(a, b) for a, b in zip(t1.states, t2.states)]
-        per.append(integrate(positive_increment_integral, ScalarSeries(t1.times, vals), noise_tol))
-    return best_candidate(name, per)
+        series.append(ScalarSeries(t1.times, [dist(a, b) for a, b in zip(t1.states, t2.states)]))
+    return _best(name, positive_increment_integral, series, noise_tol)
 
 
-def _mi_series(traj: StateTrajectory, ancilla: frozenset) -> ScalarSeries:
-    rest = frozenset(traj.partition.labels) - ancilla
-    vals = [info.mutual_information(s, rest, ancilla) for s in traj.states]
-    return ScalarSeries(traj.times, vals)
+def measure_lfs(series: Sequence[ScalarSeries], noise_tol: float = DEFAULT_NOISE_TOL) -> MeasureResult:
+    """Integrated revivals of I(S : A), one series per candidate (from ``mi_series``, say)."""
+    return _best("LFS", positive_increment_integral, series, noise_tol)
 
 
-def measure_lfs(
-    trajectories: Sequence[StateTrajectory],
-    ancilla_labels: Iterable[str] = ("A",),
-    noise_tol: float = DEFAULT_NOISE_TOL,
-) -> MeasureResult:
-    """Integrated revivals of the system-ancilla mutual information."""
+def measure_n1(series: Sequence[ScalarSeries], noise_tol: float = DEFAULT_NOISE_TOL) -> MeasureResult:
+    """Integrated decrease of the leaked information I(A : E | S), one series per candidate."""
+    return _best("N1", negative_decrement_integral, series, noise_tol)
+
+
+def measure_n2(series: Sequence[ScalarSeries], noise_tol: float = DEFAULT_NOISE_TOL) -> MeasureResult:
+    """The N1 functional of I(A : E | S A'), the series of ``cmi_series`` with ``aprime_label``."""
+    return _best("N2", negative_decrement_integral, series, noise_tol)
+
+
+# ---------------------------------------------------------------------------
+# series of dense state trajectories
+
+
+def mi_series(traj: StateTrajectory, ancilla_labels: Iterable[str] = ("A",)) -> ScalarSeries:
+    """I(rest : ancilla)(t), the series of LFS when the rest is the system."""
     anc = frozenset(ancilla_labels)
-    per = []
-    for traj in trajectories:
-        if not anc <= set(traj.partition.labels):
-            raise PartitionError(f"trajectory partition lacks ancilla labels {sorted(anc)}")
-        per.append(integrate(positive_increment_integral, _mi_series(traj, anc), noise_tol))
-    return best_candidate("LFS", per)
+    if not anc <= set(traj.partition.labels):
+        raise PartitionError(f"trajectory partition lacks ancilla labels {sorted(anc)}")
+    rest = frozenset(traj.partition.labels) - anc
+    return ScalarSeries(traj.times, [info.mutual_information(s, rest, anc) for s in traj.states])
 
 
-def _cmi_series(
+def cmi_series(
     traj: StateTrajectory,
-    ancilla: frozenset,
-    env: frozenset,
-    system: frozenset,
-    conditioning_extra: frozenset = frozenset(),
-) -> ScalarSeries:
-    keep = ancilla | env | system | conditioning_extra
-    vals = []
-    for s in traj.states:
-        reduced = partial_trace(s, keep) if keep != set(s.labels) else s
-        vals.append(
-            info.conditional_mutual_information(reduced, ancilla, env, system | conditioning_extra)
-        )
-    return ScalarSeries(traj.times, vals)
-
-
-def measure_n1(
-    trajectories: Sequence[StateTrajectory],
     env_labels: Iterable[str],
     system_labels: Iterable[str],
     ancilla_labels: Iterable[str] = ("A",),
-    noise_tol: float = DEFAULT_NOISE_TOL,
-) -> MeasureResult:
-    """Integrated decrease of the leaked information I(A : env | system).
+    aprime_label: str | None = None,
+    aprime_drift_tol: float = 1e-8,
+) -> ScalarSeries:
+    """The leaked information I(A : env | system)(t), the series of N1.
 
     Environment labels outside ``env_labels`` are traced out, not conditioned
-    on, so a sub-environment value realizes the partial-environment variant of
-    the measure.
+    on, so a sub-environment series realizes the partial-environment variant
+    of the measure.  With ``aprime_label`` the primed ancilla A' joins the
+    conditioning system, the series of N2: this requires dim(A') =
+    dim(system) + 1 and an A' marginal constant along the trajectory (the
+    primed ancilla must evolve trivially).
     """
     env = frozenset(env_labels)
     system = frozenset(system_labels)
     anc = frozenset(ancilla_labels)
     if not env:
         raise PartitionError("env_labels must be nonempty")
-    per = []
-    for traj in trajectories:
-        labels = set(traj.partition.labels)
-        for group in (env, system, anc):
-            if not group <= labels:
-                raise PartitionError(f"labels {sorted(group - labels)} missing from trajectory")
-        series = _cmi_series(traj, anc, env, system)
-        per.append(integrate(negative_decrement_integral, series, noise_tol))
-    return best_candidate("N1", per)
-
-
-def measure_n2(
-    trajectories: Sequence[StateTrajectory],
-    env_labels: Iterable[str],
-    system_labels: Iterable[str],
-    aprime_label: str = "Ap",
-    ancilla_labels: Iterable[str] = ("A",),
-    noise_tol: float = DEFAULT_NOISE_TOL,
-    aprime_drift_tol: float = 1e-8,
-) -> MeasureResult:
-    """Extension of the N1 measure conditioning on system + primed ancilla.
-
-    Requires dim(A') = dim(system) + 1 and an A' marginal constant along each
-    trajectory (the primed ancilla must evolve trivially).
-    """
-    env = frozenset(env_labels)
-    system = frozenset(system_labels)
-    anc = frozenset(ancilla_labels)
-    per = []
-    for traj in trajectories:
-        part = traj.partition
+    part = traj.partition
+    labels = set(part.labels)
+    for group in (env, system, anc):
+        if not group <= labels:
+            raise PartitionError(f"labels {sorted(group - labels)} missing from trajectory")
+    if aprime_label is not None:
         d_sys = int(np.prod([part.dim_of(l) for l in system], dtype=np.int64))
         d_ap = part.dim_of(aprime_label)
         if d_ap != d_sys + 1:
@@ -271,9 +246,13 @@ def measure_n2(
                 raise TrajectoryError(
                     f"A' marginal drifts by {drift:.3e} along the trajectory"
                 )
-        series = _cmi_series(traj, anc, env, system, frozenset({aprime_label}))
-        per.append(integrate(negative_decrement_integral, series, noise_tol))
-    return best_candidate("N2", per)
+        system = system | {aprime_label}
+    keep = anc | env | system
+    vals = []
+    for s in traj.states:
+        reduced = partial_trace(s, keep) if keep != set(s.labels) else s
+        vals.append(info.conditional_mutual_information(reduced, anc, env, system))
+    return ScalarSeries(traj.times, vals)
 
 
 # ---------------------------------------------------------------------------

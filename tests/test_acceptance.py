@@ -14,9 +14,11 @@ import pytest
 from nonmarkov import cli, dephasing, info, measures, oracle
 from nonmarkov.measures import (
     StateTrajectory,
+    cmi_series,
     measure_lfs,
     measure_n1,
     measure_n2,
+    mi_series,
     negative_decrement_integral,
     ops_state,
     positive_increment_integral,
@@ -209,18 +211,18 @@ def test_criterion_6_measures_layer():
     worst_lfs_n1 = 0.0
     for seed in range(5):
         traj = _closed_se_trajectory(seed)
-        n1 = measure_n1([traj], {"E"}, {"S"})
+        n1 = measure_n1([cmi_series(traj, {"E"}, {"S"})])
         lfs_traj = StateTrajectory(
             traj.times, tuple(partial_trace(s, {"A", "S"}) for s in traj.states)
         )
-        lfs = measure_lfs([lfs_traj])
+        lfs = measure_lfs([mi_series(lfs_traj)])
         worst_lfs_n1 = max(worst_lfs_n1, abs(n1.value - lfs.value))
 
     traj = _closed_se_trajectory(7)
     ap = basis_state(SystemPartition([("Ap", 3)]), [0])
     ext = StateTrajectory(traj.times, tuple(tensor(s, ap) for s in traj.states))
-    n1 = measure_n1([traj], {"E"}, {"S"})
-    n2 = measure_n2([ext], {"E"}, {"S"})
+    n1 = measure_n1([cmi_series(traj, {"E"}, {"S"})])
+    n2 = measure_n2([cmi_series(ext, {"E"}, {"S"}, aprime_label="Ap")])
     n2_dev = abs(n2.value - n1.value)
 
     t = np.arange(0.0, math.pi, 1e-3)

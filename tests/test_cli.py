@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from nonmarkov import cli, dephasing, oracle
+from nonmarkov import cli, dephasing, measures, oracle
+from nonmarkov.states import partial_trace
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -151,6 +152,27 @@ class TestMeasuresMode:
         assert cli.run(write_config(tmp_path, cfg)) == 0
         _, rows = read_csv(out)
         assert rows == [[name, "0", "0", "0"] for name in ("BLP", "tBLP", "LFS", "N1")]
+
+
+    def test_rows_are_the_dense_measures(self, tmp_path):
+        # LFS and N1 of a run equal measure_lfs / measure_n1 of the dense series:
+        # I(S : A) of the A S marginal, and I(A : E1 E2 | S) of the full state
+        out = str(tmp_path / "m.csv")
+        cfg = {"mode": "measures", "output_path": out,
+               "dephasing": {"omega_c": 0.5, "r": 0.2, "alpha1": 4.0, "alpha2": 4.0, "env_kind": "entangled"},
+               "discrete": {"n_modes": 1, "n_max": 4}, "grid": {"t_start": 0.0, "t_end": 5.0, "dt": 0.5}}
+        assert cli.run(write_config(tmp_path, cfg)) == 0
+        rows = {r[0]: float(r[1]) for r in read_csv(out)[1]}
+        model = dephasing.build_discrete_model(cli.parse_dephasing(cfg["dephasing"]), 1, 4)
+        dense = dephasing.DenseComputer(model, measures.ops_state())
+        times = cli.parse_grid(cfg["grid"])
+        traj = measures.StateTrajectory(times, tuple(dense.state_at(t) for t in times))
+        a_s = measures.StateTrajectory(times, tuple(partial_trace(s, {"A", "S1", "S2"}) for s in traj.states))
+        lfs = measures.measure_lfs([measures.mi_series(a_s)])
+        n1 = measures.measure_n1([measures.cmi_series(traj, {"E1m0", "E2m0"}, {"S1", "S2"})])
+        assert rows["LFS"] > 0.1 and rows["N1"] > 0.1  # revivals to compare
+        assert abs(rows["LFS"] - lfs.value) <= 1e-7
+        assert abs(rows["N1"] - n1.value) <= 1e-7
 
 
 class TestCheckMode:
@@ -362,15 +384,21 @@ class TestConfigValidation:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("where", ["directory", "missing_directory"])
-    def test_unwritable_output_is_one_line_exit_1(self, where, tmp_path, capsys):
+    def test_unwritable_output_is_one_line_exit_1(self, where, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()
         path = out if where == "directory" else out / "missing" / "x.csv"
-        assert cli.main(["run", write_config(tmp_path, {**PF_CFG, "output_path": str(path)})]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:") and str(path) in err, err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]  # no temporary file left
-        assert not any(out.iterdir())
+        # the output path is checked before the run: a check computes no identity sample
+        samples = []
+        monkeypatch.setattr(oracle, "identity_block", lambda *args: samples.append(args))
+        config = write_config(tmp_path, {**PF_CFG, "output_path": str(path)})
+        for argv in (["run", config], ["check", "--samples", "3", "--output", str(path)]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error:") and str(path) in err, err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]  # no temporary file left
+            assert not any(out.iterdir())
+        assert samples == []
 
     def test_top_level_error_says_invalid_config_once(self, tmp_path, capsys):
         cfg = {**CMI_CFG, "output_path": str(tmp_path / "x.csv"), "seed": -1}

@@ -295,6 +295,15 @@ class TestClosedFormPhaseFactors:
             if eps == (0.0, 0.0):  # closed windows give a log of exactly 0.0: every factor is exactly 1
                 assert all(np.all(grid[name][times <= p.t1s] == 1.0) for name in grid)
 
+    def test_closed_windows_stay_one_when_the_coupling_overflows(self):
+        # at r = 354.6, 4 cosh(2r) overflows to inf; a closed window (F = 0) must
+        # still give a log of exactly 0, not inf * 0 = nan (and no RuntimeWarning)
+        grid = phase_factor_grid(DephasingParams(omega_c=0.01, r=354.6), [0.0, 1.0])
+        mags = {name: np.abs(v) for name, v in grid.items()}
+        assert all(m[0] == 1.0 for m in mags.values())  # both windows closed
+        assert mags["k2"][1] == mags["k2t"][1] == 1.0  # window 2 closed, window 1 open
+        assert mags["k1"][1] == mags["k12"][1] == 0.0
+
     def test_exp1_matches_scipy(self):
         exp1 = pytest.importorskip("scipy.special").exp1
         b = np.concatenate(([0.0], np.linspace(0.01, 10.0, 1000), np.logspace(-6, 3, 400)))
@@ -517,6 +526,18 @@ class TestCmiTrajectory:
                         assert cmi == eb["cmi"]
                         assert max(abs(eb[k] - ed[k]) for k in ed) <= 1e-7
 
+    def test_mi_sa_comes_with_every_request(self):
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind="entangled"), n_modes=1, n_max=4)
+        comp = dephasing.BranchComputer(m, measures.ops_state())
+        ts = [0.0, 1.3, 3.7]
+        ref = [comp.entropies_at(t, "E1E2")["mi_sa"] for t in ts]
+        for parts in (("E2",), ("E1", "E1E2"), dephasing.ENV_PARTS):
+            tr = comp.trajectories(ts, env_parts=parts)
+            assert sorted(tr) == sorted((*parts, "mi_sa"))
+            assert_allclose(tr["mi_sa"].values, ref, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="env_parts"):
+            comp.trajectories(ts, env_parts=())
+
     def test_n1_identity_on_monotone_window(self):
         p = DephasingParams(
             omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
@@ -680,7 +701,7 @@ class TestBranchSolves:
             np.linalg, "eigvalsh", lambda a: solves.append((a.shape, a.dtype)) or real(a)
         )
         for t in np.linspace(0.5, 4.0, 5):
-            comp.trajectories([t], env_parts=("E1", "E2", "E1E2"), with_mi=False)
+            comp.trajectories([t], env_parts=("E1", "E2", "E1E2"))
             assert sorted(solves) == sorted(
                 [((225, 225), np.dtype(np.float64))] * 2
                 + [((k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
@@ -705,7 +726,7 @@ class TestBranchSolves:
         blocks = [((225, 2, 2), np.dtype(np.complex128))] * 4
         for t in np.linspace(0.5, 4.0, 5):
             for parts, bath in ((("E1E2",), []), (("E1", "E2", "E1E2"), blocks)):
-                comp.trajectories([t], env_parts=parts, with_mi=False)
+                comp.trajectories([t], env_parts=parts)
                 assert sorted(solves) == sorted(env_free + bath)
                 solves.clear()
 

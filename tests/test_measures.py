@@ -10,11 +10,13 @@ from nonmarkov.measures import (
     ScalarSeries,
     StateTrajectory,
     TrajectoryError,
+    cmi_series,
     flagged_ancilla_state,
     measure_distance_blp,
     measure_lfs,
     measure_n1,
     measure_n2,
+    mi_series,
     negative_decrement_integral,
     ops_state,
     optimal_pair_state,
@@ -180,13 +182,13 @@ def _swap_revival_trajectory(n=41):
 class TestMeasureLFS:
     def test_markovian_semigroup_gives_zero(self):
         traj = _composed_channel_trajectory(seed=3)
-        res = measure_lfs([traj])
+        res = measure_lfs([mi_series(traj)])
         assert res.value <= 1e-9
         assert res.measure_name == "LFS"
 
     def test_swap_revival_value(self):
         traj = _swap_revival_trajectory()
-        res = measure_lfs([traj])
+        res = measure_lfs([mi_series(traj)])
         mi = [info.mutual_information(s, {"S", "E"}, {"A"}) for s in traj.states]
         expected = mi[0] - min(mi)
         assert abs(res.value - expected) <= 1e-8
@@ -194,13 +196,13 @@ class TestMeasureLFS:
     def test_single_sample_trajectory(self):
         part = SystemPartition([("S", 2), ("A", 2)])
         traj = StateTrajectory([0.0], (random_density_matrix(part, 4, 0),))
-        assert measure_lfs([traj]).value == 0.0
+        assert measure_lfs([mi_series(traj)]).value == 0.0
 
     def test_missing_ancilla_label(self):
         part = SystemPartition([("S", 2), ("B", 2)])
         traj = StateTrajectory([0.0], (random_density_matrix(part, 4, 0),))
         with pytest.raises(PartitionError):
-            measure_lfs([traj])
+            measure_lfs([mi_series(traj)])
 
 
 def _partial_swap_cmi_trajectory(n=81):
@@ -234,12 +236,12 @@ class TestMeasureN1:
         states = tuple(
             tensor(random_density_matrix(part_as, 4, 7), basis_state(env, [0])) for _ in times
         )
-        res = measure_n1([StateTrajectory(times, states)], {"E"}, {"S"})
+        res = measure_n1([cmi_series(StateTrajectory(times, states), {"E"}, {"S"})])
         assert res.value == 0.0
 
     def test_partial_swap_apex(self):
         traj = _partial_swap_cmi_trajectory()
-        res = measure_n1([traj], {"E"}, {"S"})
+        res = measure_n1([cmi_series(traj, {"E"}, {"S"})])
         cmi = [
             info.conditional_mutual_information(s, {"A"}, {"E"}, {"S"}) for s in traj.states
         ]
@@ -250,11 +252,11 @@ class TestMeasureN1:
     def test_equals_lfs_when_total_correlation_constant(self):
         traj = _swap_revival_trajectory()
         # relabel to the (A | S | E) roles measure_n1 expects
-        n1 = measure_n1([traj], {"E"}, {"S"}, ancilla_labels=("A",))
+        n1 = measure_n1([cmi_series(traj, {"E"}, {"S"}, ancilla_labels=("A",))])
         lfs_traj = StateTrajectory(
             traj.times, tuple(partial_trace(s, {"S", "A"}) for s in traj.states)
         )
-        lfs = measure_lfs([lfs_traj])
+        lfs = measure_lfs([mi_series(lfs_traj)])
         assert abs(n1.value - lfs.value) <= 1e-8
 
     def test_idle_sub_environment_does_not_contribute(self):
@@ -263,8 +265,8 @@ class TestMeasureN1:
         base = _partial_swap_cmi_trajectory(n=41)
         idle = basis_state(SystemPartition([("F", 2)]), [0])
         ext = StateTrajectory(base.times, tuple(tensor(s, idle) for s in base.states))
-        n1_sub = measure_n1([ext], {"E"}, {"S"})
-        n1_full = measure_n1([ext], {"E", "F"}, {"S"})
+        n1_sub = measure_n1([cmi_series(ext, {"E"}, {"S"})])
+        n1_full = measure_n1([cmi_series(ext, {"E", "F"}, {"S"})])
         assert abs(n1_sub.value - n1_full.value) <= 1e-8
 
 
@@ -277,8 +279,8 @@ class TestMeasureN2:
     def test_product_aprime_reduces_to_n1(self):
         traj = _partial_swap_cmi_trajectory(n=21)
         ext = self._extended(traj)
-        n1 = measure_n1([traj], {"E"}, {"S"})
-        n2 = measure_n2([ext], {"E"}, {"S"}, aprime_label="Ap")
+        n1 = measure_n1([cmi_series(traj, {"E"}, {"S"})])
+        n2 = measure_n2([cmi_series(ext, {"E"}, {"S"}, aprime_label="Ap")])
         assert abs(n1.value - n2.value) <= 1e-9
         assert n2.measure_name == "N2"
 
@@ -289,12 +291,12 @@ class TestMeasureN2:
         base = tensor(tensor(bell, basis_state(SystemPartition([("Ap", 3)]), [0])),
                       basis_state(SystemPartition([("E", 2)]), [0]))
         traj = StateTrajectory(times, tuple(base for _ in times))
-        assert measure_n2([traj], {"E"}, {"S"}).value == 0.0
+        assert measure_n2([cmi_series(traj, {"E"}, {"S"}, aprime_label="Ap")]).value == 0.0
 
     def test_wrong_aprime_dimension(self):
         traj = self._extended(_partial_swap_cmi_trajectory(n=5), d_ap=4)
         with pytest.raises(PartitionError):
-            measure_n2([traj], {"E"}, {"S"})
+            measure_n2([cmi_series(traj, {"E"}, {"S"}, aprime_label="Ap")])
 
     def test_drifting_aprime_rejected(self):
         part = SystemPartition([("A", 2), ("S", 2), ("E", 2)])
@@ -306,13 +308,13 @@ class TestMeasureN2:
         states[-1] = drift
         bad = StateTrajectory(traj.times, tuple(states))
         with pytest.raises(TrajectoryError):
-            measure_n2([bad], {"E"}, {"S"})
+            measure_n2([cmi_series(bad, {"E"}, {"S"}, aprime_label="Ap")])
 
     def test_n2_at_least_n1_on_shared_candidates(self):
         trajs = [_partial_swap_cmi_trajectory(n=17)]
         exts = [self._extended(t) for t in trajs]
-        n1 = measure_n1(trajs, {"E"}, {"S"})
-        n2 = measure_n2(exts, {"E"}, {"S"})
+        n1 = measure_n1([cmi_series(t, {"E"}, {"S"}) for t in trajs])
+        n2 = measure_n2([cmi_series(t, {"E"}, {"S"}, aprime_label="Ap") for t in exts])
         assert n2.value >= n1.value - 1e-9
 
 
