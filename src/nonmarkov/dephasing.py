@@ -365,19 +365,29 @@ def _log_factor_grid(params: DephasingParams, times: np.ndarray) -> dict[str, np
     f1, f2, fa, fa1, fa2, fa12 = _decay_integral(params, np.stack([
         tau1, tau2, np.full_like(tau1, shift), shift + tau1, shift + tau2, shift + tau1 + tau2,
     ]))
+    # grouped so that the sum is exactly 0 while either window is still closed
+    x = (fa + fa12) - (fa1 + fa2)
     if params.env_kind == "classical":
         u = params.u_eff
         c = (1.0 + u * u) / (1.0 - u * u)
+        corr = 0.0
         cross = 0.0
     else:
         c = math.cosh(2 * params.r)
-        # grouped so that the sum is exactly 0 while either window is still closed
-        cross = _scaled(-4.0 * math.sinh(2 * params.r) * math.sqrt(params.alpha1 * params.alpha2),
-                        (fa + fa12) - (fa1 + fa2))
+        corr = math.tanh(2 * params.r) * math.sqrt(params.alpha1 * params.alpha2)
+        cross = _scaled(-4.0 * math.sinh(2 * params.r) * math.sqrt(params.alpha1 * params.alpha2), x)
     single1 = _scaled(-4.0 * c * params.alpha1, f1)
     single2 = _scaled(-4.0 * c * params.alpha2, f2)
     marg = single1 + single2
-    return {"single1": single1, "single2": single2, "same": marg + cross, "opp": marg - cross}
+    logs = {"single1": single1, "single2": single2}
+    for name, sign in (("same", 1.0), ("opp", -1.0)):
+        with np.errstate(invalid="ignore"):  # -inf + inf once 4 cosh(2r) overflows; regrouped below
+            lg = marg + sign * cross
+        bad = ~np.isfinite(lg)
+        # -4 cosh(2r) [alpha1 F1 + alpha2 F2 +- tanh(2r) sqrt(alpha1 alpha2) x], whose bracket is finite
+        lg[bad] = -4.0 * (c * (params.alpha1 * f1[bad] + params.alpha2 * f2[bad] + sign * corr * x[bad]))
+        logs[name] = lg
+    return logs
 
 
 def phase_factor_grid(params: DephasingParams, times: Sequence[float]) -> dict[str, np.ndarray]:
@@ -990,7 +1000,7 @@ class DenseComputer:
         nb = self.d_a * len(_BASIS)
         rho = np.zeros((nb * dim_env, nb * dim_env), dtype=complex)
         rho.reshape(nb, dim_env, nb, dim_env)[live[:, None], :, live, :] = out
-        state = DensityMatrix(rho, self.partition)
+        state = DensityMatrix(rho, self.partition, _owned=True)
         self._memo = (t, state)
         return state
 

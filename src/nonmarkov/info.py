@@ -19,7 +19,6 @@ from .states import (
     clamp_spectrum,
     embed,
     partial_trace,
-    spectrum_entropy,
 )
 
 SUPPORT_EIG_TOL = 1e-12   # sigma eigenvalues below this count as null space
@@ -28,8 +27,8 @@ NONNEG_CLAMP = 1e-9       # small negatives from cancellation clamped to 0
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum lambda ln lambda over the clamped spectrum, in nats."""
-    return spectrum_entropy(rho.spectrum)
+    """S(rho) = -sum lambda ln lambda over the clamped spectrum, in nats (computed once per state)."""
+    return rho.entropy
 
 
 def _check_same_partition(rho: DensityMatrix, sigma: DensityMatrix):
@@ -71,7 +70,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     w = np.clip(w, 0.0, None)
     if w[null].sum() > SUPPORT_WEIGHT_TOL:
         return math.inf
-    term_p = -spectrum_entropy(rho.spectrum)
+    term_p = -rho.entropy
     keep = ~null
     term_q = float((w[keep] * np.log(q[keep])).sum())
     val = term_p - term_q
@@ -88,7 +87,7 @@ def telescopic_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, a: flo
     _check_same_partition(rho, sigma)
     if not 0.0 < a < 1.0:
         raise ValueError(f"a must lie strictly inside (0, 1), got {a}")
-    mix = DensityMatrix(a * rho.data + (1.0 - a) * sigma.data, rho.partition)
+    mix = DensityMatrix(a * rho.data + (1.0 - a) * sigma.data, rho.partition, _owned=True)
     val = relative_entropy(rho, mix) / (-math.log(a))
     if val > 1.0 + NONNEG_CLAMP:
         raise StateValidityError(f"telescopic relative entropy {val} above 1")
@@ -210,4 +209,4 @@ def petz_recovery(
     if drift > 1e-9:
         raise StateValidityError(f"Petz output trace drifted by {drift:.3e}")
     out = out / out.trace().real
-    return DensityMatrix(out, part)
+    return DensityMatrix(out, part, _owned=True)

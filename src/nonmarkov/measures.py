@@ -271,7 +271,7 @@ def optimal_pair_state(
     p1 = np.zeros((2, 2), dtype=complex)
     p1[1, 1] = 1.0
     data = 0.5 * (np.kron(rho1.data, p0) + np.kron(rho2.data, p1))
-    return DensityMatrix(data, part)
+    return DensityMatrix(data, part, _owned=True)
 
 
 def tsio_trajectory(

@@ -131,7 +131,7 @@ def _u_on(part: SystemPartition, labels: set[str], seed: int) -> np.ndarray:
 
 
 def _conj(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(u @ rho.data @ u.conj().T, rho.partition)
+    return DensityMatrix(u @ rho.data @ u.conj().T, rho.partition, _owned=True)
 
 
 def _check_conservation(rng, negative: bool = False) -> float:
@@ -220,7 +220,7 @@ def _check_broadcast(rng) -> float:
         proj = np.zeros((de, de))
         proj[e, e] = 1.0
         data += np.kron(blk, proj)
-    rho = DensityMatrix(data, part)
+    rho = DensityMatrix(data, part, _owned=True)
     base = _cmi_sub(rho, {"E1"})
     # attach two fresh |0> sub-environments and copy E1's basis into them
     fresh = SystemPartition([("E2", de), ("E3", de)])
@@ -231,7 +231,7 @@ def _check_broadcast(rng) -> float:
             for k in range(de):
                 cnot[(e * de + ((j + e) % de)) * de + ((k + e) % de), (e * de + j) * de + k] = 1.0
     full = np.kron(np.eye(da * ds), cnot)
-    sigma = DensityMatrix(full @ sigma.data @ full.conj().T, sigma.partition)
+    sigma = DensityMatrix(full @ sigma.data @ full.conj().T, sigma.partition, _owned=True)
     worst = 0.0
     for env in ({"E1"}, {"E2"}, {"E3"}, {"E1", "E2", "E3"}):
         reduced = partial_trace(sigma, {"A", "S"} | env)

@@ -3,11 +3,14 @@
 Everything is a plain complex numpy matrix plus a :class:`SystemPartition`
 naming the tensor factors.  All objects are immutable after construction and
 validated against the usual density-matrix invariants (Hermitian, unit trace,
-positive semidefinite up to tolerance).
+positive semidefinite up to tolerance).  A state is validated on its support,
+the principal block of its nonzero rows and columns, and takes ownership of
+the fresh arrays the package's own producers hand it instead of copying them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -33,15 +36,34 @@ class ChannelError(ValueError):
     """A Kraus set is inconsistent or does not match its target."""
 
 
+@functools.lru_cache(maxsize=1024)
+def _layout(factors: tuple[tuple[str, int], ...]) -> tuple:
+    """Labels, dims, total dimension, label index and kept-set memo of a factor list.
+
+    Validated and built once per distinct factor list and shared by every
+    partition with those factors, so equal partitions share their kept sets.
+    """
+    if not factors:
+        raise PartitionError("partition needs at least one factor")
+    labels = tuple(lbl for lbl, _ in factors)
+    if len(set(labels)) != len(labels):
+        raise PartitionError(f"duplicate labels in partition: {list(labels)}")
+    for lbl, dim in factors:
+        if dim < 1:
+            raise PartitionError(f"factor {lbl!r} has nonpositive dimension {dim}")
+    dims = tuple(d for _, d in factors)
+    return labels, dims, math.prod(dims), {lbl: i for i, lbl in enumerate(labels)}, {}
+
+
 @dataclass(frozen=True)
 class SystemPartition:
     """Ordered list of named subsystems with dimensions.
 
     The factor order is authoritative: no operation ever reorders factors
     silently, so label-driven conditioning is unambiguous.  ``labels``,
-    ``dims`` and ``total_dim`` are computed once, and so is the bookkeeping
-    of each kept label set (``_kept``); equality and hash depend on
-    ``factors`` alone.
+    ``dims``, ``total_dim`` and the bookkeeping of each kept label set
+    (``_kept``) are computed once per distinct factor list and shared by all
+    equal partitions; equality and hash depend on ``factors`` alone.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -53,26 +75,14 @@ class SystemPartition:
 
     def __init__(self, factors: Iterable[tuple[str, int]]):
         factors = tuple((str(lbl), int(dim)) for lbl, dim in factors)
-        if not factors:
-            raise PartitionError("partition needs at least one factor")
-        labels = tuple(lbl for lbl, _ in factors)
-        if len(set(labels)) != len(labels):
-            raise PartitionError(f"duplicate labels in partition: {list(labels)}")
-        for lbl, dim in factors:
-            if dim < 1:
-                raise PartitionError(f"factor {lbl!r} has nonpositive dimension {dim}")
-        dims = tuple(d for _, d in factors)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "total_dim", math.prod(dims))
-        object.__setattr__(self, "_index", {lbl: i for i, lbl in enumerate(labels)})
-        object.__setattr__(self, "_memo", {})
+        for name, value in zip(("factors", "labels", "dims", "total_dim", "_index", "_memo"),
+                               (factors, *_layout(factors))):
+            object.__setattr__(self, name, value)
 
     def _kept(self, labels: frozenset) -> tuple[list[int], "SystemPartition", list[int], list[int]]:
         """Positions, sub-partition and ``partial_trace`` einsum subscripts (in, out) of ``labels``.
 
-        Computed once per label set and memoised; callers must not mutate them.
+        Computed once per factor list and label set and memoised; callers must not mutate them.
         """
         hit = self._memo.get(labels)
         if hit is None:
@@ -110,18 +120,25 @@ class SystemPartition:
 class DensityMatrix:
     """Hermitian PSD unit-trace matrix with a labeled factorization.
 
-    ``spectrum`` is the raw ascending ``eigvalsh`` spectrum computed during
-    validation (read-only, like ``data``, so it can never go stale).  A state
-    with zero rows is solved on its support only, the principal block of the
-    indices whose row or column is nonzero; its other eigenvalues are exact
-    zeros (see ``_spectrum``).  The marginals :func:`partial_trace` builds are
-    kept in ``_marginals`` of the root state they are traced from; each
-    marginal refers back to that root through the weak reference ``_root``
-    (``None`` on a root).
+    Validation runs on the support only: the principal block of the indices
+    whose row or column is nonzero.  Every nonzero entry lies in that block,
+    so each check (finite, Hermitian, unit trace, PSD) reads as on the whole
+    matrix, and the other eigenvalues are exact zeros.  ``spectrum`` is the
+    raw ascending ``eigvalsh`` spectrum computed during validation (read-only,
+    like ``data``, so it can never go stale).
+
+    ``data`` is copied, so the caller's array is never aliased or frozen.  The
+    package's own producers pass ``_owned=True`` with a fresh complex array
+    that nothing else refers to; the state then takes that array over (a
+    non-contiguous or non-complex one is still copied).  The marginals
+    :func:`partial_trace` builds are kept in ``_marginals`` of the root state
+    they are traced from; each marginal refers back to that root through the
+    weak reference ``_root`` (``None`` on a root).
     """
 
     data: np.ndarray
     partition: SystemPartition
+    _owned: bool = field(default=False, kw_only=True, repr=False)
     spectrum: np.ndarray = field(init=False, repr=False)
     _root: weakref.ref | None = field(default=None, init=False, repr=False)
     _marginals: dict[frozenset, DensityMatrix] = field(
@@ -129,25 +146,31 @@ class DensityMatrix:
     )
 
     def __post_init__(self):
-        m = np.array(self.data, dtype=np.complex128)
+        m = self.data
+        if not (self._owned and type(m) is np.ndarray and m.dtype == np.complex128 and m.flags.forc):
+            m = np.array(m, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateValidityError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] != self.partition.total_dim:
+        n = m.shape[0]
+        if n != self.partition.total_dim:
             raise StateValidityError(
-                f"matrix size {m.shape[0]} does not match partition dimension "
-                f"{self.partition.total_dim}"
+                f"matrix size {n} does not match partition dimension {self.partition.total_dim}"
             )
-        if not np.isfinite(m).all():
+        diag = m.diagonal()
+        live = None if diag.all() else _support(m)  # a nonzero diagonal makes every row live
+        block = m if live is None else m[np.ix_(live, live)]
+        if not np.isfinite(block).all():
             raise StateValidityError("matrix has non-finite entries")
         # every comparison is written so that NaN fails it
-        dev = m.conj().T  # the one full-size temporary: M - M^dag is written into it
-        herm = np.abs(np.subtract(m, dev, out=dev)).max() if m.size else 0.0
+        herm = np.abs(block - block.conj().T).max() if block.size else 0.0
         if not herm <= HERMITICITY_TOL:
             raise StateValidityError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
-        tr = m.trace()
+        tr = diag.sum()  # ``m.trace()``, the same reduction
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise StateValidityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        eigs = _spectrum(m)
+        eigs = np.linalg.eigvalsh(block)
+        if live is not None:  # the dead indices add exact zeros to the spectrum
+            eigs = np.sort(np.concatenate([np.zeros(n - live.size), eigs]))
         lo = float(eigs[0])
         if not lo >= -PSD_TOL:
             raise StateValidityError(f"negative eigenvalue {lo:.3e} beyond tolerance")
@@ -168,22 +191,24 @@ class DensityMatrix:
         """Ascending real spectrum with small negatives clamped to zero."""
         return clamp_spectrum(self.spectrum)
 
+    @functools.cached_property
+    def entropy(self) -> float:
+        """``spectrum_entropy(spectrum)``, computed once.
 
-def _spectrum(m: np.ndarray) -> np.ndarray:
-    """Ascending ``eigvalsh`` spectrum of Hermitian ``m``, solved on its support.
+        Validation has already rejected a spectrum below -PSD_TOL, so only the
+        positive eigenvalues are summed here.
+        """
+        return _positive_entropy(self.spectrum)
 
-    A row and column of ``m`` that are both zero span an exact eigenvector of
-    eigenvalue 0, so only the principal block on the live indices (row or
-    column nonzero) is solved; the rest of the spectrum is padded with exact
-    zeros.  With every row live this is ``eigvalsh(m)`` itself.
+
+def _support(m: np.ndarray) -> np.ndarray | None:
+    """Indices whose row or column of ``m`` is nonzero; ``None`` when that is every index.
+
+    A zero row and column span an exact eigenvector of eigenvalue 0 of a
+    Hermitian matrix, and hold no entry any other check reads.
     """
-    if not m.diagonal().all():  # else every row is live, through its diagonal entry
-        live = m.any(axis=1) | m.any(axis=0)
-        if not live.all():
-            idx = np.flatnonzero(live)
-            dead = np.zeros(m.shape[0] - idx.size)
-            return np.sort(np.concatenate([dead, np.linalg.eigvalsh(m[np.ix_(idx, idx)])]))
-    return np.linalg.eigvalsh(m)
+    live = m.any(axis=1) | m.any(axis=0)
+    return None if live.all() else np.flatnonzero(live)
 
 
 def _checked_spectrum(eigs: np.ndarray, tol: float) -> np.ndarray:
@@ -207,7 +232,11 @@ def spectrum_entropy(eigs: np.ndarray, tol: float = PSD_TOL) -> float:
     The clamped entries are zeros, which add nothing, so only the positive
     entries are summed.
     """
-    lam = _checked_spectrum(eigs, tol)
+    return _positive_entropy(_checked_spectrum(eigs, tol))
+
+
+def _positive_entropy(lam: np.ndarray) -> float:
+    """-sum p ln p over the positive entries of ``lam``."""
     pos = lam[lam > 0.0]
     return float(-(pos * np.log(pos)).sum())
 
@@ -255,7 +284,7 @@ def pure_state(vector: np.ndarray, partition: SystemPartition) -> DensityMatrix:
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-12:
         raise StateValidityError(f"vector norm {norm} is not 1 within 1e-12")
-    return DensityMatrix(np.outer(v, v.conj()), partition)
+    return DensityMatrix(np.outer(v, v.conj()), partition, _owned=True)
 
 
 def basis_state(partition: SystemPartition, occupation: Sequence[int]) -> DensityMatrix:
@@ -282,8 +311,13 @@ def maximally_mixed(partition: SystemPartition) -> DensityMatrix:
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product; the partition is the concatenation of factor lists."""
-    return DensityMatrix(np.kron(a.data, b.data), a.partition.concat(b.partition))
+    """Kronecker product; the partition is the concatenation of factor lists.
+
+    One broadcast product, the same elementwise products as ``np.kron``.
+    """
+    d = a.dim * b.dim
+    data = (a.data[:, None, :, None] * b.data[None, :, None, :]).reshape(d, d)
+    return DensityMatrix(data, a.partition.concat(b.partition), _owned=True)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -312,7 +346,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     part = root.partition
     _, sub, subscripts, out = part._kept(keep)
     red = np.einsum(root.data.reshape(part.dims * 2), subscripts, out)
-    marginal = DensityMatrix(red.reshape(sub.total_dim, sub.total_dim), sub)
+    marginal = DensityMatrix(red.reshape(sub.total_dim, sub.total_dim), sub, _owned=True)
     object.__setattr__(marginal, "_root", weakref.ref(root))
     return root._marginals.setdefault(keep, marginal)
 
@@ -363,7 +397,7 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel, target: str) -> Densit
         acc = term if acc is None else acc + term
     new_factors = list(part.factors)
     new_factors[pos] = (target, ch.out_dim)
-    return DensityMatrix(acc, SystemPartition(new_factors))
+    return DensityMatrix(acc, SystemPartition(new_factors), _owned=True)
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -390,7 +424,7 @@ def random_density_matrix(partition: SystemPartition, rank: int, seed: int) -> D
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real, partition)
+    return DensityMatrix(m / m.trace().real, partition, _owned=True)
 
 
 def random_pure_state(partition: SystemPartition, seed: int) -> DensityMatrix:

@@ -297,12 +297,16 @@ class TestClosedFormPhaseFactors:
 
     def test_closed_windows_stay_one_when_the_coupling_overflows(self):
         # at r = 354.6, 4 cosh(2r) overflows to inf; a closed window (F = 0) must
-        # still give a log of exactly 0, not inf * 0 = nan (and no RuntimeWarning)
-        grid = phase_factor_grid(DephasingParams(omega_c=0.01, r=354.6), [0.0, 1.0])
+        # still give a log of exactly 0, not inf * 0 = nan (and no RuntimeWarning),
+        # and once both windows are open the marginal (-inf) and the squeezing
+        # cross term (+-inf) must not meet as -inf + inf = nan either
+        grid = phase_factor_grid(DephasingParams(omega_c=0.01, r=354.6), [0.0, 1.0, 3.0, 4.0])
         mags = {name: np.abs(v) for name, v in grid.items()}
         assert all(m[0] == 1.0 for m in mags.values())  # both windows closed
         assert mags["k2"][1] == mags["k2t"][1] == 1.0  # window 2 closed, window 1 open
         assert mags["k1"][1] == mags["k12"][1] == 0.0
+        for name, m in mags.items():  # both windows open: every factor decays to 0
+            assert m[2] == m[3] == 0.0, name
 
     def test_exp1_matches_scipy(self):
         exp1 = pytest.importorskip("scipy.special").exp1

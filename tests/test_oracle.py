@@ -129,7 +129,8 @@ class TestDenseDephasingCheck:
     @pytest.mark.parametrize("kind", ["entangled", "classical"])
     def test_peak_memory_is_a_few_dense_states(self, kind):
         # the check model's dense states are 392 x 392: the cross-check holds one
-        # at a time, with its validation temporaries, and only the live blocks of rho0
+        # at a time, which it owns rather than copies and validates on its support,
+        # and only the live blocks of rho0
         model = dephasing.build_discrete_model(
             dephasing.DephasingParams(omega_c=0.25, r=0.5, env_kind=kind), n_modes=1, n_max=6
         )
@@ -141,7 +142,7 @@ class TestDenseDephasingCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 392**2 * 16
+        assert peak <= 3 * 392**2 * 16
 
 
 class TestExpm:

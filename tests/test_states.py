@@ -80,6 +80,13 @@ class TestSystemPartition:
         pos = p.positions({"A", "E"})
         pos.append(1)  # a caller's list, not the memo's
         assert p.positions(["E", "A"]) == [0, 2]
+        # an equal partition built separately shares the kept-set bookkeeping
+        q = SystemPartition((("A", 2), ("S", 3), ("E", 5)))
+        assert q is not p and q.restrict(["E", "A"]) is sub
+        qpos = q.positions(["A", "E"])
+        assert qpos == [0, 2] and qpos is not pos
+        qpos.append(1)
+        assert p.positions({"A", "E"}) == q.positions({"A", "E"}) == [0, 2]
 
     def test_unknown_label_messages(self):
         p = SystemPartition([("A", 2), ("S", 4)])
@@ -89,11 +96,25 @@ class TestSystemPartition:
             p.positions({"A", "R", "Q"})
 
 
+def _dead_row_state(**entries) -> np.ndarray:
+    """A 3x3 trace-one matrix whose row and column 0 are zero, plus ``entries`` (key "ij")."""
+    m = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    for key, val in entries.items():
+        m[int(key[1]), int(key[2])] = val
+    return m
+
+
 class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(StateValidityError):
             DensityMatrix(m, QUBIT)
+        # inside the support of a state with a dead row, validated on that support:
+        # the deviation reported is the whole matrix's max |M - M^dag|
+        m = _dead_row_state(m12=0.25, m21=0.25 + 1e-3j)
+        herm = np.abs(m - m.conj().T).max()
+        with pytest.raises(StateValidityError, match=rf"^not Hermitian: max \|M - M\^dag\| = {herm:.3e}$"):
+            DensityMatrix(m, SystemPartition([("S", 3)]))
 
     def test_bad_trace_rejected(self):
         with pytest.raises(StateValidityError):
@@ -109,10 +130,14 @@ class TestDensityMatrixValidation:
         np.array([[0.5, np.nan], [np.nan, 0.5]]),
         np.diag([np.inf, 0.5]),
         np.array([[0.5, np.inf], [np.inf, 0.5]]),
-    ], ids=["diag_nan", "offdiag_nan", "diag_inf", "offdiag_inf"])
+        _dead_row_state(m11=np.nan),
+        _dead_row_state(m12=np.inf, m21=np.inf),
+        _dead_row_state(m01=np.nan),
+    ], ids=["diag_nan", "offdiag_nan", "diag_inf", "offdiag_inf",
+            "dead_row_diag_nan", "dead_row_offdiag_inf", "zero_diagonal_row_nan"])
     def test_non_finite_rejected(self, m):
         with pytest.raises(StateValidityError, match="non-finite"):
-            DensityMatrix(m, QUBIT)
+            DensityMatrix(m, SystemPartition([("S", len(m))]))
 
     def test_clamp_rejects_nan(self):
         with pytest.raises(StateValidityError):
@@ -132,6 +157,19 @@ class TestDensityMatrixValidation:
         rho = maximally_mixed(QUBIT)
         with pytest.raises(ValueError):
             rho.data[0, 0] = 2.0
+        # a caller's array is copied: it stays writeable and is never aliased
+        for arr in (np.eye(2) / 2, np.eye(2, dtype=complex) / 2,
+                    np.asfortranarray(np.array([[0.5, 0.25j], [-0.25j, 0.5]])),
+                    _dead_row_state()[1:, 1:]):
+            before = arr.copy()
+            rho = DensityMatrix(arr, QUBIT)
+            assert not rho.data.flags.writeable
+            assert arr.flags.writeable and not np.shares_memory(arr, rho.data)
+            arr[0, 0] = 2.0
+            assert np.array_equal(rho.data, before)
+        # only a package producer hands over a fresh complex array for the state to own
+        fresh = np.eye(2, dtype=complex) / 2
+        assert DensityMatrix(fresh, QUBIT, _owned=True).data is fresh and not fresh.flags.writeable
 
 
 class TestValidatedSpectrum:
@@ -174,6 +212,7 @@ class TestValidatedSpectrum:
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or real(m))
         eigs = rho.eigenvalues()
+        assert rho.entropy == spectrum_entropy(rho.spectrum)  # computed once, from the spectrum
         assert calls == []
         assert eigs.min() >= 0.0
         assert_allclose(eigs, rho.spectrum, atol=1e-10)
@@ -200,6 +239,7 @@ class TestTensor:
         rho = random_density_matrix(SystemPartition([("S", 2)]), 2, seed=3)
         sig = random_density_matrix(SystemPartition([("A", 2)]), 2, seed=4)
         out = tensor(rho, sig)
+        assert np.array_equal(out.data, np.kron(rho.data, sig.data))  # bit for bit
         assert abs(out.data.trace() - 1.0) < 1e-12
         expected = np.sort(np.outer(rho.eigenvalues(), sig.eigenvalues()).ravel())
         assert_allclose(np.sort(out.eigenvalues()), expected, atol=1e-12)
