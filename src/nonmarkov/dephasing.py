@@ -24,9 +24,12 @@ a block on A.  Each entropy is that of a kept set K, a subset of ``LABELS`` =
 takes it from one of six rules over the s-blocks: a marginal of rho_AS(t) when K
 holds no bath, a constant when K holds S and both baths, the complement of K when
 the global state is pure, a solve in the real gauge D(sigma beta) = R O(sigma) R^dag
-(R diagonal, O real orthogonal) when K holds one bath and not S, Fock-index blocks
-for a classical state when K holds S and one bath, and otherwise the Gram matrix
-of one purified global state on [A, S, E1, E2] and two purifying registers.
+(R diagonal, O real orthogonal) when K holds one bath and not S (the two labels'
+kept baths are related by the joint parity (-1)^(sum_m n_m), so when both weigh the
+same the solve splits into its even and odd sectors; a bath not yet displaced needs
+none), Fock-index blocks for a classical state when K holds S and one bath, and
+otherwise the Gram matrix of one purified global state on [A, S, E1, E2] and two
+purifying registers.
 
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
 single-mode displacement response and carried by the spectral density (the
@@ -618,18 +621,24 @@ class _Snapshot:
         else:
             p = (u * u) ** np.arange(n)
             self.probs = p / p.sum()
-        # bath j, pair m: d[j][m][sigma] = D(sigma g_jm beta_j), o[j][m][sigma] = O_m(sigma), its real gauge
+        # bath j, pair m: d[j][m][sigma] = D(sigma g_jm beta_j), o[j][m] = O_m, the real gauge of
+        # sigma = +1 (O_m(-1) = O_m^T); classical, c[j][m][k, b, n] = (D(sigma_b)^dag D(sigma_k))_nn,
+        # bit 0 <-> sigma +1
         self.d: tuple[list[dict[int, np.ndarray]], ...] = ([], [])
-        self.o: tuple[list[dict[int, np.ndarray]], ...] = ([], [])
+        self.o: tuple[list[np.ndarray], ...] = ([], [])
+        self.c: tuple[list[np.ndarray], ...] = ([], [])
         self.psi: list[dict[tuple[int, int], np.ndarray]] = []
         self.omega = np.ones((4, 4), dtype=complex)
-        self._kept: dict[tuple[int, int], np.ndarray] = {}
+        self._kept: dict[int, np.ndarray] = {}
+        self.displaced = [False, False]  # bath j: some g_jm beta_j is nonzero, so O_m != 1
         windows = (model.params.window1, model.params.window2)
         for om, *gs in model.mode_pairs:
-            for d, o, g, window in zip(self.d, self.o, gs, windows):
-                dp, op = _displacement_gauge(n, g * beta(om, t, window))
-                d.append({+1: dp, -1: dp.conj().T})
-                o.append({+1: op, -1: op.T})
+            for j, (g, window) in enumerate(zip(gs, windows)):
+                alpha = g * beta(om, t, window)
+                self.displaced[j] |= alpha != 0
+                dp, op = _displacement_gauge(n, alpha)
+                self.d[j].append({+1: dp, -1: dp.conj().T})
+                self.o[j].append(op)
             d1, d2 = (d[-1] for d in self.d)
             if model.env_kind == "entangled":
                 psi = {(s1, s2): d1[s1] @ (self.tmsv[:, None] * d2[s2].T) for s1, s2 in _SIGMAS}
@@ -637,9 +646,10 @@ class _Snapshot:
                 vecs = np.stack([psi[s].ravel() for s in _SIGMAS])
                 self.omega *= vecs @ vecs.conj().T
             else:
-                # c_j[k, b, n] = (D(sigma_b)^dag D(sigma_k))_nn, bit 0 <-> sigma +1
                 c1, c2 = (np.einsum("bin,kin->kbn", ds.conj(), ds)
                           for ds in (np.stack([d1[+1], d1[-1]]), np.stack([d2[+1], d2[-1]])))
+                self.c[0].append(c1)
+                self.c[1].append(c2)
                 self.omega *= np.einsum("n,acn,bdn->abcd", self.probs, c1, c2).reshape(4, 4)
 
     def local_spectrum(self) -> np.ndarray:
@@ -652,21 +662,36 @@ class _Snapshot:
     def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], j: int) -> np.ndarray:
         """Diagonal of a classical one-bath block once its kept displacement is conjugated away.
 
-        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath j.
+        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath j, read from ``c``.
         """
-        d = self.d[j][m]
-        return self.probs * np.diag(d[bra[j]].conj().T @ d[ket[j]])
+        return self.probs * self.c[j][m][(1 - ket[j]) // 2, (1 - bra[j]) // 2]
 
-    def kept_state(self, j: int, sig: int) -> np.ndarray:
-        """(x)_m O_m(sig) rho_m O_m(sig)^T on bath j, rho_m = diag(``local_spectrum``).
+    def kept_state(self, j: int) -> np.ndarray:
+        """K = (x)_m O_m rho_m O_m^T on bath j, rho_m = diag(``local_spectrum``), built on first use.
 
-        The kept block of a term whose ket and bra share sig, with R conjugated
-        away; built on first use.
+        The kept block of a term whose label on bath j is +1, with R conjugated
+        away.  Each O_m is odd under the parity (-1)^n, (-1)^n O_m (-1)^n = O_m^T,
+        so the block of label -1 is Pi K Pi with Pi the joint parity
+        (-1)^(sum_m n_m): K with its entries between the two parity sectors negated.
         """
-        if (j, sig) not in self._kept:
+        if j not in self._kept:
             lam = self.local_spectrum()
-            self._kept[j, sig] = reduce(np.kron, [(o[sig] * lam) @ o[sig].T for o in self.o[j]])
-        return self._kept[j, sig]
+            self._kept[j] = reduce(np.kron, [(o * lam) @ o.T for o in self.o[j]])
+        return self._kept[j]
+
+
+@lru_cache(maxsize=None)
+def _parity_sectors(n_dim: int, pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint parity (-1)^(sum_m n_m) of each index of ``pairs`` Fock spaces, and the
+    indices of its even and odd sectors.
+
+    Computed once per (Fock dimension, pairs); the arrays are read-only.
+    """
+    signs = reduce(np.kron, [1.0 - 2.0 * (np.arange(n_dim) % 2)] * pairs)
+    out = signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _marginal(rho: np.ndarray, kept: frozenset) -> np.ndarray:
@@ -715,8 +740,8 @@ class BranchComputer:
         self.rho0 = initial.data
         self.pure = float(initial.eigenvalues()[-1]) >= 1.0 - 1e-10
         # by kept set: rho0 and its entropy on {S} and {A, S}, and on one bath (and A or
-        # not) the blocks M_sigma = sum_{s: sigma_bath(s) = sigma} tr_{traced A} X_ss with,
-        # when M_+ M_- = 0, their spectra
+        # not) the case of ``_one_bath``, the spectrum of M_+ + M_- and the blocks
+        # M_sigma = sum_{s: sigma_bath(s) = sigma} tr_{traced A} X_ss
         self._kept0 = {k: _marginal(self.rho0, k) for k in (frozenset({"S"}), frozenset({"A", "S"}))}
         self._s0 = {k: spectrum_entropy(np.linalg.eigvalsh(x), tol=1e-9) for k, x in self._kept0.items()}
         self._baths = {}
@@ -724,8 +749,9 @@ class BranchComputer:
             for k, x in self._kept0.items():
                 ms = [sum(x[s::4, s::4] for s in range(4) if _SIGMAS[s][j] == sig) for sig in (1, -1)]
                 ms = [m if np.any(m.imag) else m.real for m in ms]
-                direct = not np.any(ms[0] @ ms[1])
-                self._baths[k - {"S"} | {bath}] = ms, [np.linalg.eigvalsh(m) for m in ms] if direct else None
+                rule = ("direct" if not np.any(ms[0] @ ms[1])
+                        else "sectors" if np.array_equal(ms[0], ms[1]) else "assembled")
+                self._baths[k - {"S"} | {bath}] = rule, np.linalg.eigvalsh(ms[0] + ms[1]), ms
         self._memo: tuple[_Snapshot, dict[frozenset, float]] | None = None
         self._psi_memo: tuple[_Snapshot, np.ndarray] | None = None
 
@@ -766,23 +792,34 @@ class BranchComputer:
         return spectrum_entropy(spectrum, tol=1e-9)
 
     def _one_bath(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
-        """Spectrum of sum_sigma M_sigma (x) K(sigma), K = ``snap.kept_state``: one bath kept, S traced.
+        """Spectrum of sum_sigma M_sigma (x) K(sigma): one bath kept, S traced.
 
         With S traced only s = s' survives, and the kept bath of branch s is
         D(sigma beta) rho_th D(sigma beta)^dag, sigma its label on that bath;
-        D = R O(sigma) R^dag with R common to every term, so R is dropped.
-        When M_+ M_- = 0 the sum is direct and K(sigma) has the spectrum lam^(x)P.
+        D = R O(sigma) R^dag with R common to every term, so R is dropped, and
+        K(+) = ``snap.kept_state``, K(-) = Pi K(+) Pi with Pi the joint parity.
+        When M_+ M_- = 0 the sum is direct, and when the bath is not displaced
+        K(+) = K(-) = rho_th^(x)P: either way the spectrum is that of M_+ + M_-
+        times lam^(x)P.  When M_+ = M_- = M it is (M_+ + M_-) (x) (K_ee (+) K_oo),
+        the blocks of K(+) on the even and odd parity sectors: two solves of
+        half the side.  Otherwise the operator is assembled.  The budget bounds
+        the operator's side d_M n^P whenever M_+ M_- != 0.
         """
-        ms, spectra = self._baths[kept]
-        if spectra is not None:
-            lam = reduce(np.kron, [snap.local_spectrum()] * self.model.n_pairs)
-            return np.concatenate([np.kron(e, lam) for e in spectra])
-        ne = self.model.fock_dim ** self.model.n_pairs
-        dim = self._within_budget(ms[0].shape[0] * ne, "assembled operator")
-        mat = np.zeros((dim, dim), dtype=np.result_type(*ms))
+        rule, e, ms = self._baths[kept]
         j = BATHS.index(*(kept - {"A"}))
-        for sig, m in zip((1, -1), ms):
-            mat += np.kron(m, snap.kept_state(j, sig))
+        n, pairs = self.model.fock_dim, self.model.n_pairs
+        if rule != "direct":
+            dim = self._within_budget(len(e) * n ** pairs, "assembled operator")
+        if rule == "direct" or not snap.displaced[j]:
+            return np.outer(e, reduce(np.kron, [snap.local_spectrum()] * pairs)).ravel()
+        k = snap.kept_state(j)
+        signs, even, odd = _parity_sectors(n, pairs)
+        if rule == "sectors":
+            halves = [np.linalg.eigvalsh(k[np.ix_(idx, idx)]) for idx in (even, odd)]
+            return np.outer(e, np.concatenate(halves)).ravel()
+        mat = np.zeros((dim, dim), dtype=np.result_type(*ms))
+        for m, k_sig in zip(ms, (k, k * np.outer(signs, signs))):
+            mat += np.kron(m, k_sig)
         return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
     def _fock_blocks(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:

@@ -585,12 +585,16 @@ class TestStructuredBranchEntropies:
         # name is kept from the assembled operator it replaced)
         p = DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind)
         m = build_discrete_model(p, n_modes=n_modes, n_max=n_max)
+        rules = set()
         for state in self._states():
             comp = dephasing.BranchComputer(m, state)
+            rules.update(rule for rule, *_ in comp._baths.values())
             for t in (1.3, 3.7):
                 snap = dephasing._Snapshot(m, t)
                 for kept in KEEP_SETS:
                     assert abs(comp._entropy(snap, kept) - self._purified_entropy(comp, snap, kept)) <= 1e-12
+        # every one-bath kept set without S is in KEEP_SETS: each case of rule (d) was checked
+        assert rules == {"direct", "sectors", "assembled"}
 
     @pytest.mark.parametrize("env_kind", ENV_KINDS)
     def test_purified_state_matches_dense(self, env_kind):
@@ -650,6 +654,9 @@ class TestRealGauge:
         assert np.array_equal(d, dephasing._displacement(n_dim, beta_))
         for sigma, o_sigma in ((1, o), (-1, o.T)):
             self._check(o_sigma, beta_, sigma)
+        # b^dag - b is odd under Pi = (-1)^n, so Pi O Pi = O(-1) = O^T
+        pi = 1.0 - 2.0 * (np.arange(n_dim) % 2)
+        assert np.abs(pi[:, None] * o * pi - o.T).max() <= 1e-15
         if beta_ == 0.0:
             assert np.array_equal(o, np.eye(n_dim))
 
@@ -661,11 +668,18 @@ class TestRealGauge:
             for k, (om, g1, g2) in enumerate(m.mode_pairs):
                 for d, o, b in ((snap.d[0][k], snap.o[0][k], g1 * beta(om, t, p.window1)),
                                 (snap.d[1][k], snap.o[1][k], g2 * beta(om, t, p.window2))):
-                    assert np.array_equal(o[-1], o[+1].T)
-                    for sigma in (1, -1):
-                        self._check(o[sigma], b, sigma)
+                    for sigma, o_sigma in ((1, o), (-1, o.T)):
+                        self._check(o_sigma, b, sigma)
                         d_ref = dephasing._displacement(m.fock_dim, sigma * b)
                         assert np.abs(d[sigma] - d_ref).max() <= 1e-14
+            # the kept block of label -1, built from O_m(-1) = O_m^T, is K(+) with
+            # its entries between the joint-parity sectors negated
+            lam = snap.local_spectrum()
+            signs, even, odd = dephasing._parity_sectors(m.fock_dim, m.n_pairs)
+            assert (even.size, odd.size) == (113, 112)
+            for j in (0, 1):
+                k_minus = functools.reduce(np.kron, [(o.T * lam) @ o for o in snap.o[j]])
+                assert np.abs(snap.kept_state(j) * np.outer(signs, signs) - k_minus).max() <= 1e-15
 
 
 class TestSnapshotOverlaps:
@@ -690,11 +704,14 @@ class TestSnapshotOverlaps:
 
 
 class TestBranchSolves:
-    def test_one_real_kept_bath_solve_per_env_part_and_three_env_free(self, monkeypatch):
+    def test_two_parity_sector_solves_per_kept_bath_and_three_env_free(self, monkeypatch):
         # entangled ops_state cmi run at 2 pairs, n_max 14: per time point, the
         # S_ASE of E1 and E2 are the only kept-bath solves (the blocks M_+ and M_-
-        # of S_SE are orthogonal, so its spectrum needs none), and S_AS, S_S, S_A
-        # are solved once for all three env parts
+        # of S_SE are orthogonal, so its spectrum needs none); their M_+ = M_- =
+        # 1/2, so each is one real solve per joint-parity sector of the 225-dim
+        # bath (113 even, 112 odd), and eig(M_+ + M_-) is solved once, before the
+        # run. Until t2s = 2.5 bath 2 is not displaced, and keeping it needs no
+        # solve. S_AS, S_S, S_A are solved once for all three env parts
         p = DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
                             t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2, env_kind="entangled")
         m = build_discrete_model(p, n_modes=2, n_max=14)
@@ -706,11 +723,32 @@ class TestBranchSolves:
         )
         for t in np.linspace(0.5, 4.0, 5):
             comp.trajectories([t], env_parts=("E1", "E2", "E1E2"))
+            displaced = 2 if t > p.t2s else 1
             assert sorted(solves) == sorted(
-                [((225, 225), np.dtype(np.float64))] * 2
+                [((113, 113), np.dtype(np.float64))] * displaced
+                + [((112, 112), np.dtype(np.float64))] * displaced
                 + [((k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
             )
             solves.clear()
+
+    @pytest.mark.parametrize("candidate,rule,sides", [
+        ("ops_state", "sectors", [112, 113]),  # M_+ = M_- = 1/2
+        ("flagged", "assembled", [225]),  # M_+ = 0.4096, M_- = 0.5904
+    ], ids=["ops_state", "flagged"])
+    def test_kept_bath_rule_follows_the_blocks(self, monkeypatch, candidate, rule, sides):
+        # S_ASE of E1 at 2 pairs, n_max 14 keeps E2 alone (rule (c)), with A traced
+        p = DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
+                            t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2, env_kind="entangled")
+        m = build_discrete_model(p, n_modes=2, n_max=14)
+        state = (measures.ops_state() if candidate == "ops_state" else measures.flagged_ancilla_state(
+            [0.6, 0.48, 0.64], [1, 1, 2], SystemPartition([("S1", 2), ("S2", 2)])))
+        comp = dephasing.BranchComputer(m, state)
+        assert comp._baths[frozenset({"E2"})][0] == rule
+        solves = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape[0]) or real(a))
+        comp._entropy(dephasing._Snapshot(m, 3.7), frozenset({"A", "S", "E1"}))
+        assert sorted(solves) == sides
 
     def test_classical_e1e2_makes_no_bath_solve(self, monkeypatch):
         # classical ops_state run at 2 pairs, n_max 14: E1E2 keeps S and both
