@@ -46,7 +46,6 @@ from .measures import (
 from .dephasing import (
     DephasingParams,
     DiscreteDephasingModel,
-    PhaseFactors,
     QuadratureConfig,
     beta,
     build_discrete_model,

@@ -246,25 +246,25 @@ def _candidates(cfg: dict) -> tuple[list, list]:
 def _run_phase_factors(cfg: dict) -> str:
     params = parse_dephasing(_require(cfg, "dephasing", dict))
     times = parse_grid(_require(cfg, "grid", dict))
-    grid = dephasing.phase_factor_grid(params, times)
-    names = ("k1", "k2", "k1t", "k2t", "k12", "lam12")
-    mags = np.abs(np.stack([grid[k] for k in names], axis=1)).tolist()
-    lines = ["t,|k1|,|k2|,|k1t|,|k2t|,|k12|,|lam12|,env_kind"]
+    grid = dephasing.phase_factor_grid(params, times)  # one column per factor, in the mapping's order
+    mags = np.abs(np.stack(list(grid.values()), axis=1)).tolist()
+    lines = [",".join(["t", *(f"|{name}|" for name in grid), "env_kind"])]
     for t, row in zip(times, mags):
         lines.append(",".join([_fmt(t)] + [_fmt(m) for m in row] + [params.env_kind]))
     return "\n".join(lines) + "\n"
 
 
 def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
+    """The discrete model of a config; a spectral window the Gauss rule cannot take is a config error."""
     params = parse_dephasing(_require(cfg, "dephasing", dict))
     types = {k: _int_at_least(1, k) for k in ("n_modes", "n_max")}
     disc = _fields(_require(cfg, "discrete", dict), types, "discrete")
-    return dephasing.build_discrete_model(params, _require(disc, "n_modes"), _require(disc, "n_max"))
-
-
-def _branch_computer(model, cand, cfg: dict) -> dephasing.BranchComputer:
-    budget = {"budget": cfg["budget"]} if "budget" in cfg else {}
-    return dephasing.BranchComputer(model, cand, **budget)
+    try:
+        return dephasing.build_discrete_model(params, _require(disc, "n_modes"), _require(disc, "n_max"))
+    except TruncationError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(exc) from exc
 
 
 def _run_cmi(cfg: dict) -> str:
@@ -273,7 +273,7 @@ def _run_cmi(cfg: dict) -> str:
     as_cands, pair_cands = _candidates(cfg)
     if len(as_cands) != 1 or pair_cands:
         raise ConfigError("cmi mode needs exactly one system-ancilla candidate and no tsio candidate")
-    comp = _branch_computer(model, as_cands[0], cfg)
+    comp = dephasing.BranchComputer(model, as_cands[0], cfg.get("budget", dephasing.DEFAULT_BUDGET))
     series = comp.trajectories(times, env_parts=("E1", "E2", "E1E2"))
     lines = ["t,I_A_E1_S,I_A_E2_S,I_A_E1E2_S,env_kind"]
     for i, t in enumerate(times):
@@ -304,9 +304,10 @@ def _run_measures(cfg: dict) -> str:
     # information measures over discrete-model candidates
     if as_cands:
         model = _build_model(cfg)
+        budget = cfg.get("budget", dephasing.DEFAULT_BUDGET)
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             all_series = list(pool.map(
-                lambda cand: _branch_computer(model, cand, cfg).trajectories(times, env_parts=("E1E2",)),
+                lambda c: dephasing.BranchComputer(model, c, budget).trajectories(times, env_parts=("E1E2",)),
                 as_cands))
         results.append(measures.measure_lfs([s["mi_sa"] for s in all_series]))
         results.append(measures.measure_n1([s["E1E2"] for s in all_series]))

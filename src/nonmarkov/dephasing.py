@@ -56,6 +56,7 @@ BATHS = ("E1", "E2")  # bath j of the model is BATHS[j]
 LABELS = frozenset({"A", "S", *BATHS})  # every kept set is a subset of these
 _PSI_AXES = {"A": 1, "S": 2, "E1": 3, "E2": 4}  # their axes in the purified state on [Q, A, S, E1, E2, R]
 RANK_CUTOFF = 1e-14  # eigenvalues of rho0 at or below this are left out of its purification
+DEFAULT_BUDGET = 4096  # the default side bound of ``BudgetError``
 _MAX_COSH_ARG = math.acosh(np.finfo(float).max)  # math.cosh overflows above this
 
 class TruncationError(ValueError):
@@ -65,9 +66,11 @@ class TruncationError(ValueError):
 class BudgetError(RuntimeError):
     """A solve or the dense state exceeds the configured dimension budget.
 
-    The budget bounds the operator of rule (d), the Gram matrix of rule (f)
-    and the dense state; rule (f)'s purified state may hold at most budget^2
-    amplitudes, as many as the largest operator the budget admits.
+    The budget bounds the Fock dimension, the operator of rule (d), the Gram
+    matrix of rule (f) and the dense state; every other array of the branch
+    path that grows with the pair count (rule (d)'s spectrum without a solve,
+    rule (e)'s Fock blocks, rule (f)'s purified state) may hold at most
+    budget^2 entries, as many as the largest operator the budget admits.
     """
 
 
@@ -134,22 +137,6 @@ class DephasingParams:
     @property
     def window2(self) -> tuple[float, float]:
         return (self.t2s, self.t2f)
-
-
-@dataclass(frozen=True)
-class PhaseFactors:
-    """The six coherence factors of the 4x4 system state at one time."""
-
-    k1: complex
-    k2: complex
-    k1t: complex
-    k2t: complex
-    k12: complex
-    lam12: complex
-
-    def magnitudes(self) -> dict[str, float]:
-        return {name: abs(getattr(self, name)) for name in
-                ("k1", "k2", "k1t", "k2t", "k12", "lam12")}
 
 
 # ---------------------------------------------------------------------------
@@ -393,38 +380,26 @@ def _log_factor_grid(params: DephasingParams, times: np.ndarray) -> dict[str, np
     return logs
 
 
-def phase_factor_grid(params: DephasingParams, times: Sequence[float]) -> dict[str, np.ndarray]:
-    """Complex k1, k2, k1t, k2t, k12, lam12 sampled on a time grid."""
-    mats = coherence_factor_matrices(params, times)
-    return {name: mats[:, i, j] for name, (i, j) in _FACTOR_INDEX.items()}
+# the sigma_z eigenvalues (sigma1, sigma2) of each system label |s1 s2>, index 2 s1 + s2
+_SIGMAS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
-
-def phase_factors(params: DephasingParams, t: float) -> PhaseFactors:
-    """The six coherence factors at one time (all equal 1 for t <= t1s)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    grid = phase_factor_grid(params, [t])
-    return PhaseFactors(**{k: complex(v[0]) for k, v in grid.items()})
-
-
-_BASIS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # |s1 s2>, index 2*s1 + s2
-
-# (row, column) of each named factor in the 4x4 coherence matrix
+# (row, column) of each named factor in the 4x4 coherence matrix, in CSV column order
 _FACTOR_INDEX = {
     "k1": (2, 0), "k2": (1, 0), "k1t": (3, 1), "k2t": (3, 2), "k12": (3, 0), "lam12": (2, 1),
 }
 
 
-def _sigma(bit: int) -> int:
-    return 1 - 2 * bit
+def phase_factor_grid(params: DephasingParams, times: Sequence[float]) -> dict[str, np.ndarray]:
+    """The six coherence factors by name, in ``_FACTOR_INDEX`` order, each a complex array over the times."""
+    mats = coherence_factor_matrices(params, times)
+    return {name: mats[:, i, j] for name, (i, j) in _FACTOR_INDEX.items()}
 
 
-def _multipliers(i: int, j: int) -> tuple[int, int]:
-    (n, m), (r_, s_) = _BASIS[i], _BASIS[j]
-    return _sigma(n) - _sigma(r_), _sigma(m) - _sigma(s_)
-
-
-_SIGMAS = [(_sigma(s1), _sigma(s2)) for s1, s2 in _BASIS]  # sigma_z eigenvalues of each |s1 s2>
+def phase_factors(params: DephasingParams, t: float) -> dict[str, complex]:
+    """The six coherence factors by name at one time (all equal 1 for t <= t1s)."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return {name: complex(v[0]) for name, v in phase_factor_grid(params, [t]).items()}
 
 
 def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -> np.ndarray:
@@ -432,9 +407,9 @@ def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -
     t = np.asarray(times, dtype=float).reshape(-1)
     logs = _log_factor_grid(params, t)
     out = np.ones((t.size, 4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            m1, m2 = _multipliers(i, j)
+    for i, (a1, a2) in enumerate(_SIGMAS):
+        for j, (b1, b2) in enumerate(_SIGMAS):
+            m1, m2 = a1 - b1, a2 - b2
             if m1 == 0 and m2 == 0:  # i == j
                 continue
             if m2 == 0:
@@ -448,10 +423,6 @@ def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -
             phase = -(m1 * params.eps1 + m2 * params.eps2)
             out[:, i, j] = np.exp(lg + 1j * phase * t)
     return out
-
-
-def coherence_factor_matrix(params: DephasingParams, t: float) -> np.ndarray:
-    return coherence_factor_matrices(params, [t])[0]
 
 
 def system_state(params: DephasingParams, amplitudes, t: float) -> DensityMatrix:
@@ -473,15 +444,20 @@ def system_trajectory(params: DephasingParams, rho0: DensityMatrix, times: Seque
 
 @dataclass(frozen=True)
 class DiscreteDephasingModel:
-    """Finite mode-pair realization of the two-bath model on truncated Fock space."""
+    """Finite mode-pair realization of the two-bath model on truncated Fock space; it stores only
+    its inputs, and derives the pair state from ``params`` once."""
 
     mode_pairs: tuple[tuple[float, float, float], ...]  # (omega, g1, g2)
     n_max: int
-    env_kind: str
-    r: float
-    u: float
     params: DephasingParams
-    captured_trace: float
+
+    @property
+    def env_kind(self) -> str:
+        return self.params.env_kind
+
+    @property
+    def u(self) -> float:
+        return self.params.u_eff
 
     @property
     def n_pairs(self) -> int:
@@ -491,14 +467,36 @@ class DiscreteDephasingModel:
     def fock_dim(self) -> int:
         return self.n_max + 1
 
+    @property
+    def captured_trace(self) -> float:
+        return (1.0 - self.u ** (2 * self.fock_dim)) ** self.n_pairs
+
+    @cached_property
+    def pair_weights(self) -> np.ndarray:
+        """One pair's state on its |k k>, read-only: the squeezed vacuum's Schmidt amplitudes
+        ~ u^k, or the classical Fock weights ~ u^(2k)."""
+        if self.env_kind == "entangled":
+            v = self.u ** np.arange(self.fock_dim)
+            return _read_only(v / np.linalg.norm(v))
+        p = (self.u * self.u) ** np.arange(self.fock_dim)
+        return _read_only(p / p.sum())
+
+    @cached_property
+    def local_spectrum(self) -> np.ndarray:
+        """The thermal weights of one mode, read-only: the spectrum of one displaced bath mode, and of
+        a classical pair."""
+        return self.pair_weights if self.env_kind == "classical" else _read_only(self.pair_weights ** 2)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
 
 @lru_cache(maxsize=None)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``leggauss(n)``, computed once per n; the arrays are read-only."""
-    rule = np.polynomial.legendre.leggauss(n)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
+    return tuple(map(_read_only, np.polynomial.legendre.leggauss(n)))
 
 
 def spectral_gauss_rule(omega_c: float, cutoff_mult: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,9 +510,13 @@ def spectral_gauss_rule(omega_c: float, cutoff_mult: float, n_modes: int) -> tup
     """
     hi = cutoff_mult * omega_c
     x0, w0 = _legendre_rule(200)
-    x = 0.5 * hi * (x0 + 1.0)
-    w = 0.5 * hi * w0 * x * np.exp(-x / omega_c)
-    m0 = w.sum()
+    with np.errstate(all="ignore"):  # an out-of-range window is refused below
+        x = 0.5 * hi * (x0 + 1.0)
+        w = 0.5 * hi * w0 * x * np.exp(-x / omega_c)
+        m0 = w.sum()
+    if not 0.0 < m0 < math.inf:
+        raise ValueError(f"the spectral weight on (0, cutoff_mult * omega_c] = (0, {hi:g}] "
+                         f"has mass {m0:g}; it must be positive and finite")
     alpha = np.empty(n_modes)
     sqrt_beta = np.empty(max(n_modes - 1, 0))
     p_prev = np.zeros_like(x)
@@ -545,23 +547,13 @@ def build_discrete_model(params: DephasingParams, n_modes: int, n_max: int) -> D
         (float(om), math.sqrt(params.alpha1 * wt), math.sqrt(params.alpha2 * wt))
         for om, wt in zip(nodes, weights)
     )
-    u = params.u_eff
-    per_pair = 1.0 - u ** (2 * (n_max + 1))
-    captured = per_pair ** n_modes
-    if captured < 0.999:
+    model = DiscreteDephasingModel(mode_pairs=pairs, n_max=n_max, params=params)
+    if model.captured_trace < 0.999:
         raise TruncationError(
-            f"truncated environment captures {captured:.6f} < 0.999 of the trace; "
-            f"increase n_max (correlation parameter u = {u:.4f})"
+            f"truncated environment captures {model.captured_trace:.6f} < 0.999 of the trace; "
+            f"increase n_max (correlation parameter u = {model.u:.4f})"
         )
-    return DiscreteDephasingModel(
-        mode_pairs=pairs,
-        n_max=n_max,
-        env_kind=params.env_kind,
-        r=params.r,
-        u=u,
-        params=params,
-        captured_trace=captured,
-    )
+    return model
 
 
 def _ladder(n_dim: int) -> np.ndarray:
@@ -577,10 +569,7 @@ def _quadrature_modes(n_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b = _ladder(n_dim)
     x, v = np.linalg.eigh(b + b.T)
     phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_dim) % 4]
-    p = np.outer(phases, phases.conj())
-    for arr in (x, v, p):
-        arr.setflags(write=False)
-    return x, v, p
+    return tuple(map(_read_only, (x, v, np.outer(phases, phases.conj()))))
 
 
 def _displacement_gauge(n_dim: int, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -614,13 +603,6 @@ class _Snapshot:
     def __init__(self, model: DiscreteDephasingModel, t: float):
         self.model = model
         n = model.fock_dim
-        u = model.u
-        if model.env_kind == "entangled":
-            v = u ** np.arange(n)
-            self.tmsv = v / np.linalg.norm(v)
-        else:
-            p = (u * u) ** np.arange(n)
-            self.probs = p / p.sum()
         # bath j, pair m: d[j][m][sigma] = D(sigma g_jm beta_j), o[j][m] = O_m, the real gauge of
         # sigma = +1 (O_m(-1) = O_m^T); classical, c[j][m][k, b, n] = (D(sigma_b)^dag D(sigma_k))_nn,
         # bit 0 <-> sigma +1
@@ -641,7 +623,7 @@ class _Snapshot:
                 self.o[j].append(op)
             d1, d2 = (d[-1] for d in self.d)
             if model.env_kind == "entangled":
-                psi = {(s1, s2): d1[s1] @ (self.tmsv[:, None] * d2[s2].T) for s1, s2 in _SIGMAS}
+                psi = {(s1, s2): d1[s1] @ (model.pair_weights[:, None] * d2[s2].T) for s1, s2 in _SIGMAS}
                 self.psi.append(psi)
                 vecs = np.stack([psi[s].ravel() for s in _SIGMAS])
                 self.omega *= vecs @ vecs.conj().T
@@ -650,24 +632,17 @@ class _Snapshot:
                           for ds in (np.stack([d1[+1], d1[-1]]), np.stack([d2[+1], d2[-1]])))
                 self.c[0].append(c1)
                 self.c[1].append(c2)
-                self.omega *= np.einsum("n,acn,bdn->abcd", self.probs, c1, c2).reshape(4, 4)
-
-    def local_spectrum(self) -> np.ndarray:
-        """Per-pair thermal weights: the spectrum of one displaced bath, and of a classical pair.
-
-        Classical: the pair-state weights; entangled: the Schmidt weights of the squeezed vacuum.
-        """
-        return self.probs if self.model.env_kind == "classical" else self.tmsv ** 2
+                self.omega *= np.einsum("n,acn,bdn->abcd", model.pair_weights, c1, c2).reshape(4, 4)
 
     def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], j: int) -> np.ndarray:
         """Diagonal of a classical one-bath block once its kept displacement is conjugated away.
 
         That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath j, read from ``c``.
         """
-        return self.probs * self.c[j][m][(1 - ket[j]) // 2, (1 - bra[j]) // 2]
+        return self.model.pair_weights * self.c[j][m][(1 - ket[j]) // 2, (1 - bra[j]) // 2]
 
     def kept_state(self, j: int) -> np.ndarray:
-        """K = (x)_m O_m rho_m O_m^T on bath j, rho_m = diag(``local_spectrum``), built on first use.
+        """K = (x)_m O_m rho_m O_m^T on bath j, rho_m = diag(``model.local_spectrum``), built on first use.
 
         The kept block of a term whose label on bath j is +1, with R conjugated
         away.  Each O_m is odd under the parity (-1)^n, (-1)^n O_m (-1)^n = O_m^T,
@@ -675,7 +650,7 @@ class _Snapshot:
         (-1)^(sum_m n_m): K with its entries between the two parity sectors negated.
         """
         if j not in self._kept:
-            lam = self.local_spectrum()
+            lam = self.model.local_spectrum
             self._kept[j] = reduce(np.kron, [(o * lam) @ o.T for o in self.o[j]])
         return self._kept[j]
 
@@ -688,10 +663,7 @@ def _parity_sectors(n_dim: int, pairs: int) -> tuple[np.ndarray, np.ndarray, np.
     Computed once per (Fock dimension, pairs); the arrays are read-only.
     """
     signs = reduce(np.kron, [1.0 - 2.0 * (np.arange(n_dim) % 2)] * pairs)
-    out = signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return tuple(map(_read_only, (signs, np.flatnonzero(signs > 0), np.flatnonzero(signs < 0))))
 
 
 def _marginal(rho: np.ndarray, kept: frozenset) -> np.ndarray:
@@ -732,10 +704,11 @@ class BranchComputer:
     a block on A; rho0 may be mixed.
     """
 
-    def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = 4096):
+    def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = DEFAULT_BUDGET):
         _check_initial(initial)
         self.model = model
         self.budget = budget
+        self._within_budget(model.fock_dim, "Fock")
         self.partition = initial.partition
         self.rho0 = initial.data
         self.pure = float(initial.eigenvalues()[-1]) >= 1.0 - 1e-10
@@ -761,6 +734,11 @@ class BranchComputer:
             raise BudgetError(f"{what} dimension {dim} exceeds budget {self.budget}")
         return dim
 
+    def _entries_within_budget(self, size: int, what: str, unit: str = "entries"):
+        """Refuse to build an array of ``size`` entries above budget^2."""
+        if size > self.budget ** 2:
+            raise BudgetError(f"{what} of {size} {unit} exceeds budget^2 = {self.budget ** 2}")
+
     def _entropy(self, snap: _Snapshot, kept: frozenset) -> float:
         """Entropy of the reduced state on ``kept``, a subset of {A, S, E1, E2}.
 
@@ -779,7 +757,7 @@ class BranchComputer:
             return self._env_free(snap)[kept]
         entangled = self.model.env_kind == "entangled"
         if n_baths == 2 and "S" in kept:
-            s_env = 0.0 if entangled else self.model.n_pairs * spectrum_entropy(snap.local_spectrum())
+            s_env = 0.0 if entangled else self.model.n_pairs * spectrum_entropy(self.model.local_spectrum)
             return self._s0[kept & {"A", "S"}] + s_env
         if entangled and self.pure and "S" in kept:
             kept = LABELS - kept
@@ -803,7 +781,8 @@ class BranchComputer:
         times lam^(x)P.  When M_+ = M_- = M it is (M_+ + M_-) (x) (K_ee (+) K_oo),
         the blocks of K(+) on the even and odd parity sectors: two solves of
         half the side.  Otherwise the operator is assembled.  The budget bounds
-        the operator's side d_M n^P whenever M_+ M_- != 0.
+        the operator's side d_M n^P whenever M_+ M_- != 0, and budget^2 the
+        entries of a spectrum taken without a solve.
         """
         rule, e, ms = self._baths[kept]
         j = BATHS.index(*(kept - {"A"}))
@@ -811,7 +790,8 @@ class BranchComputer:
         if rule != "direct":
             dim = self._within_budget(len(e) * n ** pairs, "assembled operator")
         if rule == "direct" or not snap.displaced[j]:
-            return np.outer(e, reduce(np.kron, [snap.local_spectrum()] * pairs)).ravel()
+            self._entries_within_budget(len(e) * n ** pairs, "kept-bath spectrum")
+            return np.outer(e, reduce(np.kron, [self.model.local_spectrum] * pairs)).ravel()
         k = snap.kept_state(j)
         signs, even, odd = _parity_sectors(n, pairs)
         if rule == "sectors":
@@ -833,6 +813,7 @@ class BranchComputer:
         x = self._kept0[kept & {"A", "S"}]
         traced = BATHS.index(*(LABELS - kept - {"A"}))
         rows = np.flatnonzero(np.any(x, axis=1))
+        self._entries_within_budget(rows.size ** 2 * self.model.fock_dim ** self.model.n_pairs, "Fock blocks")
         labels, idx = np.unique(rows % 4, return_inverse=True)
         w = np.array([[reduce(np.kron, [snap.fock_weights(m, _SIGMAS[i], _SIGMAS[j], traced)
                                         for m in range(self.model.n_pairs)])
@@ -862,7 +843,7 @@ class BranchComputer:
                 env = np.ones((1, 1, 1))
                 for m in range(self.model.n_pairs):
                     pair = (snap.psi[m][s1, s2][:, :, None] if self.model.env_kind == "entangled"
-                            else d1[m][s1][:, None] * d2[m][s2] * np.sqrt(snap.probs))
+                            else d1[m][s1][:, None] * d2[m][s2] * np.sqrt(self.model.pair_weights))
                     env = np.einsum("abc,ijk->aibjck", env, pair).reshape(np.multiply(env.shape, pair.shape))
                 envs.append(env)
             self._psi_memo = (snap, np.einsum("qas,sxyz->qasxyz", self._kets, np.stack(envs)))
@@ -880,8 +861,7 @@ class BranchComputer:
         dims = (*self._kets.shape, ne, ne, 1 if self.model.env_kind == "entangled" else ne)
         dim_k, size = math.prod(dims[i] for i in axes), math.prod(dims)
         side = self._within_budget(min(dim_k, size // dim_k), "Gram matrix")
-        if size > self.budget ** 2:
-            raise BudgetError(f"purified state of {size} amplitudes exceeds budget^2 = {self.budget ** 2}")
+        self._entries_within_budget(size, "purified state", "amplitudes")
         rest = [i for i in range(len(dims)) if i not in axes]
         summed = rest if side == dim_k else axes  # contract the side that is not solved
         psi = self._purified(snap)
@@ -944,22 +924,22 @@ def cmi_trajectory(
     initial: DensityMatrix,
     times: Sequence[float],
     env_part: str,
-    budget: int = 4096,
+    budget: int = DEFAULT_BUDGET,
 ) -> ScalarSeries:
     """I(A : env_part | S1 S2)(t) along the discrete-model evolution, pure or mixed initial state."""
     comp = BranchComputer(model, initial, budget=budget)
     return comp.trajectories(times, env_parts=(env_part,))[env_part]
 
 
-def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> PhaseFactors:
-    """The six coherence factors of the truncated discrete model.
+def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> dict[str, complex]:
+    """The six coherence factors by name, in ``_FACTOR_INDEX`` order, of the truncated discrete model.
 
     Computed from per-pair displaced-environment overlaps in the interaction
     picture (free eps phases excluded); converges to the continuum
     (closed-form) factors at eps = 0 as the mode count grows.
     """
     omega = _Snapshot(model, t).omega
-    return PhaseFactors(**{name: complex(omega[i, j]) for name, (i, j) in _FACTOR_INDEX.items()})
+    return {name: complex(omega[i, j]) for name, (i, j) in _FACTOR_INDEX.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +951,7 @@ class DenseComputer:
 
     The independent cross-check for the branch path."""
 
-    def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = 4096):
+    def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = DEFAULT_BUDGET):
         _check_initial(initial)
         self.model = model
         n = model.fock_dim
@@ -983,17 +963,10 @@ class DenseComputer:
         dim = self.partition.total_dim
         if dim > budget:
             raise BudgetError(f"dense dimension {dim} exceeds budget {budget}")
-        u = model.u
         ii = np.arange(n) * (n + 1)  # |k k> in one pair's n*n space
-        if model.env_kind == "entangled":
-            v = u ** np.arange(n)
-            vec = np.zeros(n * n, dtype=complex)
-            vec[ii] = v / np.linalg.norm(v)
-            pair_state = np.outer(vec, vec.conj())
-        else:
-            p = (u * u) ** np.arange(n)
-            pair_state = np.zeros((n * n, n * n), dtype=complex)
-            pair_state[ii, ii] = p / p.sum()
+        w = model.pair_weights
+        pair_state = np.zeros((n * n, n * n), dtype=complex)
+        pair_state[np.ix_(ii, ii)] = np.outer(w, w) if model.env_kind == "entangled" else np.diag(w)
         env = reduce(np.kron, [pair_state] * model.n_pairs)
         self.d_a = initial.partition.dims[0]
         # block (k, l) of rho0 = kron(initial, env) is initial[k, l] * env; only the live
@@ -1021,7 +994,7 @@ class DenseComputer:
         dim_env = (n * n) ** model.n_pairs
         live = self._live
         u_s = {}
-        for s_idx in np.unique(live % len(_BASIS)):
+        for s_idx in np.unique(live % len(_SIGMAS)):
             s1, s2 = _SIGMAS[s_idx]
             ops = []
             for om, g1, g2 in model.mode_pairs:
@@ -1030,11 +1003,11 @@ class DenseComputer:
                 ops.append(np.kron(d1, d2))
             u_s[s_idx] = reduce(np.kron, ops)
         # row block k = (a, s) evolves with U_s
-        u_k = np.stack([u_s[k % len(_BASIS)] for k in live])
+        u_k = np.stack([u_s[k % len(_SIGMAS)] for k in live])
         out = u_k[:, None] @ self._blocks @ u_k.conj().transpose(0, 2, 1)[None, :]
         # 0.5 (rho + rho^dag) block by block: block (k, l) pairs with block (l, k)^dag
         out = 0.5 * (out + out.conj().transpose(1, 0, 3, 2))
-        nb = self.d_a * len(_BASIS)
+        nb = self.d_a * len(_SIGMAS)
         rho = np.zeros((nb * dim_env, nb * dim_env), dtype=complex)
         rho.reshape(nb, dim_env, nb, dim_env)[live[:, None], :, live, :] = out
         state = DensityMatrix(rho, self.partition, _owned=True)

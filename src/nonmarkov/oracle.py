@@ -54,7 +54,7 @@ class CheckResult:
         return {
             "name": self.name,
             "samples": int(self.samples),
-            "max_violation": float(self.max_violation),
+            "max_violation": None if math.isnan(self.max_violation) else float(self.max_violation),
             "tolerance": float(self.tolerance),
             "passed": self.passed,
         }
@@ -445,7 +445,7 @@ def dense_dephasing_check(
     model: dephasing.DiscreteDephasingModel,
     initial: DensityMatrix,
     times: Sequence[float],
-    budget: int = 4096,
+    budget: int = dephasing.DEFAULT_BUDGET,
 ) -> SuiteReport:
     """Compare ``BranchComputer`` entropies/CMI against dense full-space evolution.
 
@@ -481,7 +481,7 @@ def dense_dephasing_check(
     for ti in t:
         dm = dense_probe.system_state(ti).data
         bm = branch_probe.system_state(ti).data
-        cont = dephasing.coherence_factor_matrix(model.params, ti)
+        cont = dephasing.coherence_factor_matrices(model.params, [ti])[0]
         path_dev = max(path_dev, float(np.max(np.abs(dm - bm))))
         for i in range(4):
             for j in range(4):
@@ -490,7 +490,7 @@ def dense_dephasing_check(
                 quad_dev = max(quad_dev, abs(dm[i, j] / rho0[i, j] - cont[i, j]))
         if model.env_kind == "classical":
             pf = dephasing.discrete_phase_factors(model, ti)
-            mod_dev = max(mod_dev, abs(abs(pf.k12) - abs(pf.lam12)))
+            mod_dev = max(mod_dev, abs(abs(pf["k12"]) - abs(pf["lam12"])))
             mod_dev = max(mod_dev, abs(abs(bm[2, 1]) - abs(dm[2, 1])))
     checks = [
         CheckResult("branch_vs_dense_cmi", t.size, worst_cmi, DENSE_TOL),

@@ -103,6 +103,32 @@ class TestCmiMode:
             assert not os.path.exists(out)
 
 
+    @pytest.mark.parametrize("case,message", [
+        ("entangled", "kept-bath spectrum of 2199023255552 entries exceeds budget^2 = 16777216"),
+        ("classical", "Fock blocks of 4398046511104 entries exceeds budget^2 = 16777216"),
+        ("n_max", "Fock dimension 100001 exceeds budget 4096"),
+    ])
+    def test_budget_bounds_every_branch_array(self, case, message, tmp_path):
+        # 40 pairs at n_max 1 make 2^40-entry arrays without a solve, and n_max 1e5 a
+        # 1e5-dim Fock space; each is refused before it is built. Run under a 3 GB
+        # address-space limit, so that an unbounded allocation fails fast instead
+        resource = pytest.importorskip("resource")
+        out = tmp_path / "cmi.csv"
+        kind = "classical" if case == "classical" else "entangled"
+        cfg = {**CMI_CFG, "output_path": str(out),
+               "dephasing": {**CMI_CFG["dephasing"], "r": 0.02, "env_kind": kind},
+               "discrete": {"n_modes": 1, "n_max": 100000} if case == "n_max" else {"n_modes": 40, "n_max": 1}}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        limit = 3 * 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonmarkov.cli", "run", write_config(tmp_path, cfg)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: numerical convergence failure: {message}\n"
+        assert not out.exists()
+
+
 class TestMeasuresMode:
     def test_schema_and_revival_free_case(self, tmp_path):
         out = str(tmp_path / "m.csv")
@@ -276,6 +302,7 @@ class TestConfigValidation:
         "no_command", "candidates_object", "candidate_number", "number_as_string", "number_as_bool",
         "object_as_pairs", "object_as_number", "string_as_number", "u_as_string", "array_as_string",
         "classical_r_tanh_one", "classical_r_tanh_one_measures", "entangled_r_cosh_overflow",
+        "gauss_window_underflow", "gauss_window_overflow",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -347,12 +374,17 @@ class TestConfigValidation:
             "classical_r_tanh_one_measures": {**CMI_CFG, "mode": "measures", "dephasing": {
                 **CMI_CFG["dephasing"], "r": 19.5, "env_kind": "classical"}},
             "entangled_r_cosh_overflow": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "r": 400.0}},
+            # a spectral window whose Gauss-rule weight has no positive, finite mass
+            "gauss_window_underflow": {**CMI_CFG, "dephasing": {
+                **CMI_CFG["dephasing"], "quad": {"cutoff_mult": 1e-300}}},
+            "gauss_window_overflow": {**CMI_CFG, "dephasing": {**CMI_CFG["dephasing"], "omega_c": 1e300}},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
             "object_as_number": "dephasing", "string_as_number": "env_kind", "u_as_string": "u must",
             "array_as_string": "system_indices", "classical_r_tanh_one": "r = 19.5",
             "classical_r_tanh_one_measures": "r = 19.5", "entangled_r_cosh_overflow": "r = 400",
+            "gauss_window_underflow": "mass 0;", "gauss_window_overflow": "mass inf;",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nonmarkov import dephasing, info, measures
+from nonmarkov import cli, dephasing, info, measures
 from nonmarkov.dephasing import (
     ENV_KINDS,
     DephasingParams,
@@ -19,7 +20,6 @@ from nonmarkov.dephasing import (
     build_discrete_model,
     classical_char_factor,
     cmi_trajectory,
-    coherence_factor_matrix,
     discrete_phase_factors,
     displaced_fock_overlap,
     entangled_char_factor,
@@ -156,16 +156,16 @@ class TestDisplacedFockOverlap:
 class TestPhaseFactors:
     def test_all_one_at_start(self):
         pf = phase_factors(DephasingParams(**PAPER, env_kind="entangled"), 0.0)
-        for name, mag in pf.magnitudes().items():
-            assert_allclose(mag, 1.0, atol=1e-12)
+        for name, val in pf.items():
+            assert_allclose(abs(val), 1.0, atol=1e-12)
 
     def test_all_one_before_delayed_window(self):
         p = DephasingParams(
             omega_c=0.1, r=1.0, env_kind="classical", t1s=1.0, t1f=2.0, t2s=2.0, t2f=3.0
         )
         for t in (0.0, 0.5, 1.0):
-            for mag in phase_factors(p, t).magnitudes().values():
-                assert_allclose(mag, 1.0, atol=1e-12)
+            for val in phase_factors(p, t).values():
+                assert_allclose(abs(val), 1.0, atol=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -173,8 +173,8 @@ class TestPhaseFactors:
 
     def test_tilde_factors_equal_plain(self):
         pf = phase_factors(DephasingParams(**PAPER, env_kind="entangled"), 3.3)
-        assert pf.k1 == pf.k1t
-        assert pf.k2 == pf.k2t
+        assert pf["k1"] == pf["k1t"]
+        assert pf["k2"] == pf["k2t"]
 
     def test_cases_agree_before_second_window(self):
         ts = np.linspace(0.0, 2.5, 26)
@@ -222,7 +222,7 @@ class TestPhaseFactors:
         p = DephasingParams(**PAPER, env_kind="entangled")
         for t in (1.0, 2.5):
             expected = math.exp(-2 * math.cosh(6.0) * math.log(1 + (0.01 * t) ** 2))
-            assert_allclose(abs(phase_factors(p, t).k1), expected, atol=1e-9)
+            assert_allclose(abs(phase_factors(p, t)["k1"]), expected, atol=1e-9)
 
 
 # composite Gauss-Legendre panels in units of omega_c, for the quadrature oracle
@@ -327,7 +327,7 @@ class TestSystemState:
         a = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
         for t in (1.0, 3.0, 5.0):
             rho = system_state(p, a, t)
-            lam = phase_factors(p, t).lam12
+            lam = phase_factors(p, t)["lam12"]
             assert_allclose(abs(rho.data[1, 2]), 0.5 * abs(lam), atol=1e-10)
         # every named factor multiplies its own coherence |s1 s2><s1' s2'|,
         # phases included, for both environments
@@ -341,7 +341,7 @@ class TestSystemState:
                 rho = system_state(p, a, t).data
                 pf = phase_factors(p, t)
                 for name, (i, j) in index.items():
-                    want = a[i] * np.conj(a[j]) * getattr(pf, name)
+                    want = a[i] * np.conj(a[j]) * pf[name]
                     assert_allclose(rho[i, j], want, rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_classical_coherences_non_increasing_at_reduced_r(self):
@@ -421,6 +421,14 @@ class TestSpectralGaussRule:
             assert_allclose(nodes, ref_nodes, rtol=2e-13, atol=0)
             assert_allclose(weights, ref_weights, rtol=2e-13, atol=0)
 
+    @pytest.mark.parametrize("omega_c,cutoff_mult,mass", [(0.05, 1e-300, "mass 0;"), (1e300, 60.0, "mass inf;")])
+    def test_out_of_range_window_is_refused_without_warnings(self, omega_c, cutoff_mult, mass):
+        # a weight that underflows to 0 or overflows to inf has no Gauss rule
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=mass):
+                spectral_gauss_rule(omega_c, cutoff_mult, 2)
+
 
 class TestNumpyOnlyPath:
     def test_matches_expm_and_is_unitary(self):
@@ -478,6 +486,51 @@ class TestBuildDiscreteModel:
         with pytest.raises(ValueError, match="u applies only"):
             DephasingParams(**DESK, env_kind="entangled", u=0.3)
         assert DephasingParams(**DESK, env_kind="classical", u=0.3).u_eff == 0.3
+
+
+class TestPairState:
+    """The model holds the pair state once: the paper's two preparations share their marginals."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.4, 0.8, 1.5])
+    def test_same_local_spectrum_for_both_preparations(self, r):
+        ent, cla = (build_discrete_model(DephasingParams(**{**DESK, "r": r}, env_kind=kind), 1, 40)
+                    for kind in ENV_KINDS)
+        assert np.abs(ent.local_spectrum - cla.local_spectrum).max() <= 1e-15
+        for m in (ent, cla):
+            assert abs(m.local_spectrum.sum() - 1.0) <= 1e-15
+        assert cla.local_spectrum is cla.pair_weights
+        assert_allclose(ent.pair_weights ** 2, cla.pair_weights, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_pair_state_is_computed_once_and_read_only(self, env_kind):
+        m = build_discrete_model(DephasingParams(**DESK, env_kind=env_kind), 2, 14)
+        for name in ("pair_weights", "local_spectrum"):
+            arr = getattr(m, name)
+            assert getattr(m, name) is arr
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+
+
+class TestFactorOrder:
+    """The six factors are one name -> value mapping, in the CSV's column order."""
+
+    COLUMNS = ["k1", "k2", "k1t", "k2t", "k12", "lam12"]
+
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_every_producer_shares_the_csv_order(self, env_kind, tmp_path):
+        p = DephasingParams(**DESK, env_kind=env_kind)
+        m = build_discrete_model(p, n_modes=1, n_max=12)
+        grid = phase_factor_grid(p, [0.0, 3.0])
+        one = phase_factors(p, 3.0)
+        assert list(grid) == list(one) == list(discrete_phase_factors(m, 3.0)) == self.COLUMNS
+        assert one == {name: complex(v[1]) for name, v in grid.items()}
+        out = tmp_path / "pf.csv"
+        cfg = {"mode": "phase_factors", "output_path": str(out), "grid": {"t_start": 0.0, "t_end": 3.0, "dt": 3.0},
+               "dephasing": {**DESK, "env_kind": env_kind}}
+        assert cli.execute(cfg) == 0
+        header, _, row = out.read_text().splitlines()
+        assert header.split(",")[1:-1] == [f"|{name}|" for name in self.COLUMNS]
+        assert [float(x) for x in row.split(",")[1:-1]] == [abs(v) for v in one.values()]
 
 
 class TestCmiTrajectory:
@@ -674,7 +727,7 @@ class TestRealGauge:
                         assert np.abs(d[sigma] - d_ref).max() <= 1e-14
             # the kept block of label -1, built from O_m(-1) = O_m^T, is K(+) with
             # its entries between the joint-parity sectors negated
-            lam = snap.local_spectrum()
+            lam = m.local_spectrum
             signs, even, odd = dephasing._parity_sectors(m.fock_dim, m.n_pairs)
             assert (even.size, odd.size) == (113, 112)
             for j in (0, 1):
@@ -699,7 +752,7 @@ class TestSnapshotOverlaps:
                     else:
                         c1 = np.diag(snap.d[0][k][bra[0]].conj().T @ snap.d[0][k][ket[0]])
                         c2 = np.diag(snap.d[1][k][bra[1]].conj().T @ snap.d[1][k][ket[1]])
-                        ref[i, j] *= (snap.probs * c1 * c2).sum()
+                        ref[i, j] *= (m.pair_weights * c1 * c2).sum()
             assert np.abs(snap.omega - ref).max() <= 1e-14
 
 
@@ -912,8 +965,8 @@ class TestDiscretePhaseFactors:
         for t in (1.0, 3.0):
             pf = discrete_phase_factors(m, t)
             rho = comp.system_state(t).data
-            assert_allclose(rho[2, 0] / 0.25, pf.k1, atol=1e-12)
-            assert_allclose(rho[2, 1] / 0.25, pf.lam12, atol=1e-12)
+            assert_allclose(rho[2, 0] / 0.25, pf["k1"], atol=1e-12)
+            assert_allclose(rho[2, 1] / 0.25, pf["lam12"], atol=1e-12)
 
     def test_converges_to_quadrature_with_mode_count(self):
         p = DephasingParams(**DESK, env_kind="classical")
@@ -925,7 +978,7 @@ class TestDiscretePhaseFactors:
                 pf_d = discrete_phase_factors(m, t)
                 pf_c = phase_factors(p, t)
                 for key in ("k1", "k2", "k12", "lam12"):
-                    worst = max(worst, abs(abs(getattr(pf_d, key)) - abs(getattr(pf_c, key))))
+                    worst = max(worst, abs(abs(pf_d[key]) - abs(pf_c[key])))
             devs.append(worst)
         assert devs[0] > devs[1] > devs[2]
 
@@ -939,7 +992,7 @@ class TestDiscretePhaseFactors:
                 pf_d = discrete_phase_factors(m, t)
                 pf_c = phase_factors(p, t)
                 for key in ("k1", "k12", "lam12"):
-                    worst = max(worst, abs(abs(getattr(pf_d, key)) - abs(getattr(pf_c, key))))
+                    worst = max(worst, abs(abs(pf_d[key]) - abs(pf_c[key])))
             devs.append(worst)
         assert devs[0] > devs[1] > devs[2]
 

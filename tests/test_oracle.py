@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -69,6 +70,17 @@ class TestIdentitySuite:
         report = oracle.identity_report(4, [tuple(row) for row in rows])
         assert not report.all_passed
         assert [c.name for c in report.checks if not c.passed] == [name]
+
+    def test_a_nan_row_serializes_as_null(self):
+        # a NaN max_violation is written as JSON null, never as the bare token NaN
+        rows = [list(row) for row in oracle.identity_block(4, 0, 3)]
+        rows[1][2] = math.nan
+        text = json.dumps(oracle.identity_report(4, [tuple(row) for row in rows]).to_dict())
+        assert "NaN" not in text
+        by_name = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert by_name["c_chain_rule"]["max_violation"] is None
+        assert by_name["c_chain_rule"]["passed"] is False
+        assert by_name["petz_dsq_half_norm_recorded"]["tolerance"] == math.inf
 
     def test_negative_control_fails_without_rotation(self, monkeypatch):
         monkeypatch.setattr(oracle, "_u_on", lambda part, labels, seed: np.eye(part.total_dim))
