@@ -323,7 +323,10 @@ def _decay_integral(params: DephasingParams, a: np.ndarray) -> np.ndarray:
     f[near] = _decay_series(k, b[near])
     far = b[~near]
     e1 = _exp1(k * (1.0 - 1j * np.append(0.0, far))).real
-    f[~near] = 0.5 * np.log1p(far * far) + e1[1:] - e1[0]
+    with np.errstate(over="ignore"):
+        far2 = far * far
+    # ln|s| = log1p(b^2) / 2, which is ln b to double precision where b^2 overflows
+    f[~near] = np.where(np.isinf(far2), np.log(far), 0.5 * np.log1p(far2)) + e1[1:] - e1[0]
     return f[inverse].reshape(a.shape)
 
 
@@ -947,37 +950,46 @@ def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> dict[str,
 
 
 class DenseComputer:
-    """Full-space evolution of rho0's live (a, s) blocks, one full-size state at a time.
+    """Full-space evolution of rho0's live (a, s) blocks on [A', S', E-modes].
 
-    The independent cross-check for the branch path."""
+    A' and S' keep only the ancilla values a and the system labels
+    s = 2 s1 + s2 that some live row of rho0 uses (a row or column with a
+    nonzero entry), so a state has |A'| |S'| n^(2P) rows instead of
+    d_A 4 n^(2P); every row left out is an exact zero of the full state.
+    The live rows keep their order and entries, and every marginal is a
+    ``partial_trace`` of the validated state.  The independent cross-check
+    for the branch path.
+    """
 
     def __init__(self, model: DiscreteDephasingModel, initial: DensityMatrix, budget: int = DEFAULT_BUDGET):
         _check_initial(initial)
         self.model = model
         n = model.fock_dim
-        env_factors = [(f"{bath}m{m}", n) for m in range(model.n_pairs) for bath in BATHS]
-        self.partition = initial.partition.concat(SystemPartition(env_factors))
-        # the factors of each label of ``LABELS``
-        self._factors = {"A": {"A"}, "S": set(S_PARTITION.labels),
-                         **{bath: {f"{bath}m{m}" for m in range(model.n_pairs)} for bath in BATHS}}
-        dim = self.partition.total_dim
+        dim = initial.partition.total_dim * n ** (2 * model.n_pairs)
         if dim > budget:
             raise BudgetError(f"dense dimension {dim} exceeds budget {budget}")
+        # block (k, l) of rho0 = kron(initial, env) is initial[k, l] * env; only the live
+        # (a, s) blocks, whose row or column of the initial state is nonzero, are built
+        x = initial.data
+        self._live = np.flatnonzero(x.any(axis=1) | x.any(axis=0))
+        a_vals, a_idx = np.unique(self._live // len(_SIGMAS), return_inverse=True)
+        self._s, s_idx = np.unique(self._live % len(_SIGMAS), return_inverse=True)
+        self._rows = a_idx * len(self._s) + s_idx  # the row block of each live (a, s) in A' x S'
+        env_factors = [(f"{bath}m{m}", n) for m in range(model.n_pairs) for bath in BATHS]
+        self.partition = SystemPartition([("A", len(a_vals)), ("S", len(self._s)), *env_factors])
+        # the factors of each label of ``LABELS``
+        self._factors = {"A": {"A"}, "S": {"S"},
+                         **{bath: {f"{bath}m{m}" for m in range(model.n_pairs)} for bath in BATHS}}
         ii = np.arange(n) * (n + 1)  # |k k> in one pair's n*n space
         w = model.pair_weights
         pair_state = np.zeros((n * n, n * n), dtype=complex)
         pair_state[np.ix_(ii, ii)] = np.outer(w, w) if model.env_kind == "entangled" else np.diag(w)
         env = reduce(np.kron, [pair_state] * model.n_pairs)
-        self.d_a = initial.partition.dims[0]
-        # block (k, l) of rho0 = kron(initial, env) is initial[k, l] * env; only the live
-        # (a, s) blocks, whose row or column of the initial state is nonzero, are built
-        x = initial.data
-        self._live = np.flatnonzero(x.any(axis=1) | x.any(axis=0))
         self._blocks = x[np.ix_(self._live, self._live)][:, :, None, None] * env
         self._memo: tuple[float, DensityMatrix] | None = None
 
     def state_at(self, t: float) -> DensityMatrix:
-        """U(t) rho0 U(t)^dag with U = 1_A (x) blockdiag_s(U_s), applied block by block.
+        """U(t) rho0 U(t)^dag on [A', S', E-modes] with U = 1_A (x) blockdiag_s(U_s), block by block.
 
         Only the live (a, s) blocks of rho0 (found once, in ``__init__``) are
         evolved, and only their U_s built; every other block is an exact zero,
@@ -994,7 +1006,7 @@ class DenseComputer:
         dim_env = (n * n) ** model.n_pairs
         live = self._live
         u_s = {}
-        for s_idx in np.unique(live % len(_SIGMAS)):
+        for s_idx in self._s:
             s1, s2 = _SIGMAS[s_idx]
             ops = []
             for om, g1, g2 in model.mode_pairs:
@@ -1005,11 +1017,15 @@ class DenseComputer:
         # row block k = (a, s) evolves with U_s
         u_k = np.stack([u_s[k % len(_SIGMAS)] for k in live])
         out = u_k[:, None] @ self._blocks @ u_k.conj().transpose(0, 2, 1)[None, :]
-        # 0.5 (rho + rho^dag) block by block: block (k, l) pairs with block (l, k)^dag
-        out = 0.5 * (out + out.conj().transpose(1, 0, 3, 2))
-        nb = self.d_a * len(_SIGMAS)
-        rho = np.zeros((nb * dim_env, nb * dim_env), dtype=complex)
-        rho.reshape(nb, dim_env, nb, dim_env)[live[:, None], :, live, :] = out
+        # 0.5 (rho + rho^dag) block by block, in place: block (k, l) pairs with block (l, k)^dag
+        h = out.conj().transpose(1, 0, 3, 2)
+        h += out
+        h *= 0.5
+        dim = self.partition.total_dim
+        nb = dim // dim_env
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho.reshape(nb, dim_env, nb, dim_env)[self._rows[:, None], :, self._rows, :] = h
+        del u_k, out, h  # so only the state itself is held while it is validated
         state = DensityMatrix(rho, self.partition, _owned=True)
         self._memo = (t, state)
         return state
@@ -1026,4 +1042,7 @@ class DenseComputer:
         return out
 
     def system_state(self, t: float) -> DensityMatrix:
-        return partial_trace(self.state_at(t), self._factors["S"])
+        """The [S1, S2] state: the S' marginal, embedded on the labels S' keeps."""
+        rho = np.zeros((len(_SIGMAS),) * 2, dtype=complex)
+        rho[np.ix_(self._s, self._s)] = partial_trace(self.state_at(t), self._factors["S"]).data
+        return DensityMatrix(rho, S_PARTITION, _owned=True)

@@ -225,13 +225,11 @@ def _check_broadcast(rng) -> float:
     # attach two fresh |0> sub-environments and copy E1's basis into them
     fresh = SystemPartition([("E2", de), ("E3", de)])
     sigma = tensor(rho, basis_state(fresh, [0, 0]))
-    cnot = np.zeros((de**3, de**3))
-    for e in range(de):
-        for j in range(de):
-            for k in range(de):
-                cnot[(e * de + ((j + e) % de)) * de + ((k + e) % de), (e * de + j) * de + k] = 1.0
-    full = np.kron(np.eye(da * ds), cnot)
-    sigma = DensityMatrix(full @ sigma.data @ full.conj().T, sigma.partition, _owned=True)
+    # the copy |e j k> -> |e, j + e, k + e> is a permutation: output index i reads input src[i]
+    e, j, k = np.indices((de,) * 3).reshape(3, -1)
+    src = (e * de + (j - e) % de) * de + (k - e) % de
+    perm = (np.arange(da * ds)[:, None] * de**3 + src).ravel()
+    sigma = DensityMatrix(sigma.data[np.ix_(perm, perm)], sigma.partition, _owned=True)
     worst = 0.0
     for env in ({"E1"}, {"E2"}, {"E3"}, {"E1", "E2", "E3"}):
         reduced = partial_trace(sigma, {"A", "S"} | env)
@@ -449,7 +447,10 @@ def dense_dephasing_check(
 ) -> SuiteReport:
     """Compare ``BranchComputer`` entropies/CMI against dense full-space evolution.
 
-    Also records how far the dense system coherences sit from the continuum
+    Each dense state holds only the rows [A', S', E] of the full space that
+    the live rows of its initial state use (``DenseComputer``); the rows left
+    out are exact zeros, so every entropy is that of the full state.  One
+    dense state is held at a time.  Also records how far the dense system coherences sit from the continuum
     (closed-form) factors, under the historical key
     ``quadrature_coherence_dev_*`` (a convergence indicator for the mode
     count, looser by construction and not asserted).

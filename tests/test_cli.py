@@ -55,6 +55,19 @@ class TestPhaseFactorsMode:
         assert cli.run(cfg_path) == 0
         assert open(out, "rb").read() == first
 
+    @pytest.mark.parametrize("env_kind", ["entangled", "classical"])
+    def test_factors_stay_finite_at_a_huge_cutoff_frequency(self, env_kind, tmp_path, capsys):
+        # omega_c 1e300 squares past the float range in the decay integral; every
+        # factor is still finite, and no warning is printed (the suite makes
+        # a RuntimeWarning an error)
+        out = str(tmp_path / "pf.csv")
+        cfg = {**PF_CFG, "output_path": out,
+               "dephasing": {**PF_CFG["dephasing"], "omega_c": 1e300, "env_kind": env_kind}}
+        assert cli.run(write_config(tmp_path, cfg)) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert all(0.0 <= float(x) <= 1.0 for row in rows for x in row[1:7])
+
 
 CMI_CFG = {
     "mode": "cmi",
@@ -193,9 +206,9 @@ class TestMeasuresMode:
         dense = dephasing.DenseComputer(model, measures.ops_state())
         times = cli.parse_grid(cfg["grid"])
         traj = measures.StateTrajectory(times, tuple(dense.state_at(t) for t in times))
-        a_s = measures.StateTrajectory(times, tuple(partial_trace(s, {"A", "S1", "S2"}) for s in traj.states))
+        a_s = measures.StateTrajectory(times, tuple(partial_trace(s, {"A", "S"}) for s in traj.states))
         lfs = measures.measure_lfs([measures.mi_series(a_s)])
-        n1 = measures.measure_n1([measures.cmi_series(traj, {"E1m0", "E2m0"}, {"S1", "S2"})])
+        n1 = measures.measure_n1([measures.cmi_series(traj, {"E1m0", "E2m0"}, {"S"})])
         assert rows["LFS"] > 0.1 and rows["N1"] > 0.1  # revivals to compare
         assert abs(rows["LFS"] - lfs.value) <= 1e-7
         assert abs(rows["N1"] - n1.value) <= 1e-7
@@ -222,8 +235,8 @@ class TestCheckMode:
         assert os.path.exists(out)
 
     def test_cross_checks_solve_no_dense_state_above_its_support(self, monkeypatch):
-        # the check model's dense states are 392-dim; ops_state lives on 98 of
-        # those rows and the coherence probe on 196
+        # the check model's dense states keep 196 of the 392 rows of [A, S1, S2, E];
+        # ops_state lives on 98 of them and the coherence probe on all 196
         depth = []
         dense_dims = []
 
@@ -302,7 +315,7 @@ class TestConfigValidation:
         "no_command", "candidates_object", "candidate_number", "number_as_string", "number_as_bool",
         "object_as_pairs", "object_as_number", "string_as_number", "u_as_string", "array_as_string",
         "classical_r_tanh_one", "classical_r_tanh_one_measures", "entangled_r_cosh_overflow",
-        "gauss_window_underflow", "gauss_window_overflow",
+        "gauss_window_underflow", "gauss_window_overflow", "gauss_window_overflow_measures",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -378,6 +391,9 @@ class TestConfigValidation:
             "gauss_window_underflow": {**CMI_CFG, "dephasing": {
                 **CMI_CFG["dephasing"], "quad": {"cutoff_mult": 1e-300}}},
             "gauss_window_overflow": {**CMI_CFG, "dephasing": {**CMI_CFG["dephasing"], "omega_c": 1e300}},
+            # measures mode evolves its distance candidates by the continuum factors first
+            "gauss_window_overflow_measures": {**CMI_CFG, "mode": "measures", "dephasing": {
+                **CMI_CFG["dephasing"], "omega_c": 1e300}},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
@@ -385,6 +401,7 @@ class TestConfigValidation:
             "array_as_string": "system_indices", "classical_r_tanh_one": "r = 19.5",
             "classical_r_tanh_one_measures": "r = 19.5", "entangled_r_cosh_overflow": "r = 400",
             "gauss_window_underflow": "mass 0;", "gauss_window_overflow": "mass inf;",
+            "gauss_window_overflow_measures": "mass inf;",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):

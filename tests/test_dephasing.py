@@ -308,6 +308,19 @@ class TestClosedFormPhaseFactors:
         for name, m in mags.items():  # both windows open: every factor decays to 0
             assert m[2] == m[3] == 0.0, name
 
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_factors_stay_finite_when_the_cutoff_frequency_overflows_b_squared(self, env_kind):
+        # at omega_c 1e300, b = |a| omega_c squares to inf: ln|1 - i b| is then ln b,
+        # so no factor is nan (and there is no RuntimeWarning)
+        grid = phase_factor_grid(DephasingParams(omega_c=1e300, r=3.0, env_kind=env_kind),
+                                 np.linspace(0.0, 5.0, 21))
+        for name, v in grid.items():
+            assert np.all(np.isfinite(v)) and np.all(np.abs(v) <= 1.0), name
+            assert v[0] == 1.0, name
+        # on either side of the overflow, F(a) grows as ln b: E1(K s) is negligible there
+        f = dephasing._decay_integral(DephasingParams(omega_c=1.0), np.array([1e150, 1e160]))
+        assert abs((f[1] - f[0]) - 10.0 * math.log(10.0)) <= 1e-12
+
     def test_exp1_matches_scipy(self):
         exp1 = pytest.importorskip("scipy.special").exp1
         b = np.concatenate(([0.0], np.linspace(0.01, 10.0, 1000), np.logspace(-6, 3, 400)))
@@ -655,7 +668,7 @@ class TestStructuredBranchEntropies:
         # partial traces: every kept set, the five states and a rank-2 state
         m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind), 1, 4)
         part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
-        factors = {"A": {"A"}, "S": {"S1", "S2"}, "E1": {"E1m0"}, "E2": {"E2m0"}}
+        factors = {"A": {"A"}, "S": {"S"}, "E1": {"E1m0"}, "E2": {"E2m0"}}
         for state in self._states() + [random_density_matrix(part, 2, 5)]:
             comp = dephasing.BranchComputer(m, state)
             dense = dephasing.DenseComputer(m, state)
@@ -826,14 +839,13 @@ class TestBranchSolves:
                 solves.clear()
 
 
-def _kron_evolved(dense, initial, t):
-    """The full-matrix evolution kron(1_A, blockdiag_s U_s) rho0 U^dag, kept as the test oracle.
+def _kron_evolved(model, initial, t):
+    """The full-matrix evolution kron(1_A, blockdiag_s U_s) rho0 U^dag on [A, S1, S2, E], kept as the test oracle.
 
     rho0 = initial (x) env, with env the product over pairs of the truncated
     two-mode squeezed vacuum sum_k u^k |k k> (entangled) or of its
     Fock-diagonal counterpart sum_k u^(2k) |k k><k k| (classical), normalised.
     """
-    model = dense.model
     n = model.fock_dim
     dim_env = (n * n) ** model.n_pairs
     diag = np.arange(n) * (n + 1)  # |k k> in one pair's n*n space
@@ -856,7 +868,7 @@ def _kron_evolved(dense, initial, t):
         ]
         lo = s_idx * dim_env
         u_mat[lo:lo + dim_env, lo:lo + dim_env] = functools.reduce(np.kron, ops)
-    u = np.kron(np.eye(dense.d_a), u_mat)
+    u = np.kron(np.eye(initial.partition.dims[0]), u_mat)
     return u @ rho0 @ u.conj().T
 
 
@@ -869,9 +881,31 @@ class TestDenseComputer:
         part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
         for initial in (measures.ops_state(), random_pure_state(part, 4)):
             dense = dephasing.DenseComputer(m, initial)
+            # the rows (a, s, e) of [A, S1, S2, E] whose a and s some live row of rho0 uses
+            x = initial.data
+            live = np.flatnonzero(x.any(axis=1) | x.any(axis=0))
+            blocks = [4 * a + s for a in np.unique(live // 4) for s in np.unique(live % 4)]
+            dim_env = m.fock_dim ** (2 * n_modes)
+            kept = (np.array(blocks)[:, None] * dim_env + np.arange(dim_env)).ravel()
+            dropped = np.setdiff1d(np.arange(8 * dim_env), kept)
             for t in (1.3, 3.7):
-                ref = _kron_evolved(dense, initial, t)
-                assert np.max(np.abs(dense.state_at(t).data - ref)) <= 1e-13
+                ref = _kron_evolved(m, initial, t)
+                assert np.max(np.abs(dense.state_at(t).data - ref[np.ix_(kept, kept)])) <= 1e-13
+                assert not ref[dropped].any() and not ref[:, dropped].any()
+
+    def test_side_keeps_the_live_ancilla_values_and_system_labels(self):
+        # the check model has 2 x 4 x 49 = 392 rows on [A, S1, S2, E]: ops_state uses
+        # 2 ancilla values and 2 system labels, the coherence probe 1 and 4, a rank-8
+        # state all of them; the budget still bounds the nominal 392
+        m = build_discrete_model(DephasingParams(omega_c=0.25, r=0.5, env_kind="entangled"), 1, 6)
+        probe = pure_state(np.r_[np.full(4, 0.5), np.zeros(4)], measures.AS_PARTITION)
+        rank8 = random_density_matrix(measures.AS_PARTITION, 8, 3)
+        for initial, dims in ((measures.ops_state(), (2, 2)), (probe, (1, 4)), (rank8, (2, 4))):
+            dense = dephasing.DenseComputer(m, initial)
+            assert dense.partition.dims[:2] == dims
+            assert dense.state_at(1.5).dim == {(2, 2): 196, (1, 4): 196, (2, 4): 392}[dims]
+            with pytest.raises(dephasing.BudgetError, match="dense dimension 392 exceeds budget 391"):
+                dephasing.DenseComputer(m, initial, budget=391)
 
     @pytest.mark.parametrize("computer", ["BranchComputer", "DenseComputer"])
     def test_rejects_a_non_qubit_system(self, computer):
@@ -882,8 +916,9 @@ class TestDenseComputer:
             getattr(dephasing, computer)(m, state)
 
     def test_one_state_per_time(self, monkeypatch):
-        # ops_state has 2 live (a, s) rows of 8: the 200-dim state is solved on
-        # its 50-dim support, once per time, and never at full size
+        # ops_state has 2 live (a, s) rows of 8, on 2 ancilla values and 2 system
+        # labels: the 100-dim state on [A', S', E] is solved on its 50-dim support,
+        # once per time, and never at full size
         p = DephasingParams(**{**DESK, "r": 0.2}, env_kind="entangled")
         m = build_discrete_model(p, n_modes=1, n_max=4)
         dense = dephasing.DenseComputer(m, measures.ops_state())
