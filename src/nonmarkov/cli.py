@@ -7,7 +7,7 @@ fixed BLAS thread count.
 ``NONMARKOV_THREADS`` caps worker parallelism (default, and upper limit: the
 CPUs this process may use): the thread pool over ``measures`` candidates, and
 the ``check`` pool of ``NONMARKOV_THREADS - 1`` forked processes that run
-identity samples while this process runs the cross-checks (see
+blocks of identity samples while this process runs the cross-checks (see
 ``_identity_and_cross_checks``).  Neither changes an output byte.
 """
 
@@ -36,7 +36,7 @@ EXIT_CHECK_FAILED = 3
 
 MODES = ("phase_factors", "cmi", "measures", "check")
 MAX_GRID_STEPS = 10**6
-CHECK_IN_PROCESS = 5  # a ``check`` of at most this many identity samples starts no pool
+CHECK_IN_PROCESS = 20  # a ``check`` of at most this many identity samples starts no pool: the fork costs more
 
 
 class ConfigError(ValueError):
@@ -335,14 +335,12 @@ def _cross_checks(seed: int) -> list:
 def _identity_and_cross_checks(seed: int, samples: int) -> list:
     """The identity-suite report, then the ``_cross_checks`` reports.
 
-    A check of more than ``CHECK_IN_PROCESS`` samples hands them out one
-    sample per task: ``worker_count() - 1`` forked processes work through the
-    samples while this process runs the cross-checks; it then cancels the
-    samples no worker has started, last sample first, and runs them itself.
-    So at the end it waits only for the sample each worker runs and the one
-    queued behind it (the executor's call queue), which it cannot take back.
-    Every row comes from ``oracle.identity_block`` with the same seed and is
-    folded in sample order, so the report does not depend on the worker count.
+    A check of more than ``CHECK_IN_PROCESS`` samples splits them into one
+    contiguous block per process: ``worker_count() - 1`` forked processes each
+    run one block while this process runs the cross-checks and then the last
+    block.  Every row comes from ``oracle.identity_block`` with the same seed
+    and does not depend on the block it is computed in; the rows are folded in
+    sample order, so the report does not depend on the worker count.
     Without ``fork`` (or with at most ``CHECK_IN_PROCESS`` samples, or one
     worker) it all runs in this process.  ``fork`` rather than ``spawn``: a
     spawned worker would import NumPy and the package again, most of a small
@@ -355,26 +353,23 @@ def _identity_and_cross_checks(seed: int, samples: int) -> list:
     workers = min(worker_count() - 1, samples)
     fork = "fork" in multiprocessing.get_all_start_methods()
     if samples <= CHECK_IN_PROCESS or workers < 1 or not fork:
-        rows = [oracle.identity_block(seed, 0, samples)]
+        rows = oracle.identity_block(seed, 0, samples)
         cross = _cross_checks(seed)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        edges = [samples * k // (workers + 1) for k in range(workers + 2)]
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            futures = [pool.submit(oracle.identity_block, seed, i, i + 1) for i in range(samples)]
+            futures = [pool.submit(oracle.identity_block, seed, lo, hi) for lo, hi in zip(edges, edges[1:-1])]
             try:
                 cross = _cross_checks(seed)
-                rows = [None] * samples
-                for i in reversed(range(samples)):
-                    if not futures[i].cancel():  # started, and so is every sample before it
-                        break
-                    rows[i] = oracle.identity_block(seed, i, i + 1)
-                rows = [f.result() if r is None else r for r, f in zip(rows, futures)]
+                own = oracle.identity_block(seed, edges[-2], edges[-1])
+                rows = [row for f in futures for row in f.result()] + own
             except BaseException:
-                pool.shutdown(cancel_futures=True)  # rather than run samples only to drop them
+                pool.shutdown(cancel_futures=True)  # rather than run blocks only to drop them
                 raise
-    return [oracle.identity_report(seed, [row for part in rows for row in part]), *cross]
+    return [oracle.identity_report(seed, rows), *cross]
 
 
 def _run_check(cfg: dict) -> tuple[str, bool]:

@@ -40,8 +40,9 @@ unimodular phases and default to zero.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from typing import Sequence
 
 import numpy as np
@@ -559,11 +560,29 @@ def build_discrete_model(params: DephasingParams, n_modes: int, n_max: int) -> D
     return model
 
 
+def _built_once(fn):
+    """``lru_cache`` that builds each entry under a lock.
+
+    The ``measures`` thread pool reads these caches from several threads; a
+    bare ``lru_cache`` lets threads that miss together each build the entry.
+    """
+    cached = lru_cache(maxsize=None)(fn)
+    lock = threading.Lock()
+
+    @wraps(fn)
+    def once(*args):
+        with lock:
+            return cached(*args)
+
+    once.cache_clear = cached.cache_clear
+    return once
+
+
 def _ladder(n_dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_dim)), k=1)
 
 
-@lru_cache(maxsize=None)
+@_built_once
 def _quadrature_modes(n_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs (x, V) of the real symmetric X = b + b^dag, and P_jk = i^(j-k).
 
@@ -658,7 +677,7 @@ class _Snapshot:
         return self._kept[j]
 
 
-@lru_cache(maxsize=None)
+@_built_once
 def _parity_sectors(n_dim: int, pairs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The joint parity (-1)^(sum_m n_m) of each index of ``pairs`` Fock spaces, and the
     indices of its even and odd sectors.

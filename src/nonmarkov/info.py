@@ -3,6 +3,10 @@
 All entropic quantities are in nats.  Relative entropy is extended-real: it
 returns ``math.inf`` when the support condition fails (sigma-eigenvalues below
 1e-12 that carry rho-weight above 1e-10).
+
+Every function acts slice by slice on stacked states (see :mod:`.states`):
+it returns a float for a single state and an array of one value per slice
+for a stack, with each slice's value the bits of that float.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from .states import (
     DensityMatrix,
     PartitionError,
     StateValidityError,
+    _real,
     clamp_spectrum,
     embed,
+    masked_sums,
     partial_trace,
 )
 
@@ -26,7 +32,7 @@ SUPPORT_WEIGHT_TOL = 1e-10  # rho weight on the null space that triggers +inf
 NONNEG_CLAMP = 1e-9       # small negatives from cancellation clamped to 0
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
     """S(rho) = -sum lambda ln lambda over the clamped spectrum, in nats (computed once per state)."""
     return rho.entropy
 
@@ -36,65 +42,76 @@ def _check_same_partition(rho: DensityMatrix, sigma: DensityMatrix):
         raise PartitionError("states live on different partitions")
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def _refuse(val, bad, message: str):
+    """Raise ``message`` naming the first value of ``val`` where ``bad`` holds."""
+    if np.any(bad):
+        raise StateValidityError(message.format(np.asarray(val)[bad].flat[0]))
+
+
+def _clamp(val, hi: float = math.inf):
+    """``min(max(val, 0.0), hi)`` slice by slice, a float for a single value."""
+    val = np.where(0.0 > val, 0.0, val)
+    return _real(np.where(hi < val, hi, val))
+
+
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     """D(rho, sigma) = (1/2) sum |eig(rho - sigma)|, in [0, 1]."""
     _check_same_partition(rho, sigma)
     eigs = np.linalg.eigvalsh(rho.data - sigma.data)
-    return float(0.5 * np.abs(eigs).sum())
+    return _real(0.5 * np.abs(eigs).sum(axis=-1))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     eigs, vecs = np.linalg.eigh(m)
     lam = clamp_spectrum(eigs)
-    return (vecs * np.sqrt(lam)) @ vecs.conj().T
+    return (vecs * np.sqrt(lam)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1^2 via eigendecomposition."""
     _check_same_partition(rho, sigma)
     prod = _psd_sqrt(rho.data) @ _psd_sqrt(sigma.data)
-    f = float(np.linalg.svd(prod, compute_uv=False).sum() ** 2)
-    if f < -NONNEG_CLAMP or f > 1.0 + NONNEG_CLAMP:
-        raise StateValidityError(f"fidelity {f} escaped [0, 1] beyond tolerance")
-    return min(max(f, 0.0), 1.0)
+    f = np.linalg.svd(prod, compute_uv=False).sum(axis=-1) ** 2
+    _refuse(f, (f < -NONNEG_CLAMP) | (f > 1.0 + NONNEG_CLAMP), "fidelity {} escaped [0, 1] beyond tolerance")
+    return _clamp(f, 1.0)
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     """S(rho || sigma) = tr rho (ln rho - ln sigma); +inf on support violation."""
     _check_same_partition(rho, sigma)
     q, v = np.linalg.eigh(sigma.data)
     q = clamp_spectrum(q)
     null = q < SUPPORT_EIG_TOL
     # rho weight carried by sigma's null space
-    w = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.data, v))
+    w = np.real(np.einsum("...ij,...jk,...ki->...i", v.conj().swapaxes(-1, -2), rho.data, v))
     w = np.clip(w, 0.0, None)
-    if w[null].sum() > SUPPORT_WEIGHT_TOL:
-        return math.inf
-    term_p = -rho.entropy
-    keep = ~null
-    term_q = float((w[keep] * np.log(q[keep])).sum())
-    val = term_p - term_q
-    if val < -NONNEG_CLAMP:
-        raise StateValidityError(f"relative entropy {val} below 0 beyond tolerance")
-    return max(val, 0.0)
+    outside = masked_sums(w, null) > SUPPORT_WEIGHT_TOL
+    val = -rho.entropy - masked_sums(w * np.log(np.where(null, 1.0, q)), ~null)
+    _refuse(val, ~outside & (val < -NONNEG_CLAMP), "relative entropy {} below 0 beyond tolerance")
+    return _real(np.where(outside, math.inf, _clamp(val)))
 
 
-def telescopic_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix, a: float) -> float:
+def telescopic_relative_entropy(
+    rho: DensityMatrix, sigma: DensityMatrix, a: float | np.ndarray
+) -> float | np.ndarray:
     """S_a(rho||sigma) = S(rho || a rho + (1-a) sigma) / (-ln a), a in (0,1).
 
     Always finite (the mixture's support contains rho's) and bounded in [0,1].
+    For stacks ``a`` may hold one value per slice.
     """
     _check_same_partition(rho, sigma)
-    if not 0.0 < a < 1.0:
+    arr = np.asarray(a, dtype=float)
+    if not ((0.0 < arr) & (arr < 1.0)).all():
         raise ValueError(f"a must lie strictly inside (0, 1), got {a}")
-    mix = DensityMatrix(a * rho.data + (1.0 - a) * sigma.data, rho.partition, _owned=True)
-    val = relative_entropy(rho, mix) / (-math.log(a))
-    if val > 1.0 + NONNEG_CLAMP:
-        raise StateValidityError(f"telescopic relative entropy {val} above 1")
-    return min(max(val, 0.0), 1.0)
+    w = arr[..., None, None]
+    mix = DensityMatrix(w * rho.data + (1.0 - w) * sigma.data, rho.partition, _owned=True)
+    ln_a = np.array([math.log(x) for x in arr.flat]).reshape(arr.shape)  # ``math.log``, as for one state
+    val = relative_entropy(rho, mix) / (-ln_a)
+    _refuse(val, val > 1.0 + NONNEG_CLAMP, "telescopic relative entropy {} above 1")
+    return _clamp(val, 1.0)
 
 
-def jensen_shannon_telescopic(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def jensen_shannon_telescopic(rho: DensityMatrix, sigma: DensityMatrix) -> float | np.ndarray:
     """Symmetrized a=1/2 telescopic relative entropy, in [0, 1]."""
     return 0.5 * (
         telescopic_relative_entropy(rho, sigma, 0.5)
@@ -120,7 +137,7 @@ def _disjoint_cover(rho: DensityMatrix, *parts: Iterable[str]) -> list[frozenset
     return sets
 
 
-def mutual_information(rho: DensityMatrix, part_a: Iterable[str], part_b: Iterable[str]) -> float:
+def mutual_information(rho: DensityMatrix, part_a: Iterable[str], part_b: Iterable[str]) -> float | np.ndarray:
     """I(A:B) = S(A) + S(B) - S(AB); the two sets must cover the partition."""
     a, b = _disjoint_cover(rho, part_a, part_b)
     val = (
@@ -128,9 +145,8 @@ def mutual_information(rho: DensityMatrix, part_a: Iterable[str], part_b: Iterab
         + von_neumann_entropy(partial_trace(rho, b))
         - von_neumann_entropy(rho)
     )
-    if val < -NONNEG_CLAMP:
-        raise StateValidityError(f"mutual information {val} below 0 beyond tolerance")
-    return max(val, 0.0)
+    _refuse(val, val < -NONNEG_CLAMP, "mutual information {} below 0 beyond tolerance")
+    return _clamp(val)
 
 
 def conditional_mutual_information(
@@ -138,7 +154,7 @@ def conditional_mutual_information(
     part_a: Iterable[str],
     part_b: Iterable[str],
     part_c: Iterable[str],
-) -> float:
+) -> float | np.ndarray:
     """I(A:B|C) = S(AC) + S(CB) - S(C) - S(ACB) >= 0 (strong subadditivity)."""
     a, b, c = _disjoint_cover(rho, part_a, part_b, part_c)
     val = (
@@ -147,9 +163,8 @@ def conditional_mutual_information(
         - von_neumann_entropy(partial_trace(rho, c))
         - von_neumann_entropy(rho)
     )
-    if val < -NONNEG_CLAMP:
-        raise StateValidityError(f"conditional mutual information {val} < 0 beyond tolerance")
-    return max(val, 0.0)
+    _refuse(val, val < -NONNEG_CLAMP, "conditional mutual information {} < 0 beyond tolerance")
+    return _clamp(val)
 
 
 def interaction_information(
@@ -158,7 +173,7 @@ def interaction_information(
     part_e2: Iterable[str],
     part_a: Iterable[str],
     part_s: Iterable[str],
-) -> float:
+) -> float | np.ndarray:
     """I(E1;E2;A|S) = I(E1:E2|S) - I(E1:E2|SA); may be negative."""
     e1, e2, a, s = _disjoint_cover(rho, part_e1, part_e2, part_a, part_s)
     reduced = partial_trace(rho, e1 | e2 | s)
@@ -178,7 +193,7 @@ def _psd_power(m: np.ndarray, power: float) -> np.ndarray:
     out = np.zeros_like(lam)
     mask = lam > SUPPORT_EIG_TOL
     out[mask] = lam[mask] ** power
-    return (vecs * out) @ vecs.conj().T
+    return (vecs * out[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def petz_recovery(
@@ -204,9 +219,9 @@ def petz_recovery(
     inv_sqrt_b = embed(_psd_power(rho_b.data, -0.5), part, b)
     lifted_ab = embed(rho_ab.data, part, a | b)
     out = sqrt_bc @ inv_sqrt_b @ lifted_ab @ inv_sqrt_b @ sqrt_bc
-    out = 0.5 * (out + out.conj().T)
-    drift = abs(out.trace() - 1.0)
-    if drift > 1e-9:
-        raise StateValidityError(f"Petz output trace drifted by {drift:.3e}")
-    out = out / out.trace().real
-    return DensityMatrix(out, part, _owned=True)
+    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
+    tr = np.trace(out, axis1=-2, axis2=-1)
+    drift = abs(tr - 1.0)
+    if np.any(drift > 1e-9):
+        raise StateValidityError(f"Petz output trace drifted by {np.max(drift):.3e}")
+    return DensityMatrix(out / tr.real[..., None, None], part, _owned=True)

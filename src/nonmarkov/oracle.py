@@ -5,11 +5,14 @@ Fock-space checks for the special functions, and the dense cross-check of
 the s-block ``BranchComputer``.  Every suite is deterministic per seed; violations
 are reported, not thrown.  The identity suite is a fold of per-sample rows
 (``identity_block``), so its samples can be computed in any grouping and by
-any process; the report folds them in sample order.  Its negative control applies a
-global unitary to a product state tau_A (x) sigma_SE and must see I(A:SE)
-change; it checks that the suite can fail.  Entries whose name ends in
-``_recorded`` are informational (tolerance = inf): they log margins for
-bounds that are not theorems for the implemented (Petz) recovery map.
+any process; the report folds them in sample order.  A block evaluates each
+check once per partition its samples drew, on the stack of their states (see
+:mod:`.states`), and each row holds the bits of that sample alone.  The
+suite's negative control applies a global unitary to a product state
+tau_A (x) sigma_SE and must see I(A:SE) change; it checks that the suite can
+fail.  Entries whose name ends in ``_recorded`` are informational
+(tolerance = inf): they log margins for bounds that are not theorems for the
+implemented (Petz) recovery map.
 """
 
 from __future__ import annotations
@@ -111,30 +114,51 @@ def _rng_for(seed: int, sample: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(sample,)))
 
 
-def _qubit_split(rng: np.random.Generator, n_parts: int, total_range=(3, 5)) -> list[int]:
+def _qubit_split(rng: np.random.Generator, n_parts: int, total_range=(3, 5)) -> tuple[int, ...]:
     """Random dims, one qubit or more per part, total qubits in range."""
     total = int(rng.integers(total_range[0], total_range[1] + 1))
     extra = total - n_parts
     counts = [1] * n_parts
     for _ in range(extra):
         counts[int(rng.integers(0, n_parts))] += 1
-    return [2**c for c in counts]
+    return tuple(2**c for c in counts)
 
 
-def _rand_state(rng: np.random.Generator, part: SystemPartition) -> DensityMatrix:
-    return random_density_matrix(part, part.total_dim, int(rng.integers(0, 2**31)))
+def _seeds(rng: np.random.Generator, n: int) -> tuple[int, ...]:
+    return tuple(int(rng.integers(0, 2**31)) for _ in range(n))
 
 
-def _u_on(part: SystemPartition, labels: set[str], seed: int) -> np.ndarray:
-    """Embed a Haar unitary acting on `labels` into the full space."""
-    return embed(haar_random_unitary(part.restrict(labels).total_dim, seed), part, labels)
+def _rand_states(part: SystemPartition, seeds: Sequence[int]) -> DensityMatrix:
+    """The stack of the full-rank random states of ``seeds`` on ``part``."""
+    return random_density_matrix(part, part.total_dim, seeds)
+
+
+def _u_on(part: SystemPartition, labels: set[str], seeds: Sequence[int]) -> np.ndarray:
+    """Embed the stack of Haar unitaries of ``seeds`` acting on `labels` into the full space."""
+    return embed(haar_random_unitary(part.restrict(labels).total_dim, seeds), part, labels)
 
 
 def _conj(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(u @ rho.data @ u.conj().T, rho.partition, _owned=True)
+    return DensityMatrix(u @ rho.data @ u.conj().swapaxes(-1, -2), rho.partition, _owned=True)
 
 
-def _check_conservation(rng, negative: bool = False) -> float:
+def _max(a, b):
+    """Python's ``max(a, b)`` slice by slice: ``b`` only where it is larger."""
+    return np.where(b > a, b, a)
+
+
+# Each identity check is a draw and a stacked evaluation.  The draw takes a
+# sample's inputs from its generator in a fixed order and returns them with a
+# key naming their partition; the evaluation takes a key and, for each input,
+# the tuple of its values over the samples drawn with that key, and returns
+# the violations of those samples.
+
+
+def _draw_conservation(rng, negative: bool = False):
+    return (_qubit_split(rng, 3), negative), _seeds(rng, 3 if negative else 2)
+
+
+def _check_conservation(key, *seeds) -> np.ndarray:
     """(a) I(A:SE) conserved under U_SE (x) 1_A.
 
     The negative control starts from a product tau_A (x) sigma_SE, so
@@ -142,84 +166,89 @@ def _check_conservation(rng, negative: bool = False) -> float:
     correlation the global unitary creates, which is bounded away from 0
     (a random correlated state could land on delta ~ 0 by chance).
     """
-    da, ds, de = _qubit_split(rng, 3)
+    (da, ds, de), negative = key
     part = SystemPartition([("A", da), ("S", ds), ("E", de)])
     if negative:
         rho = tensor(
-            _rand_state(rng, part.restrict({"A"})), _rand_state(rng, part.restrict({"S", "E"}))
+            _rand_states(part.restrict({"A"}), seeds[0]), _rand_states(part.restrict({"S", "E"}), seeds[1])
         )
         labels = {"A", "S", "E"}
     else:
-        rho = _rand_state(rng, part)
+        rho = _rand_states(part, seeds[0])
         labels = {"S", "E"}
-    u = _u_on(part, labels, int(rng.integers(0, 2**31)))
+    u = _u_on(part, labels, seeds[-1])
     before = info.mutual_information(rho, {"A"}, {"S", "E"})
     after = info.mutual_information(_conj(rho, u), {"A"}, {"S", "E"})
-    return abs(after - before)
+    return np.abs(after - before)
 
 
-def _four_party(rng) -> tuple[SystemPartition, DensityMatrix]:
-    da, ds, de1, de2 = _qubit_split(rng, 4, total_range=(4, 5))
-    part = SystemPartition([("A", da), ("S", ds), ("E1", de1), ("E2", de2)])
-    return part, _rand_state(rng, part)
+def _draw_four_party(n_seeds: int):
+    return lambda rng: (_qubit_split(rng, 4, total_range=(4, 5)), _seeds(rng, n_seeds))
 
 
-def _cmi_sub(rho: DensityMatrix, env: set[str]) -> float:
+def _four_party(dims: tuple[int, ...], seeds: Sequence[int]) -> tuple[SystemPartition, DensityMatrix]:
+    part = SystemPartition(zip(("A", "S", "E1", "E2"), dims))
+    return part, _rand_states(part, seeds)
+
+
+def _cmi_sub(rho: DensityMatrix, env: set[str]):
     reduced = partial_trace(rho, {"A", "S"} | env)
     return info.conditional_mutual_information(reduced, {"A"}, env, {"S"})
 
 
-def _check_sub_env(rng) -> float:
+def _check_sub_env(dims, seeds, u_seeds) -> np.ndarray:
     """(b) delta I(A:E1E2|S) = delta I(A:E1|S) under U on S+E1."""
-    part, rho = _four_party(rng)
-    u = _u_on(part, {"S", "E1"}, int(rng.integers(0, 2**31)))
-    rho2 = _conj(rho, u)
+    part, rho = _four_party(dims, seeds)
+    rho2 = _conj(rho, _u_on(part, {"S", "E1"}, u_seeds))
     d_full = _cmi_sub(rho2, {"E1", "E2"}) - _cmi_sub(rho, {"E1", "E2"})
     d_e1 = _cmi_sub(rho2, {"E1"}) - _cmi_sub(rho, {"E1"})
-    return abs(d_full - d_e1)
+    return np.abs(d_full - d_e1)
 
 
-def _check_chain_rule(rng) -> float:
+def _check_chain_rule(dims, seeds) -> np.ndarray:
     """(c) I(E1E2:A|S) = I(E1:A|S) + I(E2:A|SE1)."""
-    _, rho = _four_party(rng)
+    _, rho = _four_party(dims, seeds)
     lhs = info.conditional_mutual_information(rho, {"E1", "E2"}, {"A"}, {"S"})
     t1 = _cmi_sub(rho, {"E1"})
     t2 = info.conditional_mutual_information(rho, {"E2"}, {"A"}, {"S", "E1"})
-    return abs(lhs - (t1 + t2))
+    return np.abs(lhs - (t1 + t2))
 
 
-def _check_interaction_decomposition(rng) -> float:
+def _check_interaction_decomposition(dims, seeds) -> np.ndarray:
     """(d) I(A:E1E2|S) = I(A:E1|S) + I(A:E2|S) - I(E1;E2;A|S)."""
-    _, rho = _four_party(rng)
+    _, rho = _four_party(dims, seeds)
     lhs = _cmi_sub(rho, {"E1", "E2"})
     rhs = (
         _cmi_sub(rho, {"E1"})
         + _cmi_sub(rho, {"E2"})
         - info.interaction_information(rho, {"E1"}, {"E2"}, {"A"}, {"S"})
     )
-    return abs(lhs - rhs)
+    return np.abs(lhs - rhs)
 
 
-def _check_broadcast(rng) -> float:
+def _draw_broadcast(rng):
+    dims = _qubit_split(rng, 2, total_range=(2, 3))
+    probs = rng.dirichlet(np.ones(2))
+    return dims, (probs, *_seeds(rng, 2))
+
+
+def _check_broadcast(dims, probs, *block_seeds) -> np.ndarray:
     """(e) broadcast copying gives every sub-environment the same leaked information.
 
     The premise requires states classical on E1 in the copy basis, so the
     sample is rho_AS^(e) mixed over projectors on E1 before CNOT-copying into
     |0>-initialized fresh sub-environments.
     """
-    da, ds = _qubit_split(rng, 2, total_range=(2, 3))
+    da, ds = dims
     de = 2
     part_as = SystemPartition([("A", da), ("S", ds)])
-    probs = rng.dirichlet(np.ones(de))
-    blocks = [
-        _rand_state(rng, part_as).data * p for p in probs
-    ]
+    probs = np.array(probs)
     part = SystemPartition([("A", da), ("S", ds), ("E1", de)])
-    data = np.zeros((da * ds * de,) * 2, dtype=complex)
-    for e, blk in enumerate(blocks):
+    data = np.zeros((len(probs),) + (da * ds * de,) * 2, dtype=complex)
+    for e, seeds in enumerate(block_seeds):
         proj = np.zeros((de, de))
         proj[e, e] = 1.0
-        data += np.kron(blk, proj)
+        data += np.kron(_rand_states(part_as, seeds).data * probs[:, e, None, None], proj)
     rho = DensityMatrix(data, part, _owned=True)
     base = _cmi_sub(rho, {"E1"})
     # attach two fresh |0> sub-environments and copy E1's basis into them
@@ -229,82 +258,123 @@ def _check_broadcast(rng) -> float:
     e, j, k = np.indices((de,) * 3).reshape(3, -1)
     src = (e * de + (j - e) % de) * de + (k - e) % de
     perm = (np.arange(da * ds)[:, None] * de**3 + src).ravel()
-    sigma = DensityMatrix(sigma.data[np.ix_(perm, perm)], sigma.partition, _owned=True)
+    sigma = DensityMatrix(sigma.data[:, perm[:, None], perm], sigma.partition, _owned=True)
     worst = 0.0
     for env in ({"E1"}, {"E2"}, {"E3"}, {"E1", "E2", "E3"}):
         reduced = partial_trace(sigma, {"A", "S"} | env)
         val = info.conditional_mutual_information(reduced, {"A"}, env, {"S"})
-        worst = max(worst, abs(val - base))
+        worst = _max(worst, np.abs(val - base))
     return worst
 
 
-def _check_initial_markovianity(rng) -> float:
+def _draw_initial_markovianity(rng):
+    dims = _qubit_split(rng, 3)
+    seeds = _seeds(rng, 2)
+    n = dims[1] * dims[2]
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return dims, (*seeds, h)
+
+
+def _check_initial_markovianity(dims, as_seeds, e_seeds, hs) -> np.ndarray:
     """(f) I(A:E|S)=0 initially implies I >= 0 after a short U_SE step."""
-    da, ds, de = _qubit_split(rng, 3)
+    da, ds, de = dims
     part_as = SystemPartition([("A", da), ("S", ds)])
     part_e = SystemPartition([("E", de)])
-    rho0 = tensor(_rand_state(rng, part_as), _rand_state(rng, part_e))
+    rho0 = tensor(_rand_states(part_as, as_seeds), _rand_states(part_e, e_seeds))
     start = info.conditional_mutual_information(rho0, {"A"}, {"E"}, {"S"})
-    h = rng.standard_normal((ds * de, ds * de)) + 1j * rng.standard_normal((ds * de, ds * de))
-    h = 0.5 * (h + h.conj().T)
-    full = embed(expm(-1j * 0.05 * h), rho0.partition, {"S", "E"})
+    steps = np.stack([expm(-1j * 0.05 * (0.5 * (h + h.conj().T))) for h in hs])
+    full = embed(steps, rho0.partition, {"S", "E"})
     after = info.conditional_mutual_information(_conj(rho0, full), {"A"}, {"E"}, {"S"})
-    return max(start, -after, 0.0)
+    return _max(_max(start, -after), 0.0)
 
 
-def _check_pair_state_identity(rng) -> float:
+def _draw_pair_state_identity(rng):
+    return int(rng.integers(2, 5)), _seeds(rng, 2)
+
+
+def _check_pair_state_identity(ds, seeds1, seeds2) -> np.ndarray:
     """(g) S(rho_SA^op || rho_S (x) rho_A) = ln2 * D_tele(rho1, rho2)."""
-    ds = int(rng.integers(2, 5))
     part_s = SystemPartition([("S", ds)])
-    rho1 = _rand_state(rng, part_s)
-    rho2 = _rand_state(rng, part_s)
+    rho1 = _rand_states(part_s, seeds1)
+    rho2 = _rand_states(part_s, seeds2)
     op = measures.optimal_pair_state(rho1, rho2)
     prod = tensor(partial_trace(op, {"S"}), partial_trace(op, {"A"}))
     lhs = info.relative_entropy(op, prod)
     rhs = math.log(2.0) * info.jensen_shannon_telescopic(rho1, rho2)
-    return abs(lhs - rhs)
+    return np.abs(lhs - rhs)
 
 
-def _check_telescopic_dpi(rng) -> float:
-    """(h) S_a is non-increasing under CPTP maps."""
+def _draw_telescopic_dpi(rng):
     d = int(rng.integers(2, 5))
-    part = SystemPartition([("S", d)])
-    rho = _rand_state(rng, part)
-    sigma = _rand_state(rng, part)
+    rho_seed, sigma_seed = _seeds(rng, 2)
     a = float(rng.uniform(0.1, 0.9))
-    ch = random_channel(d, int(rng.integers(2, 4)), int(rng.integers(0, 2**31)))
+    kraus_count = int(rng.integers(2, 4))
+    return (d, kraus_count), (rho_seed, sigma_seed, a, *_seeds(rng, 1))
+
+
+def _check_telescopic_dpi(key, rho_seeds, sigma_seeds, a, channel_seeds) -> np.ndarray:
+    """(h) S_a is non-increasing under CPTP maps."""
+    d, kraus_count = key
+    part = SystemPartition([("S", d)])
+    rho = _rand_states(part, rho_seeds)
+    sigma = _rand_states(part, sigma_seeds)
+    a = np.array(a)
+    ch = random_channel(d, kraus_count, channel_seeds)
     before = info.telescopic_relative_entropy(rho, sigma, a)
     after = info.telescopic_relative_entropy(
         apply_channel(rho, ch, "S"), apply_channel(sigma, ch, "S"), a
     )
-    return max(after - before, 0.0)
+    return _max(after - before, 0.0)
 
 
-def _petz_three_qubit(rng) -> tuple[float, float, float]:
+def _draw_petz(rng):
+    return (), _seeds(rng, 1)
+
+
+def _petz_three_qubit(key, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RACMI margin (asserted) and the recovery-bound margins (recorded)."""
     part = SystemPartition([("A", 2), ("B", 2), ("C", 2)])
-    rho = _rand_state(rng, part)
+    rho = _rand_states(part, seeds)
     sigma = info.petz_recovery(rho, {"A"}, {"B"}, {"C"})
     cmi = info.conditional_mutual_information(rho, {"A"}, {"C"}, {"B"})
     d = info.trace_distance(rho, sigma)
-    racmi_violation = max(cmi - 7.0 * math.log2(2) * math.sqrt(d), 0.0)
+    racmi_violation = _max(cmi - 7.0 * math.log2(2) * np.sqrt(d), 0.0)
     # D^2 <= ln2 * I(A:C|B) holds for an optimal recovery map; record the Petz
     # margins under both distance normalizations.
     half_norm = d * d - math.log(2.0) * cmi
-    full_norm = (2 * d) ** 2 - math.log(2.0) * cmi
+    # Python's ``**`` (libm ``pow``), which NumPy's square does not always match to the bit
+    full_norm = np.array([(2 * x) ** 2 for x in d.tolist()]) - math.log(2.0) * cmi
     return racmi_violation, half_norm, full_norm
 
 
 _IDENTITY_CHECKS = (
-    ("a_conservation_I_A_SE", _check_conservation),
-    ("b_sub_environment", _check_sub_env),
-    ("c_chain_rule", _check_chain_rule),
-    ("d_interaction_decomposition", _check_interaction_decomposition),
-    ("e_broadcast_redundancy", _check_broadcast),
-    ("f_initial_markovianity", _check_initial_markovianity),
-    ("g_pair_state_identity", _check_pair_state_identity),
-    ("h_telescopic_dpi", _check_telescopic_dpi),
+    ("a_conservation_I_A_SE", _draw_conservation, _check_conservation),
+    ("b_sub_environment", _draw_four_party(2), _check_sub_env),
+    ("c_chain_rule", _draw_four_party(1), _check_chain_rule),
+    ("d_interaction_decomposition", _draw_four_party(1), _check_interaction_decomposition),
+    ("e_broadcast_redundancy", _draw_broadcast, _check_broadcast),
+    ("f_initial_markovianity", _draw_initial_markovianity, _check_initial_markovianity),
+    ("g_pair_state_identity", _draw_pair_state_identity, _check_pair_state_identity),
+    ("h_telescopic_dpi", _draw_telescopic_dpi, _check_telescopic_dpi),
 )
+
+
+def _by_partition(draws: list, check) -> np.ndarray:
+    """``check`` on every sample's draw, one stacked call per partition key.
+
+    Returns one row per sample, with the value (or values) ``check`` gives it.
+    """
+    groups: dict = {}
+    for i, (key, _) in enumerate(draws):
+        groups.setdefault(key, []).append(i)
+    table = None
+    for key, rows in groups.items():
+        vals = check(key, *zip(*(draws[i][1] for i in rows)))
+        vals = np.column_stack(vals if isinstance(vals, tuple) else (vals,))
+        if table is None:
+            table = np.empty((len(draws), vals.shape[1]))
+        table[rows] = vals
+    return table
 
 
 def identity_block(seed: int, lo: int, hi: int) -> list[tuple[float, ...]]:
@@ -313,16 +383,23 @@ def identity_block(seed: int, lo: int, hi: int) -> list[tuple[float, ...]]:
     A row holds the violation of each check (a)-(h), the negative control's
     |delta I(A:SE)|, and the three Petz margins of ``_petz_three_qubit``.
     Sample i draws only from ``_rng_for(seed, i)`` and ``_rng_for(seed + 1, i)``,
-    so a row does not depend on which block or process computes it.
+    each check in the order above.  Each check then evaluates the block's
+    samples in one stacked state per partition; every slice's values are
+    those it would have alone, so a row does not depend on which block or
+    process computes it.
     """
-    rows = []
+    draws = []
     for i in range(lo, hi):
         rng = _rng_for(seed, i)
-        row = [float(fn(rng)) for _, fn in _IDENTITY_CHECKS]
-        row.append(_check_conservation(_rng_for(seed, i), negative=True))
-        row.extend(_petz_three_qubit(_rng_for(seed + 1, i)))
-        rows.append(tuple(row))
-    return rows
+        row = [draw(rng) for _, draw, _ in _IDENTITY_CHECKS]
+        row.append(_draw_conservation(_rng_for(seed, i), negative=True))
+        row.append(_draw_petz(_rng_for(seed + 1, i)))
+        draws.append(row)
+    if not draws:
+        return []
+    checks = [check for *_, check in _IDENTITY_CHECKS] + [_check_conservation, _petz_three_qubit]
+    table = np.hstack([_by_partition([row[j] for row in draws], check) for j, check in enumerate(checks)])
+    return [tuple(map(float, row)) for row in table]
 
 
 def identity_report(seed: int, rows: Sequence[tuple[float, ...]]) -> SuiteReport:
@@ -338,7 +415,7 @@ def identity_report(seed: int, rows: Sequence[tuple[float, ...]]) -> SuiteReport
     neg_min = table[:, n].min(initial=math.inf)
     dsq_half, dsq_full = table[:, n + 2:].max(axis=0, initial=-math.inf)
     checks = [
-        CheckResult(name, samples, w, IDENTITY_TOL) for (name, _), w in zip(_IDENTITY_CHECKS, worst[:n])
+        CheckResult(name, samples, w, IDENTITY_TOL) for (name, *_), w in zip(_IDENTITY_CHECKS, worst[:n])
     ]
     # sensitivity: the deliberately broken precondition must be detected
     checks.append(

@@ -6,6 +6,12 @@ validated against the usual density-matrix invariants (Hermitian, unit trace,
 positive semidefinite up to tolerance).  A state is validated on its support,
 the principal block of its nonzero rows and columns, and takes ownership of
 the fresh arrays the package's own producers hand it instead of copying them.
+
+A :class:`DensityMatrix` may also hold a stack of states on one partition
+(``data`` of shape (N, d, d)).  Every operation here and in :mod:`.info` acts
+slice by slice, with one NumPy call per step for the whole stack; slices that
+share their support get the bits each would get as a state of its own, and a
+stack's scalar results are arrays of N values where a single state's are floats.
 """
 
 from __future__ import annotations
@@ -118,7 +124,7 @@ class SystemPartition:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD unit-trace matrix with a labeled factorization.
+    """Hermitian PSD unit-trace matrix with a labeled factorization, or a stack of them.
 
     Validation runs on the support only: the principal block of the indices
     whose row or column is nonzero.  Every nonzero entry lies in that block,
@@ -126,6 +132,12 @@ class DensityMatrix:
     matrix, and the other eigenvalues are exact zeros.  ``spectrum`` is the
     raw ascending ``eigvalsh`` spectrum computed during validation (read-only,
     like ``data``, so it can never go stale).
+
+    ``data`` of shape (N, d, d) is a stack of N states on one partition.  Every
+    slice is validated, with the same checks, tolerances and messages, by one
+    call per check; the support is the union of the slices' supports, so
+    slices that share their support get the spectrum each would get alone.
+    ``spectrum`` is then (N, d) and ``entropy`` an array of N values.
 
     ``data`` is copied, so the caller's array is never aliased or frozen.  The
     package's own producers pass ``_owned=True`` with a fresh complex array
@@ -149,29 +161,30 @@ class DensityMatrix:
         m = self.data
         if not (self._owned and type(m) is np.ndarray and m.dtype == np.complex128 and m.flags.forc):
             m = np.array(m, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateValidityError(f"expected a square matrix, got shape {m.shape}")
-        n = m.shape[0]
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or not m.size:
+            raise StateValidityError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+        n = m.shape[-1]
         if n != self.partition.total_dim:
             raise StateValidityError(
                 f"matrix size {n} does not match partition dimension {self.partition.total_dim}"
             )
-        diag = m.diagonal()
+        diag = m.diagonal(axis1=-2, axis2=-1)
         live = None if diag.all() else _support(m)  # a nonzero diagonal makes every row live
-        block = m if live is None else m[np.ix_(live, live)]
+        block = m if live is None else m[..., live[:, None], live]
         if not np.isfinite(block).all():
             raise StateValidityError("matrix has non-finite entries")
         # every comparison is written so that NaN fails it
-        herm = np.abs(block - block.conj().T).max() if block.size else 0.0
+        herm = np.abs(block - block.conj().swapaxes(-1, -2)).max() if block.size else 0.0
         if not herm <= HERMITICITY_TOL:
             raise StateValidityError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
-        tr = diag.sum()  # ``m.trace()``, the same reduction
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise StateValidityError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+        tr = np.atleast_1d(diag.sum(axis=-1))  # ``m.trace()``, the same reduction
+        bad = ~(abs(tr - 1.0) <= TRACE_TOL)
+        if bad.any():
+            raise StateValidityError(f"trace {tr[bad][0]} deviates from 1 beyond {TRACE_TOL}")
         eigs = np.linalg.eigvalsh(block)
         if live is not None:  # the dead indices add exact zeros to the spectrum
-            eigs = np.sort(np.concatenate([np.zeros(n - live.size), eigs]))
-        lo = float(eigs[0])
+            eigs = np.sort(np.concatenate([np.zeros(m.shape[:-2] + (n - live.size,)), eigs], axis=-1))
+        lo = float(eigs[..., 0].min())
         if not lo >= -PSD_TOL:
             raise StateValidityError(f"negative eigenvalue {lo:.3e} beyond tolerance")
         m.setflags(write=False)
@@ -181,7 +194,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -192,8 +205,8 @@ class DensityMatrix:
         return clamp_spectrum(self.spectrum)
 
     @functools.cached_property
-    def entropy(self) -> float:
-        """``spectrum_entropy(spectrum)``, computed once.
+    def entropy(self) -> float | np.ndarray:
+        """``spectrum_entropy(spectrum)``, computed once (one value per slice of a stack).
 
         Validation has already rejected a spectrum below -PSD_TOL, so only the
         positive eigenvalues are summed here.
@@ -202,12 +215,12 @@ class DensityMatrix:
 
 
 def _support(m: np.ndarray) -> np.ndarray | None:
-    """Indices whose row or column of ``m`` is nonzero; ``None`` when that is every index.
+    """Indices whose row or column of ``m`` (of any slice) is nonzero; ``None`` when that is every index.
 
     A zero row and column span an exact eigenvector of eigenvalue 0 of a
     Hermitian matrix, and hold no entry any other check reads.
     """
-    live = m.any(axis=1) | m.any(axis=0)
+    live = (m.any(axis=-1) | m.any(axis=-2)).reshape(-1, m.shape[-1]).any(axis=0)
     return None if live.all() else np.flatnonzero(live)
 
 
@@ -235,15 +248,41 @@ def spectrum_entropy(eigs: np.ndarray, tol: float = PSD_TOL) -> float:
     return _positive_entropy(_checked_spectrum(eigs, tol))
 
 
-def _positive_entropy(lam: np.ndarray) -> float:
-    """-sum p ln p over the positive entries of ``lam``."""
-    pos = lam[lam > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+def _positive_entropy(lam: np.ndarray) -> float | np.ndarray:
+    """-sum p ln p over the positive entries of ``lam``, or of each row of a 2-D ``lam``."""
+    pos = lam > 0.0
+    return _real(-masked_sums(lam * np.log(np.where(pos, lam, 1.0)), pos))
+
+
+def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``x[mask].sum()``, or that sum for each row of a 2-D ``x`` and ``mask``.
+
+    Each row is summed as the 1-D array ``x[i][mask[i]]`` would be: the rows
+    are grouped by their mask and each group is gathered into a contiguous
+    block and summed along its rows, which rounds as the 1-D sum does.
+    """
+    if x.ndim == 1:
+        return x[mask].sum()
+    out = np.empty(len(x))
+    patterns, which = np.unique(mask, axis=0, return_inverse=True)
+    for j, keep in enumerate(patterns):
+        rows = which == j
+        out[rows] = np.ascontiguousarray(x[rows][:, keep]).sum(axis=-1)
+    return out
+
+
+def _real(x):
+    """A single value as a Python ``float``; the values of a stack as they are."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """CPTP map given by Kraus operators (rectangular Kraus allowed)."""
+    """CPTP map given by Kraus operators (rectangular Kraus allowed).
+
+    Kraus operators of shape (N, out, in) make a stack of N channels, which
+    :func:`apply_channel` applies slice by slice to a stack of N states.
+    """
 
     kraus_operators: tuple[np.ndarray, ...]
 
@@ -251,11 +290,12 @@ class QuantumChannel:
         ops = tuple(np.array(k, dtype=np.complex128) for k in kraus_operators)
         if not ops:
             raise ChannelError("empty Kraus set")
-        out_dim, in_dim = ops[0].shape
+        shape = ops[0].shape
+        in_dim = shape[-1]
         for k in ops:
-            if k.ndim != 2 or k.shape != (out_dim, in_dim):
+            if k.ndim not in (2, 3) or k.shape != shape:
                 raise ChannelError("inconsistent Kraus operator shapes")
-        comp = sum(k.conj().T @ k for k in ops)
+        comp = sum(k.conj().swapaxes(-1, -2) @ k for k in ops)
         err = np.max(np.abs(comp - np.eye(in_dim)))
         if err > KRAUS_TOL:
             raise ChannelError(f"Kraus completeness violated: |sum K^dag K - I| = {err:.3e}")
@@ -265,11 +305,11 @@ class QuantumChannel:
 
     @property
     def in_dim(self) -> int:
-        return self.kraus_operators[0].shape[1]
+        return self.kraus_operators[0].shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus_operators[0].shape[0]
+        return self.kraus_operators[0].shape[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +353,13 @@ def maximally_mixed(partition: SystemPartition) -> DensityMatrix:
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; the partition is the concatenation of factor lists.
 
-    One broadcast product, the same elementwise products as ``np.kron``.
+    One broadcast product, the same elementwise products as ``np.kron``.  A
+    stack pairs slice by slice with a stack of the same length, and a single
+    state with every slice of a stack.
     """
     d = a.dim * b.dim
-    data = (a.data[:, None, :, None] * b.data[None, :, None, :]).reshape(d, d)
-    return DensityMatrix(data, a.partition.concat(b.partition), _owned=True)
+    data = a.data[..., :, None, :, None] * b.data[..., None, :, None, :]
+    return DensityMatrix(data.reshape(data.shape[:-4] + (d, d)), a.partition.concat(b.partition), _owned=True)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -345,44 +387,63 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
         return hit
     part = root.partition
     _, sub, subscripts, out = part._kept(keep)
-    red = np.einsum(root.data.reshape(part.dims * 2), subscripts, out)
-    marginal = DensityMatrix(red.reshape(sub.total_dim, sub.total_dim), sub, _owned=True)
+    batch = root.data.shape[:-2]
+    red = np.einsum(root.data.reshape(batch + part.dims * 2), [..., *subscripts], [..., *out])
+    marginal = DensityMatrix(red.reshape(batch + (sub.total_dim,) * 2), sub, _owned=True)
     object.__setattr__(marginal, "_root", weakref.ref(root))
     return root._marginals.setdefault(keep, marginal)
 
 
 def embed(op: np.ndarray, partition: SystemPartition, labels: Iterable[str]) -> np.ndarray:
-    """Lift an operator on the factors ``labels`` to the whole of ``partition`` (identity elsewhere)."""
+    """Lift an operator on the factors ``labels`` to the whole of ``partition`` (identity elsewhere).
+
+    A stack of operators (shape (N, k, k)) lifts slice by slice.
+    """
     pos = partition.positions(labels)
     dims = partition.dims
     n = len(dims)
-    operands = [op.reshape([dims[i] for i in pos] * 2), pos + [i + n for i in pos]]
+    batch = op.shape[:-2]
+    operands = [op.reshape(batch + tuple(dims[i] for i in pos) * 2), [..., *pos, *(i + n for i in pos)]]
     for i in range(n):
         if i not in pos:
             operands += [np.eye(dims[i]), [i, i + n]]
     d = partition.total_dim
-    return np.einsum(*operands, list(range(2 * n))).reshape(d, d)
+    return np.einsum(*operands, [..., *range(2 * n)]).reshape(batch + (d, d))
 
 
 def _apply_on_factor(mat: np.ndarray, op: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
-    """K rho K^dag contribution with K acting on factor ``pos`` only."""
+    """K rho K^dag contribution with K acting on factor ``pos`` only, slice by slice.
+
+    ``mat`` and ``op`` may be stacks.  Each leg is contracted as
+    ``np.tensordot`` contracts it: the leg is moved next to the stack axis, the
+    other legs are flattened, and one matrix product is taken per slice.
+    """
     n = len(dims)
-    out_d, in_d = op.shape
-    t = mat.reshape(list(dims) + list(dims))
-    # contract ket leg
-    t = np.tensordot(op, t, axes=([1], [pos]))        # new leg 0 is the out leg
-    t = np.moveaxis(t, 0, pos)
-    # contract bra leg
-    t = np.tensordot(t, op.conj(), axes=([n + pos], [1]))
-    t = np.moveaxis(t, -1, n + pos)
-    new_dims = list(dims)
-    new_dims[pos] = out_d
-    d = int(np.prod(new_dims, dtype=np.int64))
-    return t.reshape(d, d), new_dims
+    b = mat.ndim - 2
+    batch = mat.shape[:-2]
+    out_d = op.shape[-2]
+    shape = list(dims) * 2
+    t = mat.reshape(*batch, *shape)
+    # contract ket leg: K @ (leg, rest)
+    rest = [i for i in range(2 * n) if i != pos]
+    t = op @ t.transpose(*range(b), b + pos, *(b + i for i in rest)).reshape(*batch, shape[pos], -1)
+    shape[pos] = out_d
+    t = np.moveaxis(t.reshape(*batch, out_d, *(shape[i] for i in rest)), b, b + pos)
+    # contract bra leg: (rest, leg) @ K^dag
+    rest = [i for i in range(2 * n) if i != n + pos]
+    t = t.transpose(*range(b), *(b + i for i in rest), b + n + pos).reshape(*batch, -1, shape[n + pos])
+    t = t @ op.conj().swapaxes(-1, -2)
+    shape[n + pos] = out_d
+    t = np.moveaxis(t.reshape(*batch, *(shape[i] for i in rest), out_d), -1, b + n + pos)
+    d = math.prod(shape[:n])
+    return t.reshape(*batch, d, d), shape[:n]
 
 
 def apply_channel(rho: DensityMatrix, ch: QuantumChannel, target: str) -> DensityMatrix:
-    """Sum_k (I (x) K_k) rho (I (x) K_k)^dag on the ``target`` factor."""
+    """Sum_k (I (x) K_k) rho (I (x) K_k)^dag on the ``target`` factor.
+
+    A stack of states takes either one channel or a stack of as many channels.
+    """
     part = rho.partition
     pos = part.positions([target])[0]
     if ch.in_dim != part.dims[pos]:
@@ -400,31 +461,48 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel, target: str) -> Densit
     return DensityMatrix(acc, SystemPartition(new_factors), _owned=True)
 
 
-def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix; deterministic per seed."""
+def _per_seed(draw, seed):
+    """``draw(seed)``, or the stack of ``draw(s)`` over a sequence of seeds."""
+    return draw(seed) if np.ndim(seed) == 0 else np.stack([draw(s) for s in seed])
+
+
+def haar_random_unitary(dim: int, seed: int | Sequence[int]) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix; deterministic per seed.
+
+    A sequence of seeds gives the stack of their unitaries.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phase = np.diag(r).copy()
-    phase /= np.abs(phase)
-    return q * phase.conj()
+
+    def draw(s):
+        rng = np.random.default_rng(s)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(g)
+        phase = np.diag(r).copy()
+        phase /= np.abs(phase)
+        return q * phase.conj()
+
+    return _per_seed(draw, seed)
 
 
-def random_density_matrix(partition: SystemPartition, rank: int, seed: int) -> DensityMatrix:
+def random_density_matrix(partition: SystemPartition, rank: int, seed: int | Sequence[int]) -> DensityMatrix:
     """Random state of the requested rank.
 
     Sampled as the partial trace of a Haar-ish random pure state on a
     rank-sized auxiliary space (Ginibre construction); deterministic per seed.
+    A sequence of seeds gives the stack of their states.
     """
     d = partition.total_dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}]")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real, partition, _owned=True)
+
+    def draw(s):
+        rng = np.random.default_rng(s)
+        return rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+
+    g = _per_seed(draw, seed)
+    m = g @ g.conj().swapaxes(-1, -2)
+    return DensityMatrix(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None], partition, _owned=True)
 
 
 def random_pure_state(partition: SystemPartition, seed: int) -> DensityMatrix:
@@ -434,10 +512,15 @@ def random_pure_state(partition: SystemPartition, seed: int) -> DensityMatrix:
     return pure_state(v / np.linalg.norm(v), partition)
 
 
-def random_channel(dim_in: int, kraus_count: int, seed: int, dim_out: int | None = None) -> QuantumChannel:
-    """Random CPTP map from a Stinespring dilation of a Haar unitary."""
+def random_channel(
+    dim_in: int, kraus_count: int, seed: int | Sequence[int], dim_out: int | None = None
+) -> QuantumChannel:
+    """Random CPTP map from a Stinespring dilation of a Haar unitary.
+
+    A sequence of seeds gives the stack of their channels.
+    """
     dim_out = dim_in if dim_out is None else dim_out
     u = haar_random_unitary(dim_out * kraus_count, seed)
-    iso = u[:, :dim_in]  # V |psi> = U |psi>|0>, isometry in_dim -> out*k
-    ops = [iso[i * dim_out:(i + 1) * dim_out, :] for i in range(kraus_count)]
+    iso = u[..., :dim_in]  # V |psi> = U |psi>|0>, isometry in_dim -> out*k
+    ops = [iso[..., i * dim_out:(i + 1) * dim_out, :] for i in range(kraus_count)]
     return QuantumChannel(ops)

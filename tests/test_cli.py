@@ -520,10 +520,10 @@ class TestThreadDeterminism:
         parent = os.getpid()
         petz = oracle._petz_three_qubit
 
-        def fails_in_a_worker(rng):
+        def fails_in_a_worker(*args):
             if os.getpid() != parent:
                 raise BlockFailure("raised in a worker")
-            return petz(rng)
+            return petz(*args)
 
         monkeypatch.setattr(oracle, "_petz_three_qubit", fails_in_a_worker)
         monkeypatch.setattr(cli, "available_cpus", lambda: 2)

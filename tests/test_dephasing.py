@@ -4,7 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1041,3 +1044,36 @@ class TestSystemTrajectory:
         for t, st in zip(traj.times, traj.states):
             direct = system_state(p, a, t)
             assert_allclose(st.data, direct.data, atol=1e-12)
+
+
+class TestSharedCaches:
+    """The ``measures`` pool reads the per-Fock-dimension caches from several threads."""
+
+    @pytest.mark.parametrize("name,args,builder", [
+        ("_quadrature_modes", (97,), "_ladder"),
+        ("_parity_sectors", (5, 3), "reduce"),
+    ])
+    def test_threads_that_miss_together_build_an_entry_once(self, name, args, builder, monkeypatch):
+        cached = getattr(dephasing, name)
+        cached.cache_clear()
+        real = getattr(dephasing, builder)
+        built = []
+
+        def slow(*a):
+            built.append(a)
+            time.sleep(0.2)  # every thread has missed the entry by then
+            return real(*a)
+
+        monkeypatch.setattr(dephasing, builder, slow)
+        threads = 4
+        together = threading.Barrier(threads)
+
+        def call(_):
+            together.wait(timeout=10)
+            return cached(*args)
+
+        with ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(call, range(threads), timeout=30))
+        cached.cache_clear()
+        assert len(built) == 1
+        assert all(r is results[0] for r in results)

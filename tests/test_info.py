@@ -356,3 +356,41 @@ class TestInitialMarkovianity:
             u = np.kron(np.eye(2), expm(-1j * 0.03 * h))
             rot = DensityMatrix(u @ rho.data @ u.conj().T, rho.partition)
             assert info.conditional_mutual_information(rot, {"A"}, {"E"}, {"S"}) >= 0.0
+
+
+class TestStacks:
+    """Each info function on a stack gives every slice the bits it gets alone."""
+
+    @staticmethod
+    def same_bits(stacked, per_slice) -> bool:
+        ref = np.array(per_slice)
+        stacked = np.asarray(stacked)
+        return stacked.shape == ref.shape and stacked.tobytes() == ref.tobytes()
+
+    def test_every_function_acts_slice_by_slice(self, identity_stacks):
+        rho, sigma = identity_stacks
+        pairs = [(DensityMatrix(r, rho.partition), DensityMatrix(s, rho.partition))
+                 for r, s in zip(rho.data, sigma.data)]
+        a = np.array([0.2, 0.5, 0.7])
+        lbl = [[x] for x in rho.labels]
+        cases = {
+            "entropy": (lambda r, s, a: info.von_neumann_entropy(r)),
+            "relative_entropy": (lambda r, s, a: info.relative_entropy(r, s)),
+            "telescopic": (lambda r, s, a: info.telescopic_relative_entropy(r, s, a)),
+            "jensen_shannon": (lambda r, s, a: info.jensen_shannon_telescopic(r, s)),
+            "trace_distance": (lambda r, s, a: info.trace_distance(r, s)),
+            "fidelity": (lambda r, s, a: info.fidelity(r, s)),
+        }
+        if len(lbl) >= 2:
+            cases["mutual_information"] = lambda r, s, a: info.mutual_information(r, lbl[0], sum(lbl[1:], []))
+        if len(lbl) >= 3:
+            cases["cmi"] = lambda r, s, a: info.conditional_mutual_information(r, lbl[0], lbl[1], sum(lbl[2:], []))
+            cases["petz_recovery"] = lambda r, s, a: info.petz_recovery(r, lbl[0], lbl[1], sum(lbl[2:], [])).data
+        if len(lbl) >= 4:
+            cases["interaction"] = lambda r, s, a: info.interaction_information(
+                r, lbl[0], lbl[1], lbl[2], sum(lbl[3:], []))
+        for name, fn in cases.items():
+            stacked = fn(rho, sigma, a)
+            alone = [fn(r, s, float(x)) for (r, s), x in zip(pairs, a)]
+            assert all(type(v) is (np.ndarray if name == "petz_recovery" else float) for v in alone), name
+            assert self.same_bits(stacked, alone), name

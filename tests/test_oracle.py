@@ -50,15 +50,20 @@ class TestIdentitySuite:
         assert report.all_passed, report.summary()
 
     def test_state_construction_count(self, monkeypatch):
-        # each marginal is traced and validated once per root state; a change that
-        # re-traces or re-validates states moves this count
-        calls = []
+        # each marginal is traced and validated once per root state, as a slice of its
+        # partition's stack; a change that re-traces or re-validates states moves this count
+        slices = []
         real = oracle.DensityMatrix.__post_init__
-        monkeypatch.setattr(
-            oracle.DensityMatrix, "__post_init__", lambda self: calls.append(1) or real(self)
-        )
+
+        def count(self):
+            real(self)
+            slices.append(1 if self.data.ndim == 2 else len(self.data))
+
+        monkeypatch.setattr(oracle.DensityMatrix, "__post_init__", count)
         oracle.identity_suite(seed=11, samples=10)
-        assert len(calls) == 870
+        # 87 states per sample, except check (e)'s fresh |00> register: one state
+        # per partition (3 of them at this seed) instead of one per sample
+        assert sum(slices) == 870 - 10 + 3
 
     @pytest.mark.parametrize("column,name", [
         (2, "c_chain_rule"), (8, "negative_control_detected"), (9, "petz_racmi_bound"),

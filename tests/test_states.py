@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from nonmarkov.states import (
     apply_channel,
     basis_state,
     clamp_spectrum,
+    embed,
     haar_random_unitary,
     maximally_mixed,
     partial_trace,
@@ -104,6 +106,26 @@ def _dead_row_state(**entries) -> np.ndarray:
     return m
 
 
+NON_FINITE = {
+    "diag_nan": np.diag([np.nan, np.nan]),
+    "offdiag_nan": np.array([[0.5, np.nan], [np.nan, 0.5]]),
+    "diag_inf": np.diag([np.inf, 0.5]),
+    "offdiag_inf": np.array([[0.5, np.inf], [np.inf, 0.5]]),
+    "dead_row_diag_nan": _dead_row_state(m11=np.nan),
+    "dead_row_offdiag_inf": _dead_row_state(m12=np.inf, m21=np.inf),
+    "zero_diagonal_row_nan": _dead_row_state(m01=np.nan),
+}
+
+# every input ``TestDensityMatrixValidation`` rejects
+INVALID = {
+    "non_hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    "dead_row_non_hermitian": _dead_row_state(m12=0.25, m21=0.25 + 1e-3j),
+    "bad_trace": np.eye(2),
+    "negative_eigenvalue": np.diag([1.5, -0.5]),
+    **NON_FINITE,
+}
+
+
 class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
@@ -125,19 +147,25 @@ class TestDensityMatrixValidation:
         with pytest.raises(StateValidityError):
             DensityMatrix(m, QUBIT)
 
-    @pytest.mark.parametrize("m", [
-        np.diag([np.nan, np.nan]),
-        np.array([[0.5, np.nan], [np.nan, 0.5]]),
-        np.diag([np.inf, 0.5]),
-        np.array([[0.5, np.inf], [np.inf, 0.5]]),
-        _dead_row_state(m11=np.nan),
-        _dead_row_state(m12=np.inf, m21=np.inf),
-        _dead_row_state(m01=np.nan),
-    ], ids=["diag_nan", "offdiag_nan", "diag_inf", "offdiag_inf",
-            "dead_row_diag_nan", "dead_row_offdiag_inf", "zero_diagonal_row_nan"])
+    @pytest.mark.parametrize("m", NON_FINITE.values(), ids=NON_FINITE.keys())
     def test_non_finite_rejected(self, m):
         with pytest.raises(StateValidityError, match="non-finite"):
             DensityMatrix(m, SystemPartition([("S", len(m))]))
+
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("name", INVALID)
+    def test_one_bad_slice_fails_a_stack_with_its_own_message(self, name, slot):
+        m = INVALID[name]
+        part = SystemPartition([("S", len(m))])
+        with pytest.raises(StateValidityError) as alone:
+            DensityMatrix(m, part)
+        # the other slices are valid states with the same dead rows as the 3x3 inputs
+        good = _dead_row_state() if len(m) == 3 else np.eye(2) / 2
+        stack = [good, good, good]
+        stack[slot] = m
+        with pytest.raises(StateValidityError) as stacked:
+            DensityMatrix(np.array(stack), part)
+        assert str(stacked.value) == str(alone.value)
 
     def test_clamp_rejects_nan(self):
         with pytest.raises(StateValidityError):
@@ -386,6 +414,61 @@ class TestApplyChannel:
         out = apply_channel(rho, QuantumChannel([v]), "S")
         assert out.partition.dims == (3, 2)
         assert abs(out.data.trace() - 1.0) <= 1e-12
+
+
+def same_bits(stacked, per_slice) -> bool:
+    """A stacked result holds exactly the bits of the per-slice results."""
+    ref = np.array(per_slice)
+    stacked = np.asarray(stacked)
+    return stacked.shape == ref.shape and stacked.dtype == ref.dtype and stacked.tobytes() == ref.tobytes()
+
+
+def slices(stack: DensityMatrix) -> list[DensityMatrix]:
+    return [DensityMatrix(m, stack.partition) for m in stack.data]
+
+
+class TestStacks:
+    def test_seeded_producers_stack_their_seeds(self):
+        part = SystemPartition([("A", 2), ("S", 4)])
+        seeds = [3, 11, 5]
+        stack = random_density_matrix(part, 5, seeds)
+        alone = [random_density_matrix(part, 5, s) for s in seeds]
+        assert same_bits(stack.data, [r.data for r in alone])
+        assert same_bits(stack.spectrum, [r.spectrum for r in alone])
+        assert same_bits(haar_random_unitary(6, seeds), [haar_random_unitary(6, s) for s in seeds])
+        ch = random_channel(3, 2, seeds, dim_out=4)
+        for k, ops in enumerate(zip(*(random_channel(3, 2, s, dim_out=4).kraus_operators for s in seeds))):
+            assert same_bits(ch.kraus_operators[k], ops)
+        assert (ch.in_dim, ch.out_dim) == (3, 4)
+
+    def test_operations_act_slice_by_slice(self, identity_stacks):
+        rho, _ = identity_stacks
+        alone = slices(rho)
+        assert same_bits(rho.spectrum, [r.spectrum for r in alone])
+        assert same_bits(rho.entropy, [r.entropy for r in alone])
+        labels = rho.labels
+        for n in range(1, len(labels)):
+            for keep in itertools.combinations(labels, n):
+                marg = partial_trace(rho, keep)
+                singles = [partial_trace(r, keep) for r in alone]
+                assert same_bits(marg.data, [m.data for m in singles])
+                assert same_bits(marg.entropy, [m.entropy for m in singles])
+        flag = basis_state(SystemPartition([("G", 2)]), [0])
+        assert same_bits(tensor(rho, flag).data, [tensor(r, flag).data for r in alone])
+        target, d = rho.partition.factors[0]
+        ch = random_channel(d, 2, [7, 8, 9])
+        each = [QuantumChannel([k[i] for k in ch.kraus_operators]) for i in range(3)]
+        assert same_bits(apply_channel(rho, ch, target).data,
+                         [apply_channel(r, c, target).data for r, c in zip(alone, each)])
+        u = haar_random_unitary(d, [4, 5, 6])
+        assert same_bits(embed(u, rho.partition, [target]), [embed(x, rho.partition, [target]) for x in u])
+
+    def test_a_stack_of_channels_is_validated_slice_by_slice(self):
+        ops = random_channel(2, 2, [1, 2]).kraus_operators
+        broken = [k.copy() for k in ops]
+        broken[0][1] *= 1.1
+        with pytest.raises(ChannelError, match="completeness"):
+            QuantumChannel(broken)
 
 
 class TestHaarRandomUnitary:
