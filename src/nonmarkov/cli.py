@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 config error, 2 numerical-convergence failure,
 fixed BLAS thread count.
 ``NONMARKOV_THREADS`` caps worker parallelism (default, and upper limit: the
 CPUs this process may use): the thread pool over ``measures`` candidates, and
-the ``check`` pool of ``NONMARKOV_THREADS - 1`` forked processes that run
-blocks of identity samples while this process runs the cross-checks (see
+the ``check`` pool of ``NONMARKOV_THREADS`` forked processes that each take
+whole checks (a cross-check, or one identity check over every sample) while
+this process draws the samples' inputs and folds the results (see
 ``_identity_and_cross_checks``).  Neither changes an output byte.
 """
 
@@ -36,7 +37,7 @@ EXIT_CHECK_FAILED = 3
 
 MODES = ("phase_factors", "cmi", "measures", "check")
 MAX_GRID_STEPS = 10**6
-CHECK_IN_PROCESS = 20  # a ``check`` of at most this many identity samples starts no pool: the fork costs more
+CHECK_IN_PROCESS = 10  # a ``check`` of at most this many identity samples starts no pool: it gains no wall time
 
 
 class ConfigError(ValueError):
@@ -319,57 +320,62 @@ def _run_measures(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CROSS_CHECKS = ("special_functions", "entangled", "classical")
+
+
+def _cross_check(name: str, seed: int) -> oracle.SuiteReport:
+    """The special-function suite, or the small fixed dense dephasing cross-check of env kind ``name``."""
+    if name == "special_functions":
+        return oracle.special_function_suite(seed)
+    params = DephasingParams(omega_c=0.25, r=0.5, env_kind=name)
+    model = dephasing.build_discrete_model(params, n_modes=1, n_max=6)
+    return oracle.dense_dephasing_check(model, measures.ops_state(), [0.0, 1.5, 3.0, 5.0])
+
+
 def _cross_checks(seed: int) -> list:
     """The special-function suite and the dense dephasing cross-check of both env kinds."""
-    reports = [oracle.special_function_suite(seed)]
-    # small fixed dephasing cross-check, both environment kinds
-    for kind in ("entangled", "classical"):
-        params = DephasingParams(omega_c=0.25, r=0.5, env_kind=kind)
-        model = dephasing.build_discrete_model(params, n_modes=1, n_max=6)
-        reports.append(
-            oracle.dense_dephasing_check(model, measures.ops_state(), [0.0, 1.5, 3.0, 5.0])
-        )
-    return reports
+    return [_cross_check(name, seed) for name in _CROSS_CHECKS]
 
 
 def _identity_and_cross_checks(seed: int, samples: int) -> list:
     """The identity-suite report, then the ``_cross_checks`` reports.
 
-    A check of more than ``CHECK_IN_PROCESS`` samples splits them into one
-    contiguous block per process: ``worker_count() - 1`` forked processes each
-    run one block while this process runs the cross-checks and then the last
-    block.  Every row comes from ``oracle.identity_block`` with the same seed
-    and does not depend on the block it is computed in; the rows are folded in
-    sample order, so the report does not depend on the worker count.
-    Without ``fork`` (or with at most ``CHECK_IN_PROCESS`` samples, or one
-    worker) it all runs in this process.  ``fork`` rather than ``spawn``: a
-    spawned worker would import NumPy and the package again, most of a small
-    job's gain.  The fork is safe here because ``check`` starts no thread of
-    its own and a fork-context executor launches its workers before its
-    manager thread.
+    A check of more than ``CHECK_IN_PROCESS`` samples runs in a pool of
+    ``worker_count()`` forked processes, split by check rather than by
+    sample: each cross-check is one task, submitted first since it needs no
+    draws, and each column of ``oracle.identity_draws`` (a check over every
+    sample) is one task.  This process only draws the samples' inputs (while
+    the workers run the cross-checks), submits the columns and folds them
+    into rows in sample order.  A column's values do not depend on the
+    process that computes it, so the report does not depend on the worker
+    count.  Without ``fork`` (or with at most ``CHECK_IN_PROCESS`` samples,
+    or one worker) it all runs in this process.  ``fork`` rather than
+    ``spawn``: a spawned worker would import NumPy and the package again,
+    most of a small job's gain.  The fork is safe here because ``check``
+    starts no thread of its own and a fork-context executor launches its
+    workers before its manager thread.
     """
     import multiprocessing
 
-    workers = min(worker_count() - 1, samples)
+    workers = min(worker_count(), len(_CROSS_CHECKS) + len(oracle.COLUMN_CHECKS))
     fork = "fork" in multiprocessing.get_all_start_methods()
-    if samples <= CHECK_IN_PROCESS or workers < 1 or not fork:
-        rows = oracle.identity_block(seed, 0, samples)
-        cross = _cross_checks(seed)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    if samples <= CHECK_IN_PROCESS or workers < 2 or not fork:
+        return [oracle.identity_suite(seed, samples), *_cross_checks(seed)]
+    from concurrent.futures import ProcessPoolExecutor
 
-        edges = [samples * k // (workers + 1) for k in range(workers + 2)]
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            futures = [pool.submit(oracle.identity_block, seed, lo, hi) for lo, hi in zip(edges, edges[1:-1])]
-            try:
-                cross = _cross_checks(seed)
-                own = oracle.identity_block(seed, edges[-2], edges[-1])
-                rows = [row for f in futures for row in f.result()] + own
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # rather than run blocks only to drop them
-                raise
-    return [oracle.identity_report(seed, rows), *cross]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            cross = [pool.submit(_cross_check, name, seed) for name in _CROSS_CHECKS]
+            columns = [
+                pool.submit(oracle.identity_column, j, draws)
+                for j, draws in enumerate(oracle.identity_draws(seed, 0, samples))
+            ]
+            table = np.hstack([f.result() for f in columns])
+            reports = [oracle.identity_report(seed, table), *(f.result() for f in cross)]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # rather than run checks only to drop them
+            raise
+    return reports
 
 
 def _run_check(cfg: dict) -> tuple[str, bool]:

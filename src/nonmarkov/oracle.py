@@ -3,16 +3,18 @@
 Random-state identity checks for the information-measure layer, truncated
 Fock-space checks for the special functions, and the dense cross-check of
 the s-block ``BranchComputer``.  Every suite is deterministic per seed; violations
-are reported, not thrown.  The identity suite is a fold of per-sample rows
-(``identity_block``), so its samples can be computed in any grouping and by
-any process; the report folds them in sample order.  A block evaluates each
-check once per partition its samples drew, on the stack of their states (see
-:mod:`.states`), and each row holds the bits of that sample alone.  The
-suite's negative control applies a global unitary to a product state
-tau_A (x) sigma_SE and must see I(A:SE) change; it checks that the suite can
-fail.  Entries whose name ends in ``_recorded`` are informational
-(tolerance = inf): they log margins for bounds that are not theorems for the
-implemented (Petz) recovery map.
+are reported, not thrown.  The identity suite is a table with one row per
+sample: ``identity_draws`` draws every sample's inputs, and
+``identity_column`` evaluates one check (its value or values) over the
+samples it is given, once per partition they drew, on the stack of their
+states (see :mod:`.states`).  Each value holds the bits of its sample alone,
+so the checks can be computed in any grouping and by any process; the report
+folds the rows in sample order (``identity_block`` is the in-process table
+of a range of samples).  The suite's negative control applies a global
+unitary to a product state tau_A (x) sigma_SE and must see I(A:SE) change;
+it checks that the suite can fail.  Entries whose name ends in ``_recorded``
+are informational (tolerance = inf): they log margins for bounds that are
+not theorems for the implemented (Petz) recovery map.
 """
 
 from __future__ import annotations
@@ -347,16 +349,20 @@ def _petz_three_qubit(key, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return racmi_violation, half_norm, full_norm
 
 
+# (name, draw, name of the stacked check): the check is looked up when a
+# column is evaluated, so a patched check is the one that runs
 _IDENTITY_CHECKS = (
-    ("a_conservation_I_A_SE", _draw_conservation, _check_conservation),
-    ("b_sub_environment", _draw_four_party(2), _check_sub_env),
-    ("c_chain_rule", _draw_four_party(1), _check_chain_rule),
-    ("d_interaction_decomposition", _draw_four_party(1), _check_interaction_decomposition),
-    ("e_broadcast_redundancy", _draw_broadcast, _check_broadcast),
-    ("f_initial_markovianity", _draw_initial_markovianity, _check_initial_markovianity),
-    ("g_pair_state_identity", _draw_pair_state_identity, _check_pair_state_identity),
-    ("h_telescopic_dpi", _draw_telescopic_dpi, _check_telescopic_dpi),
+    ("a_conservation_I_A_SE", _draw_conservation, "_check_conservation"),
+    ("b_sub_environment", _draw_four_party(2), "_check_sub_env"),
+    ("c_chain_rule", _draw_four_party(1), "_check_chain_rule"),
+    ("d_interaction_decomposition", _draw_four_party(1), "_check_interaction_decomposition"),
+    ("e_broadcast_redundancy", _draw_broadcast, "_check_broadcast"),
+    ("f_initial_markovianity", _draw_initial_markovianity, "_check_initial_markovianity"),
+    ("g_pair_state_identity", _draw_pair_state_identity, "_check_pair_state_identity"),
+    ("h_telescopic_dpi", _draw_telescopic_dpi, "_check_telescopic_dpi"),
 )
+# the checks of the columns of ``identity_draws``: (a)-(h), the negative control, the Petz margins
+COLUMN_CHECKS = (*(check for *_, check in _IDENTITY_CHECKS), "_check_conservation", "_petz_three_qubit")
 
 
 def _by_partition(draws: list, check) -> np.ndarray:
@@ -377,28 +383,45 @@ def _by_partition(draws: list, check) -> np.ndarray:
     return table
 
 
-def identity_block(seed: int, lo: int, hi: int) -> list[tuple[float, ...]]:
-    """The rows of samples ``lo <= i < hi`` of ``identity_suite(seed, ...)``.
+def identity_draws(seed: int, lo: int, hi: int) -> list[list]:
+    """The inputs of samples ``lo <= i < hi`` (at least one), one list per column of ``identity_column``.
 
-    A row holds the violation of each check (a)-(h), the negative control's
-    |delta I(A:SE)|, and the three Petz margins of ``_petz_three_qubit``.
-    Sample i draws only from ``_rng_for(seed, i)`` and ``_rng_for(seed + 1, i)``,
-    each check in the order above.  Each check then evaluates the block's
-    samples in one stacked state per partition; every slice's values are
-    those it would have alone, so a row does not depend on which block or
-    process computes it.
+    Sample i draws only from ``_rng_for(seed, i)`` (checks (a)-(h) in order,
+    then the negative control from a fresh generator) and from
+    ``_rng_for(seed + 1, i)`` (the Petz sample).
     """
-    draws = []
+    rows = []
     for i in range(lo, hi):
         rng = _rng_for(seed, i)
         row = [draw(rng) for _, draw, _ in _IDENTITY_CHECKS]
         row.append(_draw_conservation(_rng_for(seed, i), negative=True))
         row.append(_draw_petz(_rng_for(seed + 1, i)))
-        draws.append(row)
-    if not draws:
+        rows.append(row)
+    return [list(column) for column in zip(*rows)]
+
+
+def identity_column(j: int, draws: list) -> np.ndarray:
+    """The values of column ``j`` of ``identity_draws`` for each of its samples.
+
+    Each partition the samples drew is evaluated as one stacked state, and
+    every slice's values are those it would have alone, so a sample's values
+    do not depend on the samples it is evaluated with.
+    """
+    return _by_partition(draws, globals()[COLUMN_CHECKS[j]])
+
+
+def identity_block(seed: int, lo: int, hi: int) -> list[tuple[float, ...]]:
+    """The rows of samples ``lo <= i < hi`` of ``identity_suite(seed, ...)``.
+
+    A row holds the violation of each check (a)-(h), the negative control's
+    |delta I(A:SE)|, and the three Petz margins of ``_petz_three_qubit``: the
+    ``identity_column`` values of the sample, which do not depend on which
+    block or process computes them.
+    """
+    if hi <= lo:
         return []
-    checks = [check for *_, check in _IDENTITY_CHECKS] + [_check_conservation, _petz_three_qubit]
-    table = np.hstack([_by_partition([row[j] for row in draws], check) for j, check in enumerate(checks)])
+    columns = identity_draws(seed, lo, hi)
+    table = np.hstack([identity_column(j, draws) for j, draws in enumerate(columns)])
     return [tuple(map(float, row)) for row in table]
 
 

@@ -259,10 +259,14 @@ def masked_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
     Each row is summed as the 1-D array ``x[i][mask[i]]`` would be: the rows
     are grouped by their mask and each group is gathered into a contiguous
-    block and summed along its rows, which rounds as the 1-D sum does.
+    block and summed along its rows, which rounds as the 1-D sum does.  When
+    every row has the same mask (full-rank stacks, the common case), that one
+    group is gathered without grouping.
     """
     if x.ndim == 1:
         return x[mask].sum()
+    if len(mask) and not (mask != mask[0]).any():
+        return np.ascontiguousarray(x[:, mask[0]]).sum(axis=-1)
     out = np.empty(len(x))
     patterns, which = np.unique(mask, axis=0, return_inverse=True)
     for j, keep in enumerate(patterns):

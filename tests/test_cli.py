@@ -502,37 +502,43 @@ class TestThreadDeterminism:
             else:
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (a, b)
 
-    def test_check_pool(self, tmp_path, monkeypatch):
-        # 23 samples, one per task; 1 runs in-process, 2 and 3 fork 1 and 2 workers
+    @pytest.mark.parametrize("samples", [23, 100])
+    def test_check_pool(self, samples, tmp_path, monkeypatch):
+        # 1 runs in-process; 2 and 3 fork that many workers, each taking whole
+        # checks (a cross-check, or one identity check over every sample)
         monkeypatch.setattr(cli, "available_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "CHECK_IN_PROCESS", 0)
         outputs = {}
         for workers in "123":
             monkeypatch.setenv("NONMARKOV_THREADS", workers)
             out = tmp_path / f"check-{workers}.json"
-            assert cli.main(["check", "--seed", "4", "--samples", "23", "--output", str(out)]) == 0
+            assert cli.main(["check", "--seed", "4", "--samples", str(samples), "--output", str(out)]) == 0
             assert multiprocessing.active_children() == []
             outputs[workers] = out.read_bytes()
         assert outputs["1"] == outputs["2"] == outputs["3"]
         report = json.loads(outputs["1"])["suites"][0]
-        assert {c["samples"] for c in report["checks"]} == {23}
+        assert {c["samples"] for c in report["checks"]} == {samples}
 
-    def test_check_pool_failure_reaches_the_caller(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("where", ["identity_check", "cross_check"])
+    def test_check_pool_failure_reaches_the_caller(self, where, tmp_path, monkeypatch):
         parent = os.getpid()
-        petz = oracle._petz_three_qubit
+        name = "_petz_three_qubit" if where == "identity_check" else "dense_dephasing_check"
+        real = getattr(oracle, name)
 
         def fails_in_a_worker(*args):
             if os.getpid() != parent:
                 raise BlockFailure("raised in a worker")
-            return petz(*args)
+            return real(*args)
 
-        monkeypatch.setattr(oracle, "_petz_three_qubit", fails_in_a_worker)
+        monkeypatch.setattr(oracle, name, fails_in_a_worker)
+        monkeypatch.setattr(cli, "CHECK_IN_PROCESS", 0)
         monkeypatch.setattr(cli, "available_cpus", lambda: 2)
         monkeypatch.setenv("NONMARKOV_THREADS", "2")
         out = tmp_path / "check.json"
         with pytest.raises(BlockFailure, match="raised in a worker"):
             cli.main(["check", "--seed", "4", "--samples", "23", "--output", str(out)])
         assert multiprocessing.active_children() == []
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the report nor a temporary file
 
     def test_small_check_builds_no_process_pool(self, monkeypatch):
         class Refused:
@@ -551,4 +557,4 @@ class TestThreadDeterminism:
 
 
 class BlockFailure(RuntimeError):
-    """Raised by a patched identity check; module-level so it pickles back from a worker."""
+    """Raised by a patched check; module-level so it pickles back from a worker."""

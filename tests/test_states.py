@@ -18,6 +18,7 @@ from nonmarkov.states import (
     clamp_spectrum,
     embed,
     haar_random_unitary,
+    masked_sums,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -462,6 +463,33 @@ class TestStacks:
                          [apply_channel(r, c, target).data for r, c in zip(alone, each)])
         u = haar_random_unitary(d, [4, 5, 6])
         assert same_bits(embed(u, rho.partition, [target]), [embed(x, rho.partition, [target]) for x in u])
+
+    @staticmethod
+    def grouped(x, mask):
+        """``masked_sums`` through its grouped loop: one extra row of another pattern forces it."""
+        return masked_sums(np.vstack([x, x[:1]]), np.vstack([mask, ~mask[:1]]))[:-1]
+
+    def test_one_pattern_sums_match_the_grouped_path(self, identity_stacks):
+        # the entropy sums of full-rank stacks (-dead: shared dead rows), and of their first slice alone
+        rho, _ = identity_stacks
+        lam = rho.spectrum
+        mask = lam > 0.0
+        x = lam * np.log(np.where(mask, lam, 1.0))
+        assert (mask == mask[0]).all()  # one pattern: the path under test
+        for rows in (slice(None), slice(0, 1)):
+            sums = masked_sums(x[rows], mask[rows])
+            assert same_bits(sums, self.grouped(x[rows], mask[rows]))
+            assert same_bits(sums, [masked_sums(xi, mi) for xi, mi in zip(x[rows], mask[rows])])
+
+    def test_mixed_patterns_sum_each_row_alone(self):
+        part = SystemPartition([("A", 2), ("S", 4)])
+        x = random_density_matrix(part, 8, list(range(6))).spectrum
+        mask = np.random.default_rng(3).random(x.shape) < 0.6
+        mask[2] = False  # a dead row sums to 0
+        mask[4] = mask[1]  # rows 1 and 4 form one group
+        sums = masked_sums(x, mask)
+        assert same_bits(sums, [masked_sums(xi, mi) for xi, mi in zip(x, mask)])
+        assert sums[2] == 0.0
 
     def test_a_stack_of_channels_is_validated_slice_by_slice(self):
         ops = random_channel(2, 2, [1, 2]).kraus_operators
