@@ -60,6 +60,20 @@ CONFIGS = {
              "state2": [[0, 0], [_S, 0], [-_S, 0], [0, 0]]},
         ],
     },
+    # the README measures config at env_kind classical: pins the classical omega and rule (b)
+    "measures_classical.csv": {
+        "mode": "measures",
+        "dephasing": {"omega_c": 0.05, "r": 0.8, "alpha1": 4.0, "alpha2": 4.0, "env_kind": "classical",
+                      "t1s": 0.0, "t1f": 2.5, "t2s": 2.5, "t2f": 4.2},
+        "discrete": {"n_modes": 2, "n_max": 14},
+        "grid": {"t_start": 0.0, "t_end": 4.2, "dt": 0.05},
+        "candidates": [
+            {"kind": "ops_state"},
+            {"kind": "random", "seed": 7},
+            {"kind": "tsio", "state1": [[0, 0], [_S, 0], [_S, 0], [0, 0]],
+             "state2": [[0, 0], [_S, 0], [-_S, 0], [0, 0]]},
+        ],
+    },
 }
 CHECK_ARGS = ["check", "--seed", "2", "--samples", "3"]
 CHECK_NAME = "check.json"
