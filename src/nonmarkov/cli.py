@@ -189,9 +189,11 @@ def parse_grid(cfg: dict) -> np.ndarray:
     t0, t1, dt = (_require(grid, k) for k in ("t_start", "t_end", "dt"))
     if dt <= 0 or t1 < t0:
         raise ConfigError("grid needs dt > 0 and t_end >= t_start")
+    if t0 < 0:
+        raise ConfigError("grid needs t_start >= 0: the evolution starts at t = 0")
     if (t1 - t0) / dt > MAX_GRID_STEPS:  # checked as a float, before int() or any allocation
         raise ConfigError(f"grid needs (t_end - t_start) / dt <= {MAX_GRID_STEPS}")
-    n = int(round((t1 - t0) / dt))
+    n = math.floor((t1 - t0) / dt + 1e-9)  # no sample past t_end; 1e-9 absorbs the quotient's rounding
     return np.round(t0 + dt * np.arange(n + 1), 12)
 
 
@@ -306,10 +308,10 @@ def _run_measures(cfg: dict) -> str:
     if as_cands:
         model = _build_model(cfg)
         budget = cfg.get("budget", dephasing.DEFAULT_BUDGET)
+        comps = [dephasing.BranchComputer(model, c, budget) for c in as_cands]
+        snap = dephasing._Snapshot(model, times, budget)  # one snapshot of the grid, read by every candidate
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            all_series = list(pool.map(
-                lambda c: dephasing.BranchComputer(model, c, budget).trajectories(times, env_parts=("E1E2",)),
-                as_cands))
+            all_series = list(pool.map(lambda c: c.trajectories(times, env_parts=("E1E2",), snap=snap), comps))
         results.append(measures.measure_lfs([s["mi_sa"] for s in all_series]))
         results.append(measures.measure_n1([s["E1E2"] for s in all_series]))
 

@@ -40,10 +40,11 @@ unimodular phases and default to zero.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce, wraps
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +59,7 @@ LABELS = frozenset({"A", "S", *BATHS})  # every kept set is a subset of these
 _PSI_AXES = {"A": 1, "S": 2, "E1": 3, "E2": 4}  # their axes in the purified state on [Q, A, S, E1, E2, R]
 RANK_CUTOFF = 1e-14  # eigenvalues of rho0 at or below this are left out of its purification
 DEFAULT_BUDGET = 4096  # the default side bound of ``BudgetError``
+_CHUNK_ENTRIES = 2 ** 14  # entries of the largest stack a ``_Snapshot`` builds at once, within budget^2 too
 _MAX_COSH_ARG = math.acosh(np.finfo(float).max)  # math.cosh overflows above this
 
 class TruncationError(ValueError):
@@ -431,14 +433,14 @@ def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -
 
 def system_state(params: DephasingParams, amplitudes, t: float) -> DensityMatrix:
     """The 4x4 dephased system state from initial amplitudes a_{ij} of |ij>."""
-    return system_trajectory(params, pure_state(amplitudes, S_PARTITION), [t]).states[0]
+    rho0 = pure_state(amplitudes, S_PARTITION)
+    return DensityMatrix(rho0.data * coherence_factor_matrices(params, [t])[0], S_PARTITION, _owned=True)
 
 
 def system_trajectory(params: DephasingParams, rho0: DensityMatrix, times: Sequence[float]) -> StateTrajectory:
-    """Dephasing-channel trajectory of a two-qubit system state."""
+    """Dephasing-channel trajectory of a two-qubit system state, one validated stack over the times."""
     t = np.asarray(times, dtype=float).reshape(-1)
-    mats = coherence_factor_matrices(params, t)
-    states = tuple(DensityMatrix(rho0.data * m, rho0.partition) for m in mats)
+    states = DensityMatrix(rho0.data * coherence_factor_matrices(params, t), rho0.partition, _owned=True)
     return StateTrajectory(t, states)
 
 
@@ -498,9 +500,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``leggauss(n)``, computed once per n; the arrays are read-only."""
-    return tuple(map(_read_only, np.polynomial.legendre.leggauss(n)))
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of ``leggauss(200)``, read once from ``legendre200.npy`` next to this
+    module (saved from that call) instead of solved; the arrays are read-only."""
+    return tuple(map(_read_only, np.load(os.path.join(os.path.dirname(__file__), "legendre200.npy"))))
 
 
 def spectral_gauss_rule(omega_c: float, cutoff_mult: float, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -513,7 +516,7 @@ def spectral_gauss_rule(omega_c: float, cutoff_mult: float, n_modes: int) -> tup
     high-degree Legendre weights.
     """
     hi = cutoff_mult * omega_c
-    x0, w0 = _legendre_rule(200)
+    x0, w0 = _legendre_rule()
     with np.errstate(all="ignore"):  # an out-of-range window is refused below
         x = 0.5 * hi * (x0 + 1.0)
         w = 0.5 * hi * w0 * x * np.exp(-x / omega_c)
@@ -563,8 +566,8 @@ def build_discrete_model(params: DephasingParams, n_modes: int, n_max: int) -> D
 def _built_once(fn):
     """``lru_cache`` that builds each entry under a lock.
 
-    The ``measures`` thread pool reads these caches from several threads; a
-    bare ``lru_cache`` lets threads that miss together each build the entry.
+    Threads that share a model read these caches together; a bare
+    ``lru_cache`` lets threads that miss together each build the entry.
     """
     cached = lru_cache(maxsize=None)(fn)
     lock = threading.Lock()
@@ -594,67 +597,126 @@ def _quadrature_modes(n_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(map(_read_only, (x, v, np.outer(phases, phases.conj()))))
 
 
-def _displacement_gauge(n_dim: int, alpha: complex) -> tuple[np.ndarray, np.ndarray]:
-    """D = exp(alpha b^dag - alpha* b) and its real gauge O = exp(|alpha| (b^dag - b)) = R^dag D R.
+def _real_gauges(n_dim: int, alphas: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Real gauges O = exp(|alpha| (b^dag - b)) (N, n, n) and phases r = (alpha / |alpha|)^n (N, n) of N alphas.
 
-    R = diag((alpha / |alpha|)^n).  b^dag - b = S (-i X) S^dag with S = diag(i^n),
-    so O = P o exp(-i |alpha| X): real, since X (tridiagonal, zero diagonal) is
-    odd under (-1)^n; only roundoff is dropped with its imaginary part.  The
-    form 1 - V (1 - e^{-i |alpha| x}) V^T keeps D = O = 1 at alpha = 0.
+    D = exp(alpha b^dag - alpha* b) = R O R^dag with R = diag(r).  b^dag - b = S (-i X) S^dag
+    with S = diag(i^n), so O = P o exp(-i |alpha| X): real, since X (tridiagonal, zero
+    diagonal) is odd under (-1)^n; only roundoff is dropped with its imaginary part.  The
+    form 1 - V (1 - e^{-i |alpha| x}) V^T keeps D = O = 1 at alpha = 0.  |alpha| and
+    alpha / |alpha| are scalar ``abs`` and division (``np.abs`` rounds differently).
     """
     x, v, p = _quadrature_modes(n_dim)
-    a = abs(alpha)
-    g = p * (np.eye(n_dim) - (v * (2.0 * np.sin(0.5 * a * x) ** 2 + 1j * np.sin(a * x))) @ v.T)
-    o = g.real.copy()
-    r = np.power(complex(alpha / a if a else 1.0), np.arange(n_dim))
-    return r[:, None] * o * r.conj(), o
+    a = [abs(al) for al in alphas]
+    r = np.power(np.array([complex(al / ai if ai else 1.0) for al, ai in zip(alphas, a)])[:, None], np.arange(n_dim))
+    a = np.array(a, dtype=float)[:, None]
+    g = p * (np.eye(n_dim) - (v * (2.0 * np.sin(0.5 * a * x) ** 2 + 1j * np.sin(a * x))[:, None, :]) @ v.T)
+    return g.real.copy(), r
+
+
+def _ungauged(o: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """D = R O R^dag from a real gauge and its phases (or stacks of them)."""
+    return r[..., :, None] * o * r.conj()[..., None, :]
 
 
 def _displacement(n_dim: int, alpha: complex) -> np.ndarray:
     """exp(alpha b^dag - alpha* b) on the truncated Fock space (exactly unitary)."""
-    return _displacement_gauge(n_dim, alpha)[0]
+    o, r = _real_gauges(n_dim, [alpha])
+    return _ungauged(o[0], r[0])
+
+
+def _signed(dp: np.ndarray) -> dict[int, np.ndarray]:
+    """D(sigma beta) by sigma from D(+beta) (or a stack of them): D(-beta) = D(beta)^dag."""
+    return {+1: dp, -1: dp.conj().swapaxes(-1, -2)}
+
+
+def _pair_states(d1: dict, d2: dict, weights: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """The displaced squeezed vacuum of one pair by label (sigma1, sigma2): D1 diag(w) D2^T (or stacks)."""
+    return {(s1, s2): d1[s1] @ (weights[:, None] * d2[s2].swapaxes(-1, -2)) for s1, s2 in _SIGMAS}
+
+
+def _fock_overlaps(d: dict) -> np.ndarray:
+    """c[k, b, n] = (D(sigma_b)^dag D(sigma_k))_nn of one bath mode, bit 0 <-> sigma +1 (or stacks)."""
+    ds = np.stack([d[+1], d[-1]], axis=-3)
+    return np.einsum("...bin,...kin->...kbn", ds.conj(), ds)
 
 
 class _Snapshot:
-    """Per-pair displaced environment data at one time.
+    """Per-pair displaced environment data over a time grid; only read, so computers may share it.
 
-    ``omega[s, s']`` = prod_m Tr[Phi_s rho_m Phi_s'^dag] (s = 2 s1 + s2), so
-    rho_AS(t) = rho0 o (1_A (x) omega).
+    Bath j, pair m: ``o[j][m]`` (T, n, n) and ``r[j][m]`` (T, n) are the real
+    gauge O_m of sigma = +1 and its phases, D(sigma g_jm beta_j) = R O_m(sigma) R^dag
+    with O_m(-1) = O_m^T; classical, ``c[j][m]`` holds ``_fock_overlaps``.
+    ``displaced[i, j]``: some g_jm beta_j is nonzero at time i.  ``omega[i, s, s']`` =
+    prod_m Tr[Phi_s rho_m Phi_s'^dag] (s = 2 s1 + s2), so rho_AS(t_i) = rho0 o
+    (1_A (x) omega[i]).  The displacements behind ``omega`` are built a chunk
+    of times at a time (``_CHUNK_ENTRIES``) and dropped; ``at(i)`` rebuilds one time's.
     """
 
-    def __init__(self, model: DiscreteDephasingModel, t: float):
+    def __init__(self, model: DiscreteDephasingModel, times: Sequence[float], budget: int = DEFAULT_BUDGET):
         self.model = model
-        n = model.fock_dim
-        # bath j, pair m: d[j][m][sigma] = D(sigma g_jm beta_j), o[j][m] = O_m, the real gauge of
-        # sigma = +1 (O_m(-1) = O_m^T); classical, c[j][m][k, b, n] = (D(sigma_b)^dag D(sigma_k))_nn,
-        # bit 0 <-> sigma +1
-        self.d: tuple[list[dict[int, np.ndarray]], ...] = ([], [])
+        self.times = t = np.asarray(times, dtype=float).reshape(-1)
+        n, w = model.fock_dim, model.pair_weights
+        entangled = model.env_kind == "entangled"
+        step = max(1, min(budget ** 2, _CHUNK_ENTRIES) // (4 * n * n))  # a chunk's pair states: 4 n^2 entries a time
         self.o: tuple[list[np.ndarray], ...] = ([], [])
+        self.r: tuple[list[np.ndarray], ...] = ([], [])
         self.c: tuple[list[np.ndarray], ...] = ([], [])
-        self.psi: list[dict[tuple[int, int], np.ndarray]] = []
-        self.omega = np.ones((4, 4), dtype=complex)
-        self._kept: dict[int, np.ndarray] = {}
-        self.displaced = [False, False]  # bath j: some g_jm beta_j is nonzero, so O_m != 1
+        self.omega = np.ones((t.size, 4, 4), dtype=complex)
+        self.displaced = np.zeros((t.size, 2), dtype=bool)
         windows = (model.params.window1, model.params.window2)
         for om, *gs in model.mode_pairs:
-            for j, (g, window) in enumerate(zip(gs, windows)):
-                alpha = g * beta(om, t, window)
-                self.displaced[j] |= alpha != 0
-                dp, op = _displacement_gauge(n, alpha)
-                self.d[j].append({+1: dp, -1: dp.conj().T})
-                self.o[j].append(op)
-            d1, d2 = (d[-1] for d in self.d)
-            if model.env_kind == "entangled":
-                psi = {(s1, s2): d1[s1] @ (model.pair_weights[:, None] * d2[s2].T) for s1, s2 in _SIGMAS}
-                self.psi.append(psi)
-                vecs = np.stack([psi[s].ravel() for s in _SIGMAS])
-                self.omega *= vecs @ vecs.conj().T
-            else:
-                c1, c2 = (np.einsum("bin,kin->kbn", ds.conj(), ds)
-                          for ds in (np.stack([d1[+1], d1[-1]]), np.stack([d2[+1], d2[-1]])))
-                self.c[0].append(c1)
-                self.c[1].append(c2)
-                self.omega *= np.einsum("n,acn,bdn->abcd", model.pair_weights, c1, c2).reshape(4, 4)
+            alphas = [[g * beta(om, ti, window) for ti in t] for g, window in zip(gs, windows)]
+            self.displaced |= np.array(alphas).T != 0
+            for j in range(len(BATHS)):
+                self.o[j].append(np.empty((t.size, n, n)))
+                self.r[j].append(np.empty((t.size, n), dtype=complex))
+                if not entangled:
+                    self.c[j].append(np.empty((t.size, 2, 2, n), dtype=complex))
+            for lo in range(0, t.size, step):
+                chunk = slice(lo, lo + step)
+                d = []
+                for j, alpha in enumerate(alphas):
+                    o, r = self.o[j][-1][chunk], self.r[j][-1][chunk]
+                    o[...], r[...] = _real_gauges(n, alpha[chunk])
+                    d.append(_signed(_ungauged(o, r)))
+                if entangled:
+                    psi = _pair_states(*d, w)
+                    vecs = np.stack([psi[s].reshape(-1, n * n) for s in _SIGMAS], axis=1)
+                    self.omega[chunk] *= vecs @ vecs.conj().swapaxes(-1, -2)
+                else:
+                    c = [self.c[j][-1][chunk] for j in range(len(BATHS))]
+                    c[0][...], c[1][...] = map(_fock_overlaps, d)
+                    self.omega[chunk] *= np.einsum("n,...acn,...bdn->...abcd", w, *c).reshape(-1, 4, 4)
+        for arr in (self.omega, self.displaced, *(a for grid in (self.o, self.r, self.c) for bath in grid for a in bath)):
+            _read_only(arr)  # shared between computers, and their threads
+
+    def at(self, i: int) -> _Slice:
+        return _Slice(self, i)
+
+
+class _Slice:
+    """Time ``times[i]`` of a ``_Snapshot``, as rules (d), (e) and (f) of ``BranchComputer._entropy`` read it.
+
+    ``o``, ``c``, ``displaced`` and ``omega`` are the snapshot's rows of time i;
+    the displacements ``d[j][m][sigma]`` and the entangled pair states
+    ``psi[m][(sigma1, sigma2)]`` are built on first use, and ``kept_state`` once per bath.
+    """
+
+    def __init__(self, snap: _Snapshot, i: int):
+        self.model = snap.model
+        self.o, self.r, self.c = ([[a[i] for a in per_bath] for per_bath in grid] for grid in (snap.o, snap.r, snap.c))
+        self.displaced = snap.displaced[i]
+        self.omega = snap.omega[i]
+        self._kept: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def d(self) -> list[list[dict[int, np.ndarray]]]:
+        return [[_signed(_ungauged(o, r)) for o, r in zip(os, rs)] for os, rs in zip(self.o, self.r)]
+
+    @cached_property
+    def psi(self) -> list[dict[tuple[int, int], np.ndarray]]:
+        return [_pair_states(d1, d2, self.model.pair_weights) for d1, d2 in zip(*self.d)]
 
     def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], j: int) -> np.ndarray:
         """Diagonal of a classical one-bath block once its kept displacement is conjugated away.
@@ -689,11 +751,12 @@ def _parity_sectors(n_dim: int, pairs: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _marginal(rho: np.ndarray, kept: frozenset) -> np.ndarray:
-    """The part of a matrix on [A, S1, S2] on the A and S of ``kept``: rows 4 a + s, a 0 if A is traced."""
+    """The part of a matrix on [A, S1, S2] (or of each of a stack) on the A and S of ``kept``:
+    rows 4 a + s, a 0 if A is traced."""
     if {"A", "S"} <= kept:
         return rho
-    d_a = rho.shape[0] // 4
-    return np.einsum("asat->st" if "S" in kept else "asbs->ab", rho.reshape(d_a, 4, d_a, 4))
+    d_a = rho.shape[-1] // 4
+    return np.einsum("...asat->...st" if "S" in kept else "...asbs->...ab", rho.reshape(rho.shape[:-2] + (d_a, 4, d_a, 4)))
 
 
 def _check_initial(initial: DensityMatrix):
@@ -747,8 +810,10 @@ class BranchComputer:
                 rule = ("direct" if not np.any(ms[0] @ ms[1])
                         else "sectors" if np.array_equal(ms[0], ms[1]) else "assembled")
                 self._baths[k - {"S"} | {bath}] = rule, np.linalg.eigvalsh(ms[0] + ms[1]), ms
-        self._memo: tuple[_Snapshot, dict[frozenset, float]] | None = None
-        self._psi_memo: tuple[_Snapshot, np.ndarray] | None = None
+        # rule (b) of ``_entropy``: S(rho0_K) + S(rho_E) at every t
+        s_env = 0.0 if model.env_kind == "entangled" else model.n_pairs * spectrum_entropy(model.local_spectrum)
+        self._fixed = {k | set(BATHS): s + s_env for k, s in self._s0.items()}
+        self._psi_memo: tuple[_Slice, np.ndarray] | None = None
 
     def _within_budget(self, dim: int, what: str) -> int:
         """``dim``, the side of a matrix to solve, checked against the budget."""
@@ -761,12 +826,12 @@ class BranchComputer:
         if size > self.budget ** 2:
             raise BudgetError(f"{what} of {size} {unit} exceeds budget^2 = {self.budget ** 2}")
 
-    def _entropy(self, snap: _Snapshot, kept: frozenset) -> float:
-        """Entropy of the reduced state on ``kept``, a subset of {A, S, E1, E2}.
+    def _entropy(self, snap: _Slice, kept: frozenset) -> float:
+        """Entropy of the reduced state on ``kept``, a subset of {A, S, E1, E2} that holds a bath.
 
-        (a) No bath kept: a marginal of rho_AS(t).
+        (a) No bath kept: a marginal of rho_AS(t), from ``_env_free`` over the grid.
         (b) Both baths and S kept: W = sum_s |s><s| (x) U_s is unitary, so the
-            entropy is S(rho0_K) + S(rho_E) at every t.
+            entropy is S(rho0_K) + S(rho_E) at every t, computed once.
         (c) Entangled, pure rho0, S and one bath kept: the global state is pure,
             so take the complement {A, S, E1, E2} - kept, which keeps the other
             bath and traces S: (d).
@@ -774,16 +839,12 @@ class BranchComputer:
         (e) Classical, S and one bath kept: ``_fock_blocks``.
         (f) Anything else: ``_purified_spectrum``.
         """
-        n_baths = len(kept - {"A", "S"})
-        if not n_baths:
-            return self._env_free(snap)[kept]
+        if kept in self._fixed:
+            return self._fixed[kept]
         entangled = self.model.env_kind == "entangled"
-        if n_baths == 2 and "S" in kept:
-            s_env = 0.0 if entangled else self.model.n_pairs * spectrum_entropy(self.model.local_spectrum)
-            return self._s0[kept & {"A", "S"}] + s_env
         if entangled and self.pure and "S" in kept:
             kept = LABELS - kept
-        if "S" not in kept and n_baths == 1:
+        if "S" not in kept and len(kept - {"A"}) == 1:
             spectrum = self._one_bath(snap, kept)
         elif not entangled and "S" in kept:
             spectrum = self._fock_blocks(snap, kept)
@@ -791,7 +852,7 @@ class BranchComputer:
             spectrum = self._purified_spectrum(snap, kept)
         return spectrum_entropy(spectrum, tol=1e-9)
 
-    def _one_bath(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
+    def _one_bath(self, snap: _Slice, kept: frozenset) -> np.ndarray:
         """Spectrum of sum_sigma M_sigma (x) K(sigma): one bath kept, S traced.
 
         With S traced only s = s' survives, and the kept bath of branch s is
@@ -824,7 +885,7 @@ class BranchComputer:
             mat += np.kron(m, k_sig)
         return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
-    def _fock_blocks(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
+    def _fock_blocks(self, snap: _Slice, kept: frozenset) -> np.ndarray:
         """Spectrum of a classical state that keeps S and one bath.
 
         The kept displacement is fixed by the row's s, so conjugating it away
@@ -850,8 +911,8 @@ class BranchComputer:
         live = w > RANK_CUTOFF
         return (v[:, live] * np.sqrt(w[live])).T.reshape(-1, self.partition.dims[0], 4)
 
-    def _purified(self, snap: _Snapshot) -> np.ndarray:
-        """The global state as one vector on [Q, A, S, E1, E2, R], kept for the last snapshot.
+    def _purified(self, snap: _Slice) -> np.ndarray:
+        """The global state as one vector on [Q, A, S, E1, E2, R], kept for the last slice.
 
         sum_{i,s} psi_i[a, s] |i a s> (x)_m |e_m(s)>: Q purifies rho0 (``_kets``),
         and pair m of branch s is the displaced squeezed vacuum ``snap.psi``, or
@@ -871,7 +932,7 @@ class BranchComputer:
             self._psi_memo = (snap, np.einsum("qas,sxyz->qasxyz", self._kets, np.stack(envs)))
         return self._psi_memo[1]
 
-    def _purified_spectrum(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
+    def _purified_spectrum(self, snap: _Slice, kept: frozenset) -> np.ndarray:
         """Spectrum of any kept set K from ``_purified``; also the test reference for every rule.
 
         As a K x (the rest) matrix, Psi's Gram matrix on either side has the
@@ -890,55 +951,67 @@ class BranchComputer:
         return np.linalg.eigvalsh(np.tensordot(psi, psi.conj(), axes=(summed, summed)).reshape(side, side))
 
     def _rho_as(self, snap: _Snapshot) -> np.ndarray:
-        """rho_AS(t) = rho0 o (1_A (x) omega) on [A, S1, S2], Hermitian-symmetrized."""
+        """rho_AS(t) = rho0 o (1_A (x) omega) on [A, S1, S2] at every time, Hermitian-symmetrized."""
         d_a = self.partition.dims[0]
-        mat = self.rho0 * np.tile(snap.omega, (d_a, d_a))
-        return 0.5 * (mat + mat.conj().T)
+        mat = self.rho0 * np.tile(snap.omega, (1, d_a, d_a))
+        return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
-    def _env_free(self, snap: _Snapshot) -> dict[frozenset, float]:
-        """S(A S), S(S), S(A), S() by kept set from rho_AS, kept for the last snapshot."""
-        if self._memo is None or self._memo[0] is not snap:
-            rho = self._rho_as(snap)
-            ent = {k: spectrum_entropy(np.linalg.eigvalsh(_marginal(rho, k)), tol=1e-9)
-                   for k in _ENV_FREE.values()}
-            ent[frozenset()] = 0.0
-            self._memo = (snap, ent)
-        return self._memo[1]
+    def _env_free(self, snap: _Snapshot) -> dict[frozenset, np.ndarray]:
+        """S(A S), S(S), S(A) by kept set at every time: one batched solve per kept set (rule (a))."""
+        rho = self._rho_as(snap)
+        return {k: spectrum_entropy(np.linalg.eigvalsh(_marginal(rho, k)), tol=1e-9) for k in _ENV_FREE.values()}
 
-    def entropies_at(self, t: float, env_part: str, snap: _Snapshot | None = None) -> dict[str, float]:
-        kept = entropy_sets(env_part)
-        if snap is None:
-            snap = _Snapshot(self.model, t)
-        out = {name: self._entropy(snap, k) for name, k in kept.items()}
-        cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
-        if cmi < -1e-8:
-            raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")
-        out["cmi"] = max(cmi, 0.0)
-        out["mi_sa"] = max(out["S_S"] + out["S_A"] - out["S_AS"], 0.0)
-        return out
+    def _entropies(self, snap: _Snapshot, env_parts: Sequence[str]) -> Iterator[list[dict[str, float]]]:
+        """At each time of ``snap``, the entropies of each of ``env_parts`` with its CMI (checked
+        against strong subadditivity) and I(S : A).
+
+        Rule (a) is solved once over the whole grid, the other rules time by time.
+        """
+        env_free = self._env_free(snap)
+        for i in range(snap.times.size):
+            sl = snap.at(i)
+            ents = []
+            for part in env_parts:
+                out = {name: float(env_free[k][i]) if k in env_free else self._entropy(sl, k)
+                       for name, k in entropy_sets(part).items()}
+                cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
+                if cmi < -1e-8:
+                    raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")
+                out["cmi"] = max(cmi, 0.0)
+                out["mi_sa"] = max(out["S_S"] + out["S_A"] - out["S_AS"], 0.0)
+                ents.append(out)
+            yield ents
+
+    def entropies_at(self, t: float, env_part: str) -> dict[str, float]:
+        """``_entropies`` of ``env_part`` at time t, from a one-point snapshot."""
+        return next(self._entropies(_Snapshot(self.model, [t], self.budget), [env_part]))[0]
 
     def trajectories(
-        self, times: Sequence[float], env_parts: Sequence[str] = ENV_PARTS
+        self, times: Sequence[float], env_parts: Sequence[str] = ENV_PARTS, snap: _Snapshot | None = None
     ) -> dict[str, ScalarSeries]:
         """CMI series per env part (keys "E1", "E2", "E1E2") plus "mi_sa".
 
-        One snapshot per time sample is shared across all requested series;
-        mi_sa, the same for every env part, comes from the first.
+        ``snap`` is the model's snapshot of ``times``, built here when not
+        given; it is only read, so the computers of several initial states may
+        share one.  mi_sa, the same for every env part, comes from the first.
         """
         if not env_parts:
             raise ValueError("env_parts must be nonempty")
         t = np.asarray(times, dtype=float).reshape(-1)
+        if snap is None:
+            snap = _Snapshot(self.model, t, self.budget)
+        elif snap.model is not self.model or not np.array_equal(snap.times, t):
+            raise ValueError("the snapshot is of another model or time grid")
         acc: dict[str, list[float]] = {k: [] for k in (*env_parts, "mi_sa")}
-        for ti in t:
-            snap = _Snapshot(self.model, ti)
-            ents = [self.entropies_at(ti, p, snap=snap) for p in env_parts]
+        for ents in self._entropies(snap, env_parts):
             for p, ent in zip(env_parts, ents):
                 acc[p].append(ent["cmi"])
             acc["mi_sa"].append(ents[0]["mi_sa"])
         return {k: ScalarSeries(t, v) for k, v in acc.items()}
 
     def system_state(self, t: float) -> DensityMatrix:
-        return DensityMatrix(_marginal(self._rho_as(_Snapshot(self.model, t)), frozenset({"S"})), S_PARTITION)
+        rho = self._rho_as(_Snapshot(self.model, [t], self.budget))[0]
+        return DensityMatrix(_marginal(rho, frozenset({"S"})), S_PARTITION)
 
 
 def cmi_trajectory(
@@ -960,7 +1033,7 @@ def discrete_phase_factors(model: DiscreteDephasingModel, t: float) -> dict[str,
     picture (free eps phases excluded); converges to the continuum
     (closed-form) factors at eps = 0 as the mode count grows.
     """
-    omega = _Snapshot(model, t).omega
+    omega = _Snapshot(model, [t]).omega[0]
     return {name: complex(omega[i, j]) for name, (i, j) in _FACTOR_INDEX.items()}
 
 

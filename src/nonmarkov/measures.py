@@ -59,31 +59,36 @@ class ScalarSeries:
 
 @dataclass(frozen=True, eq=False)
 class StateTrajectory:
-    """A DensityMatrix per time, all sharing one partition."""
+    """The states of a sampled evolution as one stacked ``DensityMatrix``: slice i at ``times[i]``.
+
+    A sequence of single states on one partition is stacked, and the stack
+    validated, on construction.
+    """
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: DensityMatrix
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).reshape(-1)
-        states = tuple(self.states)
-        if t.size != len(states):
+        states = self.states
+        if not isinstance(states, DensityMatrix):
+            states = tuple(states)
+            if not states:
+                raise TrajectoryError("empty trajectory")
+            if any(s.partition != states[0].partition for s in states):
+                raise TrajectoryError("states do not share one partition")
+            states = DensityMatrix(np.stack([s.data for s in states]), states[0].partition, _owned=True)
+        if states.data.ndim != 3 or len(states.data) != t.size:
             raise TrajectoryError("one state per time sample required")
-        if not states:
-            raise TrajectoryError("empty trajectory")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise TrajectoryError("time grid is not strictly increasing")
-        part = states[0].partition
-        for s in states:
-            if s.partition != part:
-                raise TrajectoryError("states do not share one partition")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
 
     @property
     def partition(self) -> SystemPartition:
-        return self.states[0].partition
+        return self.states.partition
 
     def __len__(self) -> int:
         return self.times.size
@@ -159,7 +164,8 @@ def measure_distance_blp(
     """BLP-style measure: integrated revivals of a distinguishability series.
 
     ``distance`` selects the trace distance ("trace") or the quantum
-    Jensen-Shannon telescopic divergence ("telescopic").
+    Jensen-Shannon telescopic divergence ("telescopic"), taken once per pair
+    over the two stacks.
     """
     if distance == "trace":
         name, dist = "BLP", info.trace_distance
@@ -173,7 +179,7 @@ def measure_distance_blp(
             raise TrajectoryError("pair trajectories sampled on different grids")
         if t1.partition != t2.partition:
             raise TrajectoryError("pair trajectories on different partitions")
-        series.append(ScalarSeries(t1.times, [dist(a, b) for a, b in zip(t1.states, t2.states)]))
+        series.append(ScalarSeries(t1.times, dist(t1.states, t2.states)))
     return _best(name, positive_increment_integral, series, noise_tol)
 
 
@@ -202,7 +208,7 @@ def mi_series(traj: StateTrajectory, ancilla_labels: Iterable[str] = ("A",)) -> 
     if not anc <= set(traj.partition.labels):
         raise PartitionError(f"trajectory partition lacks ancilla labels {sorted(anc)}")
     rest = frozenset(traj.partition.labels) - anc
-    return ScalarSeries(traj.times, [info.mutual_information(s, rest, anc) for s in traj.states])
+    return ScalarSeries(traj.times, info.mutual_information(traj.states, rest, anc))
 
 
 def cmi_series(
@@ -239,20 +245,15 @@ def cmi_series(
             raise PartitionError(
                 f"dim(A') = {d_ap} but dim(system) + 1 = {d_sys + 1} required"
             )
-        marg0 = partial_trace(traj.states[0], {aprime_label})
-        for s in traj.states[1:]:
-            drift = info.trace_distance(partial_trace(s, {aprime_label}), marg0)
-            if drift > aprime_drift_tol:
-                raise TrajectoryError(
-                    f"A' marginal drifts by {drift:.3e} along the trajectory"
-                )
+        marg = partial_trace(traj.states, {aprime_label})
+        drift = info.trace_distance(marg, DensityMatrix(marg.data[0], marg.partition))
+        if np.any(drift > aprime_drift_tol):
+            raise TrajectoryError(
+                f"A' marginal drifts by {drift[drift > aprime_drift_tol][0]:.3e} along the trajectory"
+            )
         system = system | {aprime_label}
-    keep = anc | env | system
-    vals = []
-    for s in traj.states:
-        reduced = partial_trace(s, keep) if keep != set(s.labels) else s
-        vals.append(info.conditional_mutual_information(reduced, anc, env, system))
-    return ScalarSeries(traj.times, vals)
+    reduced = partial_trace(traj.states, anc | env | system)
+    return ScalarSeries(traj.times, info.conditional_mutual_information(reduced, anc, env, system))
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +263,15 @@ def cmi_series(
 def optimal_pair_state(
     rho1: DensityMatrix, rho2: DensityMatrix, ancilla_label: str = "A"
 ) -> DensityMatrix:
-    """(rho1 (x) |0><0| + rho2 (x) |1><1|)/2 with a fresh qubit ancilla flag."""
+    """(rho1 (x) |0><0| + rho2 (x) |1><1|)/2 with a fresh qubit ancilla flag, slice by slice for stacks."""
     if rho1.partition != rho2.partition:
         raise PartitionError("pair states live on different partitions")
     part = rho1.partition.concat(SystemPartition([(ancilla_label, 2)]))
-    p0 = np.zeros((2, 2), dtype=complex)
-    p0[0, 0] = 1.0
-    p1 = np.zeros((2, 2), dtype=complex)
-    p1[1, 1] = 1.0
-    data = 0.5 * (np.kron(rho1.data, p0) + np.kron(rho2.data, p1))
-    return DensityMatrix(data, part, _owned=True)
+    batch, d = np.broadcast_shapes(rho1.data.shape, rho2.data.shape)[:-2], rho1.dim
+    data = np.zeros(batch + (d, 2, d, 2), dtype=complex)
+    data[..., 0, :, 0] = 0.5 * rho1.data
+    data[..., 1, :, 1] = 0.5 * rho2.data
+    return DensityMatrix(data.reshape(batch + (2 * d, 2 * d)), part, _owned=True)
 
 
 def tsio_trajectory(
@@ -280,10 +280,7 @@ def tsio_trajectory(
     """Pointwise optimal-pair construction along two system trajectories."""
     if traj1.times.shape != traj2.times.shape or not np.allclose(traj1.times, traj2.times):
         raise TrajectoryError("trajectories sampled on different grids")
-    states = tuple(
-        optimal_pair_state(a, b, ancilla_label) for a, b in zip(traj1.states, traj2.states)
-    )
-    return StateTrajectory(traj1.times, states)
+    return StateTrajectory(traj1.times, optimal_pair_state(traj1.states, traj2.states, ancilla_label))
 
 
 def flagged_ancilla_state(

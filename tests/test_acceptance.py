@@ -212,15 +212,13 @@ def test_criterion_6_measures_layer():
     for seed in range(5):
         traj = _closed_se_trajectory(seed)
         n1 = measure_n1([cmi_series(traj, {"E"}, {"S"})])
-        lfs_traj = StateTrajectory(
-            traj.times, tuple(partial_trace(s, {"A", "S"}) for s in traj.states)
-        )
+        lfs_traj = StateTrajectory(traj.times, partial_trace(traj.states, {"A", "S"}))
         lfs = measure_lfs([mi_series(lfs_traj)])
         worst_lfs_n1 = max(worst_lfs_n1, abs(n1.value - lfs.value))
 
     traj = _closed_se_trajectory(7)
     ap = basis_state(SystemPartition([("Ap", 3)]), [0])
-    ext = StateTrajectory(traj.times, tuple(tensor(s, ap) for s in traj.states))
+    ext = StateTrajectory(traj.times, tensor(traj.states, ap))
     n1 = measure_n1([cmi_series(traj, {"E"}, {"S"})])
     n2 = measure_n2([cmi_series(ext, {"E"}, {"S"}, aprime_label="Ap")])
     n2_dev = abs(n2.value - n1.value)

@@ -193,6 +193,24 @@ class TestMeasuresMode:
         assert rows == [[name, "0", "0", "0"] for name in ("BLP", "tBLP", "LFS", "N1")]
 
 
+    def test_one_snapshot_for_every_candidate(self, tmp_path, monkeypatch):
+        built = []
+        real = dephasing._Snapshot.__init__
+
+        def counted(self, model, times, *args):
+            built.append(len(times))
+            real(self, model, times, *args)
+
+        monkeypatch.setattr(dephasing._Snapshot, "__init__", counted)
+        out = str(tmp_path / "m.csv")
+        cfg = {"mode": "measures", "output_path": out,
+               "dephasing": {"omega_c": 0.5, "r": 0.2, "alpha1": 4.0, "alpha2": 4.0, "env_kind": "entangled"},
+               "discrete": {"n_modes": 1, "n_max": 4}, "grid": {"t_start": 0.0, "t_end": 4.0, "dt": 0.5},
+               "candidates": [{"kind": "ops_state"}, {"kind": "random", "seed": 3}]}
+        assert cli.run(write_config(tmp_path, cfg)) == 0
+        assert built == [9]  # one snapshot, of the whole grid
+        assert [r[0] for r in read_csv(out)[1]] == ["BLP", "tBLP", "LFS", "N1"]
+
     def test_rows_are_the_dense_measures(self, tmp_path):
         # LFS and N1 of a run equal measure_lfs / measure_n1 of the dense series:
         # I(S : A) of the A S marginal, and I(A : E1 E2 | S) of the full state
@@ -206,7 +224,7 @@ class TestMeasuresMode:
         dense = dephasing.DenseComputer(model, measures.ops_state())
         times = cli.parse_grid(cfg["grid"])
         traj = measures.StateTrajectory(times, tuple(dense.state_at(t) for t in times))
-        a_s = measures.StateTrajectory(times, tuple(partial_trace(s, {"A", "S"}) for s in traj.states))
+        a_s = measures.StateTrajectory(times, partial_trace(traj.states, {"A", "S"}))
         lfs = measures.measure_lfs([measures.mi_series(a_s)])
         n1 = measures.measure_n1([measures.cmi_series(traj, {"E1m0", "E2m0"}, {"S"})])
         assert rows["LFS"] > 0.1 and rows["N1"] > 0.1  # revivals to compare
@@ -284,6 +302,20 @@ class TestConfigValidation:
                "grid": {"t_start": 0.0, "t_end": 1.0, "dt": -0.1}}
         assert cli.run(write_config(tmp_path, cfg)) == 1
 
+    @pytest.mark.parametrize("grid,samples", [
+        ((0.0, 4.2, 0.05), 85), ((0.0, 4.2, 0.02), 211), ((0.0, 4.2, 0.2), 22), ((0.0, 4.2, 0.3), 15),
+        ((0.0, 4.2, 0.6), 8), ((0.0, 5.0, 0.001), 5001), ((0.0, 5.0, 0.01), 501), ((0.0, 5.0, 0.25), 21),
+        ((0.0, 2.0, 0.25), 9), ((0.0, 4.0, 0.5), 9), ((0.0, 4.0, 1.0), 5), ((1.0, 1.0, 0.1), 1),
+        ((0.3, 2.9, 0.2), 14),
+    ])
+    def test_grid_with_a_whole_step_count_ends_at_t_end(self, grid, samples):
+        times = cli.parse_grid(dict(zip(("t_start", "t_end", "dt"), grid)))
+        assert times.size == samples and times[0] == grid[0] and abs(times[-1] - grid[1]) <= 1e-12
+
+    def test_grid_has_no_sample_past_t_end(self):
+        assert list(cli.parse_grid({"t_start": 0, "t_end": 1, "dt": 0.6})) == [0.0, 0.6]
+        assert list(cli.parse_grid({"t_start": 0.5, "t_end": 1.0, "dt": 0.3})) == [0.5, 0.8]
+
     def test_thread_env_validation(self, monkeypatch):
         monkeypatch.setattr(cli, "available_cpus", lambda: 4)
         monkeypatch.setenv("NONMARKOV_THREADS", "3")
@@ -316,6 +348,7 @@ class TestConfigValidation:
         "object_as_pairs", "object_as_number", "string_as_number", "u_as_string", "array_as_string",
         "classical_r_tanh_one", "classical_r_tanh_one_measures", "entangled_r_cosh_overflow",
         "gauss_window_underflow", "gauss_window_overflow", "gauss_window_overflow_measures",
+        "t_start_negative",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -394,6 +427,8 @@ class TestConfigValidation:
             # measures mode evolves its distance candidates by the continuum factors first
             "gauss_window_overflow_measures": {**CMI_CFG, "mode": "measures", "dephasing": {
                 **CMI_CFG["dephasing"], "omega_c": 1e300}},
+            # the evolution starts at t = 0: no row for an earlier time
+            "t_start_negative": {**PF_CFG, "grid": {"t_start": -1.0, "t_end": 1.0, "dt": 0.5}},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
@@ -401,7 +436,7 @@ class TestConfigValidation:
             "array_as_string": "system_indices", "classical_r_tanh_one": "r = 19.5",
             "classical_r_tanh_one_measures": "r = 19.5", "entangled_r_cosh_overflow": "r = 400",
             "gauss_window_underflow": "mass 0;", "gauss_window_overflow": "mass inf;",
-            "gauss_window_overflow_measures": "mass inf;",
+            "gauss_window_overflow_measures": "mass inf;", "t_start_negative": "t_start >= 0",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):

@@ -420,13 +420,15 @@ class TestSpectralGaussRule:
         weights = np.array([float(mom[0] * vecs[0, i] ** 2) for i in order])
         return nodes, weights
 
-    def test_legendre_rule_is_computed_once_and_read_only(self, monkeypatch):
+    def test_legendre_rule_is_stored_and_read_only(self, monkeypatch):
+        # the stored rule holds the bits of leggauss(200), and no process solves for it
         x, w = np.polynomial.legendre.leggauss(200)
-        cached = dephasing._legendre_rule(200)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail("recomputed"))
+        dephasing._legendre_rule.cache_clear()
+        cached = dephasing._legendre_rule()
         assert np.array_equal(cached[0], x) and np.array_equal(cached[1], w)
         assert not cached[0].flags.writeable and not cached[1].flags.writeable
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail("recomputed"))
-        assert dephasing._legendre_rule(200) is cached
+        assert dephasing._legendre_rule() is cached
         spectral_gauss_rule(0.05, 60.0, 4)
 
     @pytest.mark.parametrize("cutoff_mult", [60.0, 20.0])
@@ -659,9 +661,12 @@ class TestStructuredBranchEntropies:
             comp = dephasing.BranchComputer(m, state)
             rules.update(rule for rule, *_ in comp._baths.values())
             for t in (1.3, 3.7):
-                snap = dephasing._Snapshot(m, t)
-                for kept in KEEP_SETS:
-                    assert abs(comp._entropy(snap, kept) - self._purified_entropy(comp, snap, kept)) <= 1e-12
+                snap = dephasing._Snapshot(m, [t])
+                env_free = comp._env_free(snap)  # rule (a), solved over the (one-point) grid
+                sl = snap.at(0)
+                for kept in KEEP_SETS[1:]:  # all but the empty set
+                    got = env_free[kept][0] if kept in env_free else comp._entropy(sl, kept)
+                    assert abs(got - self._purified_entropy(comp, sl, kept)) <= 1e-12
         # every one-bath kept set without S is in KEEP_SETS: each case of rule (d) was checked
         assert rules == {"direct", "sectors", "assembled"}
 
@@ -676,7 +681,7 @@ class TestStructuredBranchEntropies:
             comp = dephasing.BranchComputer(m, state)
             dense = dephasing.DenseComputer(m, state)
             for t in (1.3, 3.7):
-                snap = dephasing._Snapshot(m, t)
+                snap = dephasing._Snapshot(m, [t]).at(0)
                 for kept in KEEP_SETS:
                     keep = set().union(*(factors[label] for label in kept))
                     ref = info.von_neumann_entropy(partial_trace(dense.state_at(t), keep)) if keep else 0.0
@@ -690,7 +695,7 @@ class TestStructuredBranchEntropies:
         m = build_discrete_model(p, n_modes=2, n_max=14)
         state = random_density_matrix(SystemPartition([("A", 2), ("S1", 2), ("S2", 2)]), 2, 5)
         comp = dephasing.BranchComputer(m, state, budget=500)
-        snap = dephasing._Snapshot(m, 1.3)
+        snap = dephasing._Snapshot(m, [1.3]).at(0)
         monkeypatch.setattr(comp, "_purified", lambda snap: pytest.fail("purified state built"))
         with pytest.raises(dephasing.BudgetError, match="Gram matrix dimension 900 exceeds budget 500"):
             comp._entropy(snap, frozenset({"S", "E1"}))
@@ -719,8 +724,8 @@ class TestRealGauge:
     @pytest.mark.parametrize("n_dim", [2, 15, 61])
     @pytest.mark.parametrize("beta_", [0.0, 0.7, 0.4 - 1.1j])
     def test_gauge_matches_displacement(self, n_dim, beta_):
-        d, o = dephasing._displacement_gauge(n_dim, beta_)
-        assert np.array_equal(d, dephasing._displacement(n_dim, beta_))
+        (o,), (r,) = dephasing._real_gauges(n_dim, [beta_])
+        assert np.array_equal(dephasing._ungauged(o, r), dephasing._displacement(n_dim, beta_))
         for sigma, o_sigma in ((1, o), (-1, o.T)):
             self._check(o_sigma, beta_, sigma)
         # b^dag - b is odd under Pi = (-1)^n, so Pi O Pi = O(-1) = O^T
@@ -732,8 +737,9 @@ class TestRealGauge:
     def test_snapshot_gauges(self):
         p = DephasingParams(**DESK, env_kind="entangled")
         m = build_discrete_model(p, n_modes=2, n_max=14)
-        for t in (0.0, 1.3, 3.7):
-            snap = dephasing._Snapshot(m, t)
+        grid = dephasing._Snapshot(m, [0.0, 1.3, 3.7])
+        for i, t in enumerate(grid.times):
+            snap = grid.at(i)
             for k, (om, g1, g2) in enumerate(m.mode_pairs):
                 for d, o, b in ((snap.d[0][k], snap.o[0][k], g1 * beta(om, t, p.window1)),
                                 (snap.d[1][k], snap.o[1][k], g2 * beta(om, t, p.window2))):
@@ -758,8 +764,8 @@ class TestSnapshotOverlaps:
         p = DephasingParams(**DESK, env_kind=env_kind)
         m = build_discrete_model(p, n_modes=2, n_max=12)
         sigmas = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        for t in (0.0, 1.3, 3.7):
-            snap = dephasing._Snapshot(m, t)
+        grid = dephasing._Snapshot(m, [0.0, 1.3, 3.7])
+        for snap in map(grid.at, range(grid.times.size)):
             ref = np.ones((4, 4), dtype=complex)
             for k in range(m.n_pairs):
                 for (i, ket), (j, bra) in itertools.product(enumerate(sigmas), repeat=2):
@@ -772,6 +778,76 @@ class TestSnapshotOverlaps:
             assert np.abs(snap.omega - ref).max() <= 1e-14
 
 
+class TestStackedSnapshot:
+    """One snapshot of a grid holds, time by time, the bits of a one-point snapshot, and the
+    branch series read from it the bits of ``entropies_at``."""
+
+    TIMES = [0.0, 0.7, 2.5, 3.1, 4.2, 5.0]  # no bath displaced at 0, bath 2 not until t2s = 2.5
+
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    @pytest.mark.parametrize("budget", [dephasing.DEFAULT_BUDGET, 20])  # 20^2 // (4 * 5^2): 4 times a chunk
+    def test_grid_matches_one_point_snapshots(self, env_kind, n_modes, budget):
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind), n_modes, 4)
+        grid = dephasing._Snapshot(m, self.TIMES, budget)
+        assert not grid.displaced[0].any() and list(grid.displaced[1]) == [True, False]
+        assert all(np.array_equal(o[1], np.eye(5)) for o in grid.o[1])  # alpha = 0: O = 1
+        for i, t in enumerate(self.TIMES):
+            one = dephasing._Snapshot(m, [t])
+            assert np.array_equal(grid.displaced[i], one.displaced[0])
+            assert np.array_equal(grid.omega[i], one.omega[0])
+            for name in ("o", "r", "c"):
+                for per_pair, ref in zip(getattr(grid, name), getattr(one, name)):
+                    assert len(per_pair) == (m.n_pairs if name != "c" or env_kind == "classical" else 0)
+                    assert all(np.array_equal(a[i], b[0]) for a, b in zip(per_pair, ref))
+
+    def test_gauges_match_one_alpha_at_a_time(self):
+        alphas = [0.0, 0.7, 0.4 - 1.1j, np.complex128(-2.3 + 0.2j), 1e-9j]
+        o, r = dephasing._real_gauges(15, alphas)
+        for i, alpha in enumerate(alphas):
+            (o1,), (r1,) = dephasing._real_gauges(15, [alpha])
+            assert np.array_equal(o[i], o1) and np.array_equal(r[i], r1)
+
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_series_match_entropies_at(self, env_kind):
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind), 2, 3)
+        wide = random_pure_state(SystemPartition([("A", 3), ("S1", 2), ("S2", 2)]), 4)
+        a_s = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+        for state in (measures.ops_state(), random_density_matrix(a_s, 2, 5), wide):
+            comp = dephasing.BranchComputer(m, state)
+            env_free = comp._env_free(dephasing._Snapshot(m, self.TIMES))
+            series = comp.trajectories(self.TIMES)
+            for i, t in enumerate(self.TIMES):
+                for part in dephasing.ENV_PARTS:
+                    ent = comp.entropies_at(t, part)
+                    assert ent["cmi"] == series[part].values[i]
+                    assert all(ent[name] == env_free[k][i] for name, k in dephasing._ENV_FREE.items())
+                assert ent["mi_sa"] == series["mi_sa"].values[i]
+
+    def test_strong_subadditivity_is_checked_time_by_time(self, monkeypatch):
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}), 1, 4)
+        comp = dephasing.BranchComputer(m, measures.ops_state())
+        real = comp._env_free
+        s_as = frozenset({"A", "S"})
+
+        def broken(snap):  # S(A S) one nat too small at t = 3.1 only
+            out = real(snap)
+            return {**out, s_as: np.where(snap.times == 3.1, out[s_as] - 1.0, out[s_as])}
+
+        monkeypatch.setattr(comp, "_env_free", broken)
+        with pytest.raises(RuntimeError, match=r"branch CMI -0\.\d+ violates strong subadditivity"):
+            comp.trajectories(self.TIMES, env_parts=("E1E2",))
+        with pytest.raises(RuntimeError, match="violates strong subadditivity"):
+            comp.entropies_at(3.1, "E1")
+        comp.trajectories([t for t in self.TIMES if t != 3.1])  # every other time passes
+
+    def test_snapshot_of_another_grid_is_refused(self):
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}), 1, 4)
+        comp = dephasing.BranchComputer(m, measures.ops_state())
+        with pytest.raises(ValueError, match="another model or time grid"):
+            comp.trajectories([0.0, 1.0], snap=dephasing._Snapshot(m, [0.0, 2.0]))
+
+
 class TestBranchSolves:
     def test_two_parity_sector_solves_per_kept_bath_and_three_env_free(self, monkeypatch):
         # entangled ops_state cmi run at 2 pairs, n_max 14: per time point, the
@@ -780,7 +856,8 @@ class TestBranchSolves:
         # 1/2, so each is one real solve per joint-parity sector of the 225-dim
         # bath (113 even, 112 odd), and eig(M_+ + M_-) is solved once, before the
         # run. Until t2s = 2.5 bath 2 is not displaced, and keeping it needs no
-        # solve. S_AS, S_S, S_A are solved once for all three env parts
+        # solve. S_AS, S_S, S_A are solved once for all three env parts, over
+        # the grid (here of one point) at once
         p = DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
                             t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2, env_kind="entangled")
         m = build_discrete_model(p, n_modes=2, n_max=14)
@@ -796,7 +873,7 @@ class TestBranchSolves:
             assert sorted(solves) == sorted(
                 [((113, 113), np.dtype(np.float64))] * displaced
                 + [((112, 112), np.dtype(np.float64))] * displaced
-                + [((k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
+                + [((1, k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
             )
             solves.clear()
 
@@ -816,7 +893,7 @@ class TestBranchSolves:
         solves = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape[0]) or real(a))
-        comp._entropy(dephasing._Snapshot(m, 3.7), frozenset({"A", "S", "E1"}))
+        comp._entropy(dephasing._Snapshot(m, [3.7]).at(0), frozenset({"A", "S", "E1"}))
         assert sorted(solves) == sides
 
     def test_classical_e1e2_makes_no_bath_solve(self, monkeypatch):
@@ -833,7 +910,7 @@ class TestBranchSolves:
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda a: solves.append((a.shape, a.dtype)) or real(a)
         )
-        env_free = [((k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
+        env_free = [((1, k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
         blocks = [((225, 2, 2), np.dtype(np.complex128))] * 4
         for t in np.linspace(0.5, 4.0, 5):
             for parts, bath in ((("E1E2",), []), (("E1", "E2", "E1E2"), blocks)):
@@ -1041,13 +1118,13 @@ class TestSystemTrajectory:
         a = np.array([0.5, 0.5, 0.5, 0.5])
         part = SystemPartition([("S1", 2), ("S2", 2)])
         traj = system_trajectory(p, pure_state(a, part), [0.0, 2.0, 4.0])
-        for t, st in zip(traj.times, traj.states):
+        for t, st in zip(traj.times, traj.states.data):
             direct = system_state(p, a, t)
-            assert_allclose(st.data, direct.data, atol=1e-12)
+            assert_allclose(st, direct.data, atol=1e-12)
 
 
 class TestSharedCaches:
-    """The ``measures`` pool reads the per-Fock-dimension caches from several threads."""
+    """Threads that share a model read the per-Fock-dimension caches together."""
 
     @pytest.mark.parametrize("name,args,builder", [
         ("_quadrature_modes", (97,), "_ladder"),

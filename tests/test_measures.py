@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nonmarkov import info, measures
+from nonmarkov import dephasing, info, measures
 from nonmarkov.measures import (
     MeasureResult,
     ScalarSeries,
@@ -26,6 +26,7 @@ from nonmarkov.measures import (
 from nonmarkov.states import (
     DensityMatrix,
     PartitionError,
+    StateValidityError,
     SystemPartition,
     apply_channel,
     basis_state,
@@ -38,6 +39,34 @@ from nonmarkov.states import (
 )
 
 LN2 = math.log(2.0)
+
+
+class TestStateTrajectory:
+    def test_states_are_one_validated_stack(self):
+        part = SystemPartition([("S", 2), ("A", 2)])
+        states = [random_density_matrix(part, 2, seed) for seed in range(3)]
+        traj = StateTrajectory([0.0, 1.0, 2.0], tuple(states))
+        assert traj.states.data.shape == (3, 4, 4) and traj.partition == part
+        assert all(np.array_equal(a, s.data) for a, s in zip(traj.states.data, states))
+        assert StateTrajectory(traj.times, traj.states).states is traj.states
+
+    def test_every_slice_is_checked(self):
+        part = SystemPartition([("S", 2)])
+        data = np.stack([np.eye(2) / 2, np.diag([1.5, -0.5])])
+        with pytest.raises(StateValidityError, match="negative eigenvalue"):
+            StateTrajectory([0.0, 1.0], DensityMatrix(data, part))
+
+    def test_mismatched_stacks_rejected(self):
+        part = SystemPartition([("S", 2)])
+        stack = DensityMatrix(np.stack([np.eye(2) / 2] * 2), part)
+        with pytest.raises(TrajectoryError, match="one state per time"):
+            StateTrajectory([0.0, 1.0, 2.0], stack)
+        with pytest.raises(TrajectoryError, match="one state per time"):
+            StateTrajectory([0.0], DensityMatrix(np.eye(2) / 2, part))
+        with pytest.raises(TrajectoryError, match="empty"):
+            StateTrajectory([], ())
+        with pytest.raises(TrajectoryError, match="share one partition"):
+            StateTrajectory([0.0, 1.0], (pure_state([1, 0], part), pure_state([1, 0], SystemPartition([("A", 2)]))))
 
 
 class TestScalarSeries:
@@ -87,6 +116,11 @@ class TestPositiveIncrementIntegral:
         assert abs(vc - vf) <= 4e-3
 
 
+def _slices(traj):
+    """The states of a trajectory one by one, each validated on its own."""
+    return [DensityMatrix(m, traj.partition) for m in traj.states.data]
+
+
 def _qubit_pair_trajectory(thetas, times):
     """Pure-state pair (|0>, sin t|0> + cos t|1>) with trace distance |cos t|."""
     part = SystemPartition([("S", 2)])
@@ -113,7 +147,7 @@ class TestMeasureDistanceBLP:
         times = np.arange(0.0, math.pi, 1e-3)
         pair = _qubit_pair_trajectory(times, times)
         # oracle: trace distance between the pure states is exactly |cos t|
-        d0 = info.trace_distance(pair[0].states[100], pair[1].states[100])
+        d0 = info.trace_distance(_slices(pair[0])[100], _slices(pair[1])[100])
         assert abs(d0 - abs(math.cos(times[100]))) <= 1e-12
         res = measure_distance_blp([pair], distance="trace")
         assert abs(res.value - 1.0) <= 2e-3
@@ -124,11 +158,28 @@ class TestMeasureDistanceBLP:
         res = measure_distance_blp([pair], distance="telescopic")
         series = ScalarSeries(
             times,
-            [info.jensen_shannon_telescopic(a, b) for a, b in zip(pair[0].states, pair[1].states)],
+            [info.jensen_shannon_telescopic(a, b) for a, b in zip(_slices(pair[0]), _slices(pair[1]))],
         )
-        val, _ = positive_increment_integral(series)
-        assert_allclose(res.value, val, atol=1e-12)
+        val, inc = positive_increment_integral(series)
+        # one call over the stacks gives each time the bits of its own pair of states
+        assert res.value == val and np.array_equal(res.increments.values, inc.values)
         assert res.measure_name == "tBLP"
+
+    @pytest.mark.parametrize("env_kind", dephasing.ENV_KINDS)
+    def test_dephasing_pair_series_match_per_state_calls(self, env_kind):
+        # one distance call over the two stacks of a tsio pair gives each time the
+        # bits of the call on its own two states
+        p = dephasing.DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0, t1s=0.0, t1f=2.5,
+                                      t2s=2.5, t2f=4.2, env_kind=env_kind)
+        times = np.round(np.arange(0.0, 4.2 + 1e-9, 0.05), 12)
+        s = 1 / math.sqrt(2)
+        pair = tuple(dephasing.system_trajectory(p, pure_state(a, measures.S_PARTITION), times)
+                     for a in ([0, s, s, 0], [0, s, -s, 0]))
+        for distance, dist in (("trace", info.trace_distance), ("telescopic", info.jensen_shannon_telescopic)):
+            res = measure_distance_blp([pair], distance=distance)
+            ref = ScalarSeries(times, [dist(a, b) for a, b in zip(_slices(pair[0]), _slices(pair[1]))])
+            val, inc = positive_increment_integral(ref)
+            assert res.value == val and np.array_equal(res.increments.values, inc.values)
 
     def test_grid_mismatch_rejected(self):
         t1, t2 = _qubit_pair_trajectory(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
@@ -189,7 +240,7 @@ class TestMeasureLFS:
     def test_swap_revival_value(self):
         traj = _swap_revival_trajectory()
         res = measure_lfs([mi_series(traj)])
-        mi = [info.mutual_information(s, {"S", "E"}, {"A"}) for s in traj.states]
+        mi = [info.mutual_information(s, {"S", "E"}, {"A"}) for s in _slices(traj)]
         expected = mi[0] - min(mi)
         assert abs(res.value - expected) <= 1e-8
 
@@ -243,7 +294,7 @@ class TestMeasureN1:
         traj = _partial_swap_cmi_trajectory()
         res = measure_n1([cmi_series(traj, {"E"}, {"S"})])
         cmi = [
-            info.conditional_mutual_information(s, {"A"}, {"E"}, {"S"}) for s in traj.states
+            info.conditional_mutual_information(s, {"A"}, {"E"}, {"S"}) for s in _slices(traj)
         ]
         assert abs(max(cmi) - LN2) <= 1e-3  # apex of the engineered series
         assert abs(res.value - max(cmi)) <= 1e-8
@@ -253,9 +304,7 @@ class TestMeasureN1:
         traj = _swap_revival_trajectory()
         # relabel to the (A | S | E) roles measure_n1 expects
         n1 = measure_n1([cmi_series(traj, {"E"}, {"S"}, ancilla_labels=("A",))])
-        lfs_traj = StateTrajectory(
-            traj.times, tuple(partial_trace(s, {"S", "A"}) for s in traj.states)
-        )
+        lfs_traj = StateTrajectory(traj.times, partial_trace(traj.states, {"S", "A"}))
         lfs = measure_lfs([mi_series(lfs_traj)])
         assert abs(n1.value - lfs.value) <= 1e-8
 
@@ -264,7 +313,7 @@ class TestMeasureN1:
         # {E, F} with an idle extra sub-environment F
         base = _partial_swap_cmi_trajectory(n=41)
         idle = basis_state(SystemPartition([("F", 2)]), [0])
-        ext = StateTrajectory(base.times, tuple(tensor(s, idle) for s in base.states))
+        ext = StateTrajectory(base.times, tensor(base.states, idle))
         n1_sub = measure_n1([cmi_series(ext, {"E"}, {"S"})])
         n1_full = measure_n1([cmi_series(ext, {"E", "F"}, {"S"})])
         assert abs(n1_sub.value - n1_full.value) <= 1e-8
@@ -274,7 +323,7 @@ class TestMeasureN2:
     def _extended(self, traj, d_ap=3):
         ap = SystemPartition([("Ap", d_ap)])
         vac = basis_state(ap, [0])
-        return StateTrajectory(traj.times, tuple(tensor(s, vac) for s in traj.states))
+        return StateTrajectory(traj.times, tensor(traj.states, vac))
 
     def test_product_aprime_reduces_to_n1(self):
         traj = _partial_swap_cmi_trajectory(n=21)
@@ -302,10 +351,9 @@ class TestMeasureN2:
         part = SystemPartition([("A", 2), ("S", 2), ("E", 2)])
         traj = _partial_swap_cmi_trajectory(n=5)
         ap = SystemPartition([("Ap", 3)])
-        states = list(self._extended(traj).states)
+        states = _slices(self._extended(traj))
         # tamper with the last A' marginal
-        drift = tensor(partial_trace(traj.states[-1], {"A", "S", "E"}), basis_state(ap, [1]))
-        states[-1] = drift
+        states[-1] = tensor(_slices(traj)[-1], basis_state(ap, [1]))
         bad = StateTrajectory(traj.times, tuple(states))
         with pytest.raises(TrajectoryError):
             measure_n2([cmi_series(bad, {"E"}, {"S"}, aprime_label="Ap")])
