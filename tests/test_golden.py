@@ -25,6 +25,10 @@ _DEPHASING = {
     "omega_c": 0.25, "r": 0.6, "alpha1": 1.0, "alpha2": 1.0,
     "t1s": 0.0, "t1f": 1.0, "t2s": 1.0, "t2f": 2.0,
 }
+_README_DEPHASING = {
+    "omega_c": 0.05, "r": 0.8, "alpha1": 4.0, "alpha2": 4.0,
+    "t1s": 0.0, "t1f": 2.5, "t2s": 2.5, "t2f": 4.2,
+}
 _S = 1 / math.sqrt(2)
 
 CONFIGS = {
@@ -47,6 +51,15 @@ CONFIGS = {
         "grid": {"t_start": 0.0, "t_end": 2.0, "dt": 0.25},
         "candidates": [{"kind": "ops_state"}],
     },
+    # the README cmi config at dt 0.2: 2 pairs run the Kronecker products of rules (d) and (e),
+    # and the classical file the classical omega and rule (b)
+    **{f"cmi_desk_{kind}.csv": {
+        "mode": "cmi",
+        "dephasing": {**_README_DEPHASING, "env_kind": kind},
+        "discrete": {"n_modes": 2, "n_max": 14},
+        "grid": {"t_start": 0.0, "t_end": 4.2, "dt": 0.2},
+        "candidates": [{"kind": "ops_state"}],
+    } for kind in ("entangled", "classical")},
     "measures.csv": {
         "mode": "measures",
         "seed": 3,
@@ -63,8 +76,7 @@ CONFIGS = {
     # the README measures config at env_kind classical: pins the classical omega and rule (b)
     "measures_classical.csv": {
         "mode": "measures",
-        "dephasing": {"omega_c": 0.05, "r": 0.8, "alpha1": 4.0, "alpha2": 4.0, "env_kind": "classical",
-                      "t1s": 0.0, "t1f": 2.5, "t2s": 2.5, "t2f": 4.2},
+        "dephasing": {**_README_DEPHASING, "env_kind": "classical"},
         "discrete": {"n_modes": 2, "n_max": 14},
         "grid": {"t_start": 0.0, "t_end": 4.2, "dt": 0.05},
         "candidates": [
