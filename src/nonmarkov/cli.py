@@ -164,7 +164,18 @@ _DEPHASING_TYPES = {
     "u": lambda v: None if v is None else _number(v),
     "quad": lambda q: _fields(q, _QUAD_TYPES, "quad", QuadratureConfig),
 }
-_MODEL_TYPES = {"dephasing": _object, "discrete": _object, "grid": _object, "candidates": _array,
+_DISCRETE_TYPES = {k: _int_at_least(1, k) for k in ("n_modes", "n_max")}
+
+
+def _discrete(value) -> dict:
+    """The ``discrete`` section, checked whenever a config has one, also where no model is built."""
+    disc = _fields(_object(value), _DISCRETE_TYPES, "discrete")
+    for key in _DISCRETE_TYPES:
+        _require(disc, key)
+    return disc
+
+
+_MODEL_TYPES = {"dephasing": _object, "discrete": _discrete, "grid": _object, "candidates": _array,
                 "seed": _seed, "budget": _int_at_least(1, "budget")}
 _MODE_TYPES = {
     "phase_factors": {"dephasing": _object, "grid": _object},
@@ -260,10 +271,9 @@ def _run_phase_factors(cfg: dict) -> str:
 def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
     """The discrete model of a config; a spectral window the Gauss rule cannot take is a config error."""
     params = parse_dephasing(_require(cfg, "dephasing", dict))
-    types = {k: _int_at_least(1, k) for k in ("n_modes", "n_max")}
-    disc = _fields(_require(cfg, "discrete", dict), types, "discrete")
+    disc = _require(cfg, "discrete")  # checked by ``_discrete`` with the config's keys
     try:
-        return dephasing.build_discrete_model(params, _require(disc, "n_modes"), _require(disc, "n_max"))
+        return dephasing.build_discrete_model(params, disc["n_modes"], disc["n_max"])
     except TruncationError:
         raise
     except ValueError as exc:

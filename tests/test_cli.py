@@ -348,12 +348,14 @@ class TestConfigValidation:
         "object_as_pairs", "object_as_number", "string_as_number", "u_as_string", "array_as_string",
         "classical_r_tanh_one", "classical_r_tanh_one_measures", "entangled_r_cosh_overflow",
         "gauss_window_underflow", "gauss_window_overflow", "gauss_window_overflow_measures",
-        "t_start_negative",
+        "t_start_negative", "measures_tsio_bad_discrete", "measures_tsio_discrete_missing_key",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
         out = str(tmp_path / "out")
         flagged = {"kind": "flagged", "amplitudes": [[1, 0], [1, 0]], "system_indices": [1, 2]}
+        tsio_only = {**CMI_CFG, "mode": "measures", "candidates": [  # no candidate needs the discrete model
+            {"kind": "tsio", "state1": [[1, 0], [0, 0], [0, 0], [0, 0]], "state2": [[0, 0], [1, 0], [0, 0], [0, 0]]}]}
         configs = {
             "flagged_unnormalised": {**CMI_CFG, "candidates": [flagged]},
             "flagged_bad_index": {**CMI_CFG, "candidates": [
@@ -429,6 +431,9 @@ class TestConfigValidation:
                 **CMI_CFG["dephasing"], "omega_c": 1e300}},
             # the evolution starts at t = 0: no row for an earlier time
             "t_start_negative": {**PF_CFG, "grid": {"t_start": -1.0, "t_end": 1.0, "dt": 0.5}},
+            # a discrete section is checked whenever it is present, also where no model is built
+            "measures_tsio_bad_discrete": {**tsio_only, "discrete": {"n_modes": 0, "n_max": "x"}},
+            "measures_tsio_discrete_missing_key": {**tsio_only, "discrete": {"n_modes": 2}},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
@@ -437,6 +442,7 @@ class TestConfigValidation:
             "classical_r_tanh_one_measures": "r = 19.5", "entangled_r_cosh_overflow": "r = 400",
             "gauss_window_underflow": "mass 0;", "gauss_window_overflow": "mass inf;",
             "gauss_window_overflow_measures": "mass inf;", "t_start_negative": "t_start >= 0",
+            "measures_tsio_bad_discrete": "discrete: n_modes", "measures_tsio_discrete_missing_key": "'n_max'",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
