@@ -44,7 +44,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce, wraps
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -641,16 +641,23 @@ def _fock_overlaps(d: dict) -> np.ndarray:
     return np.einsum("...bin,...kin->...kbn", ds.conj(), ds)
 
 
+def _chunks(size: int, entries: int, budget: int) -> list[slice]:
+    """Slices of ``size`` times, each as many as fit in min(budget^2, ``_CHUNK_ENTRIES``) at ``entries`` a time, or one."""
+    step = max(1, min(budget ** 2, _CHUNK_ENTRIES) // entries)
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
+
+
 class _Snapshot:
     """Per-pair displaced environment data over a time grid; only read, so computers may share it.
 
     Bath j, pair m: ``o[j][m]`` (T, n, n) and ``r[j][m]`` (T, n) are the real
     gauge O_m of sigma = +1 and its phases, D(sigma g_jm beta_j) = R O_m(sigma) R^dag
-    with O_m(-1) = O_m^T; classical, ``c[j][m]`` holds ``_fock_overlaps``.
+    with O_m(-1) = O_m^T; classical, ``c[j][m]`` (T, 2, 2, n) holds ``_fock_overlaps``.
     ``displaced[i, j]``: some g_jm beta_j is nonzero at time i.  ``omega[i, s, s']`` =
     prod_m Tr[Phi_s rho_m Phi_s'^dag] (s = 2 s1 + s2), so rho_AS(t_i) = rho0 o
-    (1_A (x) omega[i]).  The displacements behind ``omega`` are built a chunk
-    of times at a time (``_CHUNK_ENTRIES``) and dropped; ``at(i)`` rebuilds one time's.
+    (1_A (x) omega[i]).  The displacements behind ``omega`` are built a chunk of
+    times at a time (``_chunks``) and dropped; ``at(i)`` rebuilds one time's for
+    rule (f) of ``BranchComputer._entropy``, the only rule not read over the grid.
     """
 
     def __init__(self, model: DiscreteDephasingModel, times: Sequence[float], budget: int = DEFAULT_BUDGET):
@@ -658,10 +665,8 @@ class _Snapshot:
         self.times = t = np.asarray(times, dtype=float).reshape(-1)
         n, w = model.fock_dim, model.pair_weights
         entangled = model.env_kind == "entangled"
-        step = max(1, min(budget ** 2, _CHUNK_ENTRIES) // (4 * n * n))  # a chunk's pair states: 4 n^2 entries a time
-        self.o: tuple[list[np.ndarray], ...] = ([], [])
-        self.r: tuple[list[np.ndarray], ...] = ([], [])
-        self.c: tuple[list[np.ndarray], ...] = ([], [])
+        chunks = _chunks(t.size, 4 * n * n, budget)  # a chunk's pair states: 4 n^2 entries a time
+        self.o, self.r, self.c = ([], []), ([], []), ([], [])  # by bath, then pair
         self.omega = np.ones((t.size, 4, 4), dtype=complex)
         self.displaced = np.zeros((t.size, 2), dtype=bool)
         windows = (model.params.window1, model.params.window2)
@@ -673,8 +678,7 @@ class _Snapshot:
                 self.r[j].append(np.empty((t.size, n), dtype=complex))
                 if not entangled:
                     self.c[j].append(np.empty((t.size, 2, 2, n), dtype=complex))
-            for lo in range(0, t.size, step):
-                chunk = slice(lo, lo + step)
+            for chunk in chunks:
                 d = []
                 for j, alpha in enumerate(alphas):
                     o, r = self.o[j][-1][chunk], self.r[j][-1][chunk]
@@ -696,47 +700,34 @@ class _Snapshot:
 
 
 class _Slice:
-    """Time ``times[i]`` of a ``_Snapshot``, as rules (d), (e) and (f) of ``BranchComputer._entropy`` read it.
-
-    ``o``, ``c``, ``displaced`` and ``omega`` are the snapshot's rows of time i;
-    the displacements ``d[j][m][sigma]`` and the entangled pair states
-    ``psi[m][(sigma1, sigma2)]`` are built on first use, and ``kept_state`` once per bath.
-    """
+    """Time ``times[i]`` of a ``_Snapshot``, as rule (f) of ``BranchComputer._entropy`` reads it: the
+    displacements ``d[j][m][sigma]``, and the entangled pair states ``psi[m][(sigma1, sigma2)]`` on first use."""
 
     def __init__(self, snap: _Snapshot, i: int):
         self.model = snap.model
-        self.o, self.r, self.c = ([[a[i] for a in per_bath] for per_bath in grid] for grid in (snap.o, snap.r, snap.c))
-        self.displaced = snap.displaced[i]
-        self.omega = snap.omega[i]
-        self._kept: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def d(self) -> list[list[dict[int, np.ndarray]]]:
-        return [[_signed(_ungauged(o, r)) for o, r in zip(os, rs)] for os, rs in zip(self.o, self.r)]
+        self.d = [[_signed(_ungauged(o[i], r[i])) for o, r in zip(os, rs)] for os, rs in zip(snap.o, snap.r)]
 
     @cached_property
     def psi(self) -> list[dict[tuple[int, int], np.ndarray]]:
         return [_pair_states(d1, d2, self.model.pair_weights) for d1, d2 in zip(*self.d)]
 
-    def fock_weights(self, m: int, ket: tuple[int, int], bra: tuple[int, int], j: int) -> np.ndarray:
-        """Diagonal of a classical one-bath block once its kept displacement is conjugated away.
 
-        That is p_n c[n], with c = diag(D_bra^dag D_ket) of the traced bath j, read from ``c``.
-        """
-        return self.model.pair_weights * self.c[j][m][(1 - ket[j]) // 2, (1 - bra[j]) // 2]
+def _stacked_kron(a: np.ndarray, b: np.ndarray, axes: int) -> np.ndarray:
+    """``np.kron`` over the last ``axes`` axes, slice by slice over the leading ones: the same products."""
+    lead, sa, sb = a.shape[:-axes], a.shape[-axes:], b.shape[-axes:]
+    prod = (a.reshape(*lead, *(x for d in sa for x in (d, 1))) * b.reshape(*lead, *(x for d in sb for x in (1, d))))
+    return prod.reshape(*lead, *np.multiply(sa, sb))
 
-    def kept_state(self, j: int) -> np.ndarray:
-        """K = (x)_m O_m rho_m O_m^T on bath j, rho_m = diag(``model.local_spectrum``), built on first use.
 
-        The kept block of a term whose label on bath j is +1, with R conjugated
-        away.  Each O_m is odd under the parity (-1)^n, (-1)^n O_m (-1)^n = O_m^T,
-        so the block of label -1 is Pi K Pi with Pi the joint parity
-        (-1)^(sum_m n_m): K with its entries between the two parity sectors negated.
-        """
-        if j not in self._kept:
-            lam = self.model.local_spectrum
-            self._kept[j] = reduce(np.kron, [(o * lam) @ o.T for o in self.o[j]])
-        return self._kept[j]
+def _kept_bath(gauges: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
+    """K = (x)_m O_m diag(lam) O_m^T at each time of one bath's gauges ``gauges[m]`` (T, n, n).
+
+    The kept block of a term whose label on that bath is +1, with R conjugated
+    away.  Each O_m is odd under the parity (-1)^n, (-1)^n O_m (-1)^n = O_m^T,
+    so the block of label -1 is Pi K Pi with Pi the joint parity
+    (-1)^(sum_m n_m): K with its entries between the two parity sectors negated.
+    """
+    return reduce(lambda a, b: _stacked_kron(a, b, 2), [(o * lam) @ o.swapaxes(-1, -2) for o in gauges])
 
 
 @_built_once
@@ -826,10 +817,11 @@ class BranchComputer:
         if size > self.budget ** 2:
             raise BudgetError(f"{what} of {size} {unit} exceeds budget^2 = {self.budget ** 2}")
 
-    def _entropy(self, snap: _Slice, kept: frozenset) -> float:
-        """Entropy of the reduced state on ``kept``, a subset of {A, S, E1, E2} that holds a bath.
+    def _entropy(self, snap: _Snapshot, kept_sets: Sequence[frozenset]) -> dict[frozenset, np.ndarray]:
+        """Entropies (T,) over the grid of ``snap`` of the reduced state on each of ``kept_sets``, each a
+        nonempty subset of {A, S, E1, E2}.
 
-        (a) No bath kept: a marginal of rho_AS(t), from ``_env_free`` over the grid.
+        (a) No bath kept: a marginal of rho_AS(t), one batched solve over the grid.
         (b) Both baths and S kept: W = sum_s |s><s| (x) U_s is unitary, so the
             entropy is S(rho0_K) + S(rho_E) at every t, computed once.
         (c) Entangled, pure rho0, S and one bath kept: the global state is pure,
@@ -837,72 +829,93 @@ class BranchComputer:
             bath and traces S: (d).
         (d) One bath kept, S traced: ``_one_bath``.
         (e) Classical, S and one bath kept: ``_fock_blocks``.
-        (f) Anything else: ``_purified_spectrum``.
+        (f) Anything else: ``_purified_spectrum``, the only rule that walks the
+            times; its kept sets walk them together, so Psi is built once a time.
         """
-        if kept in self._fixed:
-            return self._fixed[kept]
         entangled = self.model.env_kind == "entangled"
-        if entangled and self.pure and "S" in kept:
-            kept = LABELS - kept
-        if "S" not in kept and len(kept - {"A"}) == 1:
-            spectrum = self._one_bath(snap, kept)
-        elif not entangled and "S" in kept:
-            spectrum = self._fock_blocks(snap, kept)
-        else:
-            spectrum = self._purified_spectrum(snap, kept)
-        return spectrum_entropy(spectrum, tol=1e-9)
+        rho_as = self._rho_as(snap)
+        out, walked = {}, {}
+        for kept in kept_sets:
+            solved = LABELS - kept if entangled and self.pure and "S" in kept else kept
+            if kept in self._fixed:
+                out[kept] = np.full(snap.times.size, self._fixed[kept])
+            elif kept.isdisjoint(BATHS):
+                out[kept] = spectrum_entropy(np.linalg.eigvalsh(_marginal(rho_as, kept)), tol=1e-9)
+            elif "S" not in solved and len(solved - {"A"}) == 1:
+                out[kept] = self._one_bath(snap, solved)
+            elif not entangled and "S" in solved:
+                out[kept] = self._fock_blocks(snap, solved)
+            else:
+                walked[kept], out[kept] = solved, np.empty(snap.times.size)
+        for i, sl in enumerate(map(snap.at, range(snap.times.size if walked else 0))):
+            for kept, solved in walked.items():
+                out[kept][i] = spectrum_entropy(self._purified_spectrum(sl, solved), tol=1e-9)
+        return out
 
-    def _one_bath(self, snap: _Slice, kept: frozenset) -> np.ndarray:
-        """Spectrum of sum_sigma M_sigma (x) K(sigma): one bath kept, S traced.
+    def _one_bath(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
+        """Entropies (T,) of sum_sigma M_sigma (x) K(sigma): one bath kept, S traced.
 
         With S traced only s = s' survives, and the kept bath of branch s is
         D(sigma beta) rho_th D(sigma beta)^dag, sigma its label on that bath;
-        D = R O(sigma) R^dag with R common to every term, so R is dropped, and
-        K(+) = ``snap.kept_state``, K(-) = Pi K(+) Pi with Pi the joint parity.
-        When M_+ M_- = 0 the sum is direct, and when the bath is not displaced
-        K(+) = K(-) = rho_th^(x)P: either way the spectrum is that of M_+ + M_-
-        times lam^(x)P.  When M_+ = M_- = M it is (M_+ + M_-) (x) (K_ee (+) K_oo),
-        the blocks of K(+) on the even and odd parity sectors: two solves of
-        half the side.  Otherwise the operator is assembled.  The budget bounds
-        the operator's side d_M n^P whenever M_+ M_- != 0, and budget^2 the
-        entries of a spectrum taken without a solve.
+        D = R O(sigma) R^dag with R common to every term, so R is dropped:
+        K(+) = ``_kept_bath``, K(-) = Pi K(+) Pi.  When M_+ M_- = 0, or the bath
+        is not displaced (K(+) = K(-) = rho_th^(x)P), the spectrum is that of
+        M_+ + M_- times lam^(x)P.  When M_+ = M_- it is that of M_+ + M_- times
+        those of the even and odd parity blocks of K(+).  Otherwise the operator
+        is assembled.  Each solve is a stack over the displaced times of a chunk
+        (``_chunks``).  The budget bounds the side d_M n^P whenever M_+ M_- != 0,
+        and budget^2 the entries of a spectrum taken without a solve.
         """
         rule, e, ms = self._baths[kept]
         j = BATHS.index(*(kept - {"A"}))
-        n, pairs = self.model.fock_dim, self.model.n_pairs
+        n, pairs, lam = self.model.fock_dim, self.model.n_pairs, self.model.local_spectrum
+        side = len(e) * n ** pairs
         if rule != "direct":
-            dim = self._within_budget(len(e) * n ** pairs, "assembled operator")
-        if rule == "direct" or not snap.displaced[j]:
-            self._entries_within_budget(len(e) * n ** pairs, "kept-bath spectrum")
-            return np.outer(e, reduce(np.kron, [self.model.local_spectrum] * pairs)).ravel()
-        k = snap.kept_state(j)
+            self._within_budget(side, "assembled operator")
+        solved = np.flatnonzero(snap.displaced[:, j] & (rule != "direct"))  # the times that need a solve
+        out = np.empty(snap.times.size)
+        if solved.size < out.size:
+            self._entries_within_budget(side, "kept-bath spectrum")
+            out[:] = spectrum_entropy(np.outer(e, reduce(np.kron, [lam] * pairs)).ravel(), tol=1e-9)
         signs, even, odd = _parity_sectors(n, pairs)
-        if rule == "sectors":
-            halves = [np.linalg.eigvalsh(k[np.ix_(idx, idx)]) for idx in (even, odd)]
-            return np.outer(e, np.concatenate(halves)).ravel()
-        mat = np.zeros((dim, dim), dtype=np.result_type(*ms))
-        for m, k_sig in zip(ms, (k, k * np.outer(signs, signs))):
-            mat += np.kron(m, k_sig)
-        return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        for chunk in _chunks(solved.size, side ** 2 if rule == "assembled" else max(side, n ** (2 * pairs)),
+                             self.budget):
+            rows = solved[chunk]
+            k = _kept_bath([o[rows] for o in snap.o[j]], lam)
+            if rule == "sectors":
+                halves = np.concatenate([np.linalg.eigvalsh(k[:, idx[:, None], idx]) for idx in (even, odd)], axis=-1)
+                spectra = (e[:, None] * halves[:, None, :]).reshape(rows.size, -1)
+            else:
+                mat = np.zeros((rows.size, side, side), dtype=np.result_type(*ms))
+                for m, k_sig in zip(ms, (k, k * np.outer(signs, signs))):
+                    mat += np.kron(m, k_sig)
+                spectra = np.linalg.eigvalsh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
+            out[rows] = spectrum_entropy(spectra, tol=1e-9)
+        return out
 
-    def _fock_blocks(self, snap: _Slice, kept: frozenset) -> np.ndarray:
-        """Spectrum of a classical state that keeps S and one bath.
+    def _fock_blocks(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
+        """Entropies (T,) of a classical state that keeps S and one bath.
 
         The kept displacement is fixed by the row's s, so conjugating it away
-        leaves sum_n X_K o C_n (x) |n><n| with C_n[s, s'] = ``snap.fock_weights``
-        of the traced bath: one block per kept Fock index n, on the rows where
-        X_K is nonzero.
+        leaves sum_n X_K o C_n (x) |n><n|: one block per kept Fock index n, on
+        the rows where X_K is nonzero.  C_n[s, s'] is the product over the
+        pairs of p_n c[s, s', n] (``snap.c`` of the traced bath).  The (time, n)
+        blocks of a chunk of times are one solve.
         """
         x = self._kept0[kept & {"A", "S"}]
         traced = BATHS.index(*(LABELS - kept - {"A"}))
         rows = np.flatnonzero(np.any(x, axis=1))
-        self._entries_within_budget(rows.size ** 2 * self.model.fock_dim ** self.model.n_pairs, "Fock blocks")
-        labels, idx = np.unique(rows % 4, return_inverse=True)
-        w = np.array([[reduce(np.kron, [snap.fock_weights(m, _SIGMAS[i], _SIGMAS[j], traced)
-                                        for m in range(self.model.n_pairs)])
-                       for j in labels] for i in labels])
-        mats = x[np.ix_(rows, rows)] * w[idx[:, None], idx].transpose(2, 0, 1)
-        return np.linalg.eigvalsh(0.5 * (mats + mats.conj().transpose(0, 2, 1))).ravel()
+        size = rows.size ** 2 * self.model.fock_dim ** self.model.n_pairs
+        self._entries_within_budget(size, "Fock blocks")
+        bits = np.array([(1 - _SIGMAS[s][traced]) // 2 for s in rows % 4])  # the traced label of each row, 0 <-> +1
+        out = np.empty(snap.times.size)
+        for chunk in _chunks(out.size, size, self.budget):
+            w = reduce(lambda a, b: _stacked_kron(a, b, 1),
+                       [self.model.pair_weights * c[chunk][:, bits[:, None], bits] for c in snap.c[traced]])
+            mats = np.moveaxis(x[np.ix_(rows, rows)][:, :, None] * w, -1, 1)
+            spectra = np.linalg.eigvalsh(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
+            out[chunk] = spectrum_entropy(spectra.reshape(len(spectra), -1), tol=1e-9)
+        return out
 
     @cached_property
     def _kets(self) -> np.ndarray:
@@ -956,35 +969,24 @@ class BranchComputer:
         mat = self.rho0 * np.tile(snap.omega, (1, d_a, d_a))
         return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
-    def _env_free(self, snap: _Snapshot) -> dict[frozenset, np.ndarray]:
-        """S(A S), S(S), S(A) by kept set at every time: one batched solve per kept set (rule (a))."""
-        rho = self._rho_as(snap)
-        return {k: spectrum_entropy(np.linalg.eigvalsh(_marginal(rho, k)), tol=1e-9) for k in _ENV_FREE.values()}
-
-    def _entropies(self, snap: _Snapshot, env_parts: Sequence[str]) -> Iterator[list[dict[str, float]]]:
-        """At each time of ``snap``, the entropies of each of ``env_parts`` with its CMI (checked
-        against strong subadditivity) and I(S : A).
-
-        Rule (a) is solved once over the whole grid, the other rules time by time.
-        """
-        env_free = self._env_free(snap)
-        for i in range(snap.times.size):
-            sl = snap.at(i)
-            ents = []
-            for part in env_parts:
-                out = {name: float(env_free[k][i]) if k in env_free else self._entropy(sl, k)
-                       for name, k in entropy_sets(part).items()}
-                cmi = out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"]
-                if cmi < -1e-8:
-                    raise RuntimeError(f"branch CMI {cmi} violates strong subadditivity")
-                out["cmi"] = max(cmi, 0.0)
-                out["mi_sa"] = max(out["S_S"] + out["S_A"] - out["S_AS"], 0.0)
-                ents.append(out)
-            yield ents
+    def _entropies(self, snap: _Snapshot, env_parts: Sequence[str]) -> list[dict[str, np.ndarray]]:
+        """Over the grid of ``snap``, the entropies of each of ``env_parts`` with its CMI (checked against
+        strong subadditivity time by time, env part by env part) and I(S : A)."""
+        named = [entropy_sets(part) for part in env_parts]
+        ent = self._entropy(snap, list(dict.fromkeys(k for sets in named for k in sets.values())))
+        outs = [{name: ent[k] for name, k in sets.items()} for sets in named]
+        cmi = np.array([out["S_AS"] + out["S_SE"] - out["S_S"] - out["S_ASE"] for out in outs])
+        bad = cmi.T[cmi.T < -1e-8]  # in (time, env part) order
+        if bad.size:
+            raise RuntimeError(f"branch CMI {float(bad[0])} violates strong subadditivity")
+        for out, c in zip(outs, cmi):  # max(x, 0.0) entry by entry: -0.0 and NaN stay
+            out["cmi"], out["mi_sa"] = (np.where(x < 0.0, 0.0, x) for x in (c, out["S_S"] + out["S_A"] - out["S_AS"]))
+        return outs
 
     def entropies_at(self, t: float, env_part: str) -> dict[str, float]:
         """``_entropies`` of ``env_part`` at time t, from a one-point snapshot."""
-        return next(self._entropies(_Snapshot(self.model, [t], self.budget), [env_part]))[0]
+        (ents,) = self._entropies(_Snapshot(self.model, [t], self.budget), [env_part])
+        return {name: float(v[0]) for name, v in ents.items()}
 
     def trajectories(
         self, times: Sequence[float], env_parts: Sequence[str] = ENV_PARTS, snap: _Snapshot | None = None
@@ -1002,12 +1004,9 @@ class BranchComputer:
             snap = _Snapshot(self.model, t, self.budget)
         elif snap.model is not self.model or not np.array_equal(snap.times, t):
             raise ValueError("the snapshot is of another model or time grid")
-        acc: dict[str, list[float]] = {k: [] for k in (*env_parts, "mi_sa")}
-        for ents in self._entropies(snap, env_parts):
-            for p, ent in zip(env_parts, ents):
-                acc[p].append(ent["cmi"])
-            acc["mi_sa"].append(ents[0]["mi_sa"])
-        return {k: ScalarSeries(t, v) for k, v in acc.items()}
+        ents = self._entropies(snap, env_parts)
+        return {**{p: ScalarSeries(t, ent["cmi"]) for p, ent in zip(env_parts, ents)},
+                "mi_sa": ScalarSeries(t, ents[0]["mi_sa"])}
 
     def system_state(self, t: float) -> DensityMatrix:
         rho = self._rho_as(_Snapshot(self.model, [t], self.budget))[0]

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -463,7 +464,8 @@ class TestNumpyOnlyPath:
                 assert np.abs(d @ d.conj().T - np.eye(n_dim)).max() <= 1e-13
 
     def test_package_and_cli_import_no_scipy(self, tmp_path):
-        # importing, then running phase_factors for both env kinds and a check, loads no SciPy
+        # importing, then running phase_factors for both env kinds, an entangled cmi run, a
+        # classical measures run with a random candidate and a check, loads no SciPy
         src = os.path.dirname(os.path.dirname(os.path.abspath(dephasing.__file__)))
         code = (
             "import json, sys, nonmarkov, nonmarkov.cli\n"
@@ -473,12 +475,20 @@ class TestNumpyOnlyPath:
             "           'dephasing': {'omega_c': 0.01, 'r': 3.0, 'env_kind': kind},\n"
             "           'grid': {'t_start': 0.0, 't_end': 5.0, 'dt': 0.25}}\n"
             "    assert nonmarkov.cli.execute(cfg) == 0\n"
+            "model = {'discrete': {'n_modes': 2, 'n_max': 6}, 'grid': {'t_start': 0.0, 't_end': 2.0, 'dt': 0.25},\n"
+            "         'dephasing': {'omega_c': 0.25, 'r': 0.6, 't1s': 0.0, 't1f': 1.0, 't2s': 1.0, 't2f': 2.0}}\n"
+            "for mode, kind, cands in (('cmi', 'entangled', [{'kind': 'ops_state'}]),\n"
+            "                          ('measures', 'classical', [{'kind': 'ops_state'}, {'kind': 'random'}])):\n"
+            "    cfg = {**model, 'mode': mode, 'output_path': sys.argv[1] + '/' + mode + '.csv', 'candidates': cands,\n"
+            "           'dephasing': {**model['dephasing'], 'env_kind': kind}}\n"
+            "    assert nonmarkov.cli.execute(cfg) == 0\n"
             "assert nonmarkov.cli.main(['check', '--samples', '2', '--output', sys.argv[1] + '/check.json']) == 0\n"
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         )
         subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                        env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert sorted(os.listdir(tmp_path)) == ["check.json", "classical.csv", "entangled.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["check.json", "classical.csv", "cmi.csv", "entangled.csv",
+                                                "measures.csv"]
 
 
 class TestBuildDiscreteModel:
@@ -634,7 +644,7 @@ KEEP_SETS = [frozenset(c) for n in range(5) for c in itertools.combinations(("A"
 
 
 class TestStructuredBranchEntropies:
-    """Every rule of ``BranchComputer._entropy`` against the purified global state."""
+    """Every rule of ``BranchComputer._entropy``, over a time grid, against the purified global state."""
 
     @staticmethod
     def _states():
@@ -660,13 +670,12 @@ class TestStructuredBranchEntropies:
         for state in self._states():
             comp = dephasing.BranchComputer(m, state)
             rules.update(rule for rule, *_ in comp._baths.values())
-            for t in (1.3, 3.7):
-                snap = dephasing._Snapshot(m, [t])
-                env_free = comp._env_free(snap)  # rule (a), solved over the (one-point) grid
-                sl = snap.at(0)
-                for kept in KEEP_SETS[1:]:  # all but the empty set
-                    got = env_free[kept][0] if kept in env_free else comp._entropy(sl, kept)
-                    assert abs(got - self._purified_entropy(comp, sl, kept)) <= 1e-12
+            snap = dephasing._Snapshot(m, [1.3, 3.7])
+            got = comp._entropy(snap, KEEP_SETS[1:])  # all but the empty set, each over the grid
+            for i in range(snap.times.size):
+                sl = snap.at(i)
+                for kept in KEEP_SETS[1:]:
+                    assert abs(got[kept][i] - self._purified_entropy(comp, sl, kept)) <= 1e-12
         # every one-bath kept set without S is in KEEP_SETS: each case of rule (d) was checked
         assert rules == {"direct", "sectors", "assembled"}
 
@@ -695,12 +704,12 @@ class TestStructuredBranchEntropies:
         m = build_discrete_model(p, n_modes=2, n_max=14)
         state = random_density_matrix(SystemPartition([("A", 2), ("S1", 2), ("S2", 2)]), 2, 5)
         comp = dephasing.BranchComputer(m, state, budget=500)
-        snap = dephasing._Snapshot(m, [1.3]).at(0)
+        snap = dephasing._Snapshot(m, [1.3])
         monkeypatch.setattr(comp, "_purified", lambda snap: pytest.fail("purified state built"))
         with pytest.raises(dephasing.BudgetError, match="Gram matrix dimension 900 exceeds budget 500"):
-            comp._entropy(snap, frozenset({"S", "E1"}))
+            comp._entropy(snap, [frozenset({"S", "E1"})])
         with pytest.raises(dephasing.BudgetError, match=r"810000 amplitudes exceeds budget\^2 = 250000"):
-            comp._entropy(snap, frozenset({"A", "S", "E1"}))
+            comp._entropy(snap, [frozenset({"A", "S", "E1"})])
 
 
 class TestRealGauge:
@@ -741,20 +750,25 @@ class TestRealGauge:
         for i, t in enumerate(grid.times):
             snap = grid.at(i)
             for k, (om, g1, g2) in enumerate(m.mode_pairs):
-                for d, o, b in ((snap.d[0][k], snap.o[0][k], g1 * beta(om, t, p.window1)),
-                                (snap.d[1][k], snap.o[1][k], g2 * beta(om, t, p.window2))):
+                for d, o, b in ((snap.d[0][k], grid.o[0][k][i], g1 * beta(om, t, p.window1)),
+                                (snap.d[1][k], grid.o[1][k][i], g2 * beta(om, t, p.window2))):
                     for sigma, o_sigma in ((1, o), (-1, o.T)):
                         self._check(o_sigma, b, sigma)
                         d_ref = dephasing._displacement(m.fock_dim, sigma * b)
                         assert np.abs(d[sigma] - d_ref).max() <= 1e-14
-            # the kept block of label -1, built from O_m(-1) = O_m^T, is K(+) with
-            # its entries between the joint-parity sectors negated
-            lam = m.local_spectrum
-            signs, even, odd = dephasing._parity_sectors(m.fock_dim, m.n_pairs)
-            assert (even.size, odd.size) == (113, 112)
-            for j in (0, 1):
-                k_minus = functools.reduce(np.kron, [(o.T * lam) @ o for o in snap.o[j]])
-                assert np.abs(snap.kept_state(j) * np.outer(signs, signs) - k_minus).max() <= 1e-15
+        # K(+), stacked over the grid, holds the bits of np.kron at each time; the kept
+        # block of label -1, built from O_m(-1) = O_m^T, is K(+) with its entries
+        # between the joint-parity sectors negated
+        lam = m.local_spectrum
+        signs, even, odd = dephasing._parity_sectors(m.fock_dim, m.n_pairs)
+        assert (even.size, odd.size) == (113, 112)
+        for j in (0, 1):
+            k_plus = dephasing._kept_bath(grid.o[j], lam)
+            for i in range(grid.times.size):
+                gauges = [o[i] for o in grid.o[j]]
+                assert np.array_equal(k_plus[i], functools.reduce(np.kron, [(o * lam) @ o.T for o in gauges]))
+                k_minus = functools.reduce(np.kron, [(o.T * lam) @ o for o in gauges])
+                assert np.abs(k_plus[i] * np.outer(signs, signs) - k_minus).max() <= 1e-15
 
 
 class TestSnapshotOverlaps:
@@ -765,7 +779,7 @@ class TestSnapshotOverlaps:
         m = build_discrete_model(p, n_modes=2, n_max=12)
         sigmas = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         grid = dephasing._Snapshot(m, [0.0, 1.3, 3.7])
-        for snap in map(grid.at, range(grid.times.size)):
+        for t_idx, snap in enumerate(map(grid.at, range(grid.times.size))):
             ref = np.ones((4, 4), dtype=complex)
             for k in range(m.n_pairs):
                 for (i, ket), (j, bra) in itertools.product(enumerate(sigmas), repeat=2):
@@ -775,7 +789,7 @@ class TestSnapshotOverlaps:
                         c1 = np.diag(snap.d[0][k][bra[0]].conj().T @ snap.d[0][k][ket[0]])
                         c2 = np.diag(snap.d[1][k][bra[1]].conj().T @ snap.d[1][k][ket[1]])
                         ref[i, j] *= (m.pair_weights * c1 * c2).sum()
-            assert np.abs(snap.omega - ref).max() <= 1e-14
+            assert np.abs(grid.omega[t_idx] - ref).max() <= 1e-14
 
 
 class TestStackedSnapshot:
@@ -815,7 +829,7 @@ class TestStackedSnapshot:
         a_s = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
         for state in (measures.ops_state(), random_density_matrix(a_s, 2, 5), wide):
             comp = dephasing.BranchComputer(m, state)
-            env_free = comp._env_free(dephasing._Snapshot(m, self.TIMES))
+            env_free = comp._entropy(dephasing._Snapshot(m, self.TIMES), list(dephasing._ENV_FREE.values()))
             series = comp.trajectories(self.TIMES)
             for i, t in enumerate(self.TIMES):
                 for part in dephasing.ENV_PARTS:
@@ -827,19 +841,23 @@ class TestStackedSnapshot:
     def test_strong_subadditivity_is_checked_time_by_time(self, monkeypatch):
         m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}), 1, 4)
         comp = dephasing.BranchComputer(m, measures.ops_state())
-        real = comp._env_free
+        e = comp.entropies_at(3.1, "E1")  # the first failing (time, env part) below
+        first = (e["S_AS"] - 1.0) + e["S_SE"] - e["S_S"] - e["S_ASE"]
+        real = comp._entropy
         s_as = frozenset({"A", "S"})
 
-        def broken(snap):  # S(A S) one nat too small at t = 3.1 only
-            out = real(snap)
-            return {**out, s_as: np.where(snap.times == 3.1, out[s_as] - 1.0, out[s_as])}
+        def broken(snap, kept_sets):  # S(A S) one nat too small at t = 3.1, two at t = 4.2
+            out = real(snap, kept_sets)
+            return {**out, s_as: out[s_as] - np.select([snap.times == 3.1, snap.times == 4.2], [1.0, 2.0])}
 
-        monkeypatch.setattr(comp, "_env_free", broken)
+        monkeypatch.setattr(comp, "_entropy", broken)
         with pytest.raises(RuntimeError, match=r"branch CMI -0\.\d+ violates strong subadditivity"):
             comp.trajectories(self.TIMES, env_parts=("E1E2",))
+        with pytest.raises(RuntimeError, match=re.escape(f"branch CMI {first} violates")):
+            comp.trajectories(self.TIMES, env_parts=("E1", "E2"))
         with pytest.raises(RuntimeError, match="violates strong subadditivity"):
             comp.entropies_at(3.1, "E1")
-        comp.trajectories([t for t in self.TIMES if t != 3.1])  # every other time passes
+        comp.trajectories([t for t in self.TIMES if t not in (3.1, 4.2)])  # every other time passes
 
     def test_snapshot_of_another_grid_is_refused(self):
         m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}), 1, 4)
@@ -856,8 +874,8 @@ class TestBranchSolves:
         # 1/2, so each is one real solve per joint-parity sector of the 225-dim
         # bath (113 even, 112 odd), and eig(M_+ + M_-) is solved once, before the
         # run. Until t2s = 2.5 bath 2 is not displaced, and keeping it needs no
-        # solve. S_AS, S_S, S_A are solved once for all three env parts, over
-        # the grid (here of one point) at once
+        # solve. S_AS, S_S, S_A are solved once for all three env parts. Every
+        # solve is a stack over the grid, here of one point
         p = DephasingParams(omega_c=0.05, r=0.8, alpha1=4.0, alpha2=4.0,
                             t1s=0.0, t1f=2.5, t2s=2.5, t2f=4.2, env_kind="entangled")
         m = build_discrete_model(p, n_modes=2, n_max=14)
@@ -871,8 +889,8 @@ class TestBranchSolves:
             comp.trajectories([t], env_parts=("E1", "E2", "E1E2"))
             displaced = 2 if t > p.t2s else 1
             assert sorted(solves) == sorted(
-                [((113, 113), np.dtype(np.float64))] * displaced
-                + [((112, 112), np.dtype(np.float64))] * displaced
+                [((1, 113, 113), np.dtype(np.float64))] * displaced
+                + [((1, 112, 112), np.dtype(np.float64))] * displaced
                 + [((1, k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
             )
             solves.clear()
@@ -892,8 +910,8 @@ class TestBranchSolves:
         assert comp._baths[frozenset({"E2"})][0] == rule
         solves = []
         real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape[0]) or real(a))
-        comp._entropy(dephasing._Snapshot(m, [3.7]).at(0), frozenset({"A", "S", "E1"}))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape[-1]) or real(a))
+        comp._entropy(dephasing._Snapshot(m, [3.7]), [frozenset({"A", "S", "E1"})])
         assert sorted(solves) == sides
 
     def test_classical_e1e2_makes_no_bath_solve(self, monkeypatch):
@@ -911,12 +929,42 @@ class TestBranchSolves:
             np.linalg, "eigvalsh", lambda a: solves.append((a.shape, a.dtype)) or real(a)
         )
         env_free = [((1, k, k), np.dtype(np.complex128)) for k in (2, 4, 8)]
-        blocks = [((225, 2, 2), np.dtype(np.complex128))] * 4
+        blocks = [((1, 225, 2, 2), np.dtype(np.complex128))] * 4
         for t in np.linspace(0.5, 4.0, 5):
             for parts, bath in ((("E1E2",), []), (("E1", "E2", "E1E2"), blocks)):
                 comp.trajectories([t], env_parts=parts)
                 assert sorted(solves) == sorted(env_free + bath)
                 solves.clear()
+
+    @pytest.mark.parametrize("env_kind,candidate,kept,rule,per_time,stacks_per_chunk", [
+        ("entangled", "ops_state", {"E1"}, "sectors", 25, 3),  # K(+) of the 5-dim bath, its two blocks
+        ("entangled", "flagged", {"E1"}, "assembled", 25, 2),  # K(+), the 5-dim operator
+        ("classical", "ops_state", {"S", "E1"}, "blocks", 20, 1),  # 5 Fock blocks of 2 x 2
+    ])
+    def test_rules_over_the_grid_solve_in_bounded_chunks(self, monkeypatch, env_kind, candidate, kept, rule,
+                                                        per_time, stacks_per_chunk):
+        # at budget 20 a stack holds at most 20^2 = 400 entries, here 16 times of rule (d)
+        # and 20 of rule (e); rule (d) solves the 40 displaced times of 41, rule (e) all of
+        # them, and the series keep the bits of the default budget (one stack of the grid)
+        p = DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind)
+        m = build_discrete_model(p, n_modes=1, n_max=4)
+        state = (measures.ops_state() if candidate == "ops_state" else measures.flagged_ancilla_state(
+            [0.6, 0.48, 0.64], [1, 1, 2], SystemPartition([("S1", 2), ("S2", 2)])))
+        times = np.linspace(0.0, 5.0, 41)
+        kept = frozenset(kept)
+        comp = dephasing.BranchComputer(m, state, budget=20)
+        assert rule == "blocks" or comp._baths[kept][0] == rule
+        stacks = []
+        real_eig, real_kept = np.linalg.eigvalsh, dephasing._kept_bath
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or real_eig(a))
+        monkeypatch.setattr(dephasing, "_kept_bath", lambda *args: (k := real_kept(*args), stacks.append(k.shape))[0])
+        chunked = comp._entropy(dephasing._Snapshot(m, times, 20), [kept])[kept]
+        monkeypatch.undo()
+        step, solved = 400 // per_time, times.size - (rule != "blocks")
+        assert all(math.prod(shape) <= 400 for shape in stacks)
+        assert [shape[0] for shape in stacks[::stacks_per_chunk]] == [step] * (solved // step) + [solved % step]
+        one_stack = dephasing.BranchComputer(m, state)._entropy(dephasing._Snapshot(m, times), [kept])[kept]
+        assert np.array_equal(chunked, one_stack)
 
 
 def _kron_evolved(model, initial, t):
