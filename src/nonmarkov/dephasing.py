@@ -29,7 +29,7 @@ kept baths are related by the joint parity (-1)^(sum_m n_m), so when both weigh 
 same the solve splits into its even and odd sectors; a bath not yet displaced needs
 none), Fock-index blocks for a classical state when K holds S and one bath, and
 otherwise the Gram matrix of one purified global state on [A, S, E1, E2] and two
-purifying registers.
+purifying registers, one time at a time; every other rule takes a whole time grid.
 
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
 single-mode displacement response and carried by the spectral density (the
