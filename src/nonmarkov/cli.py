@@ -7,14 +7,16 @@ fixed BLAS thread count.
 ``NONMARKOV_THREADS`` caps worker parallelism (default, and upper limit: the
 CPUs this process may use): the thread pool over ``measures`` candidates, and
 the ``check`` pool of ``NONMARKOV_THREADS`` forked processes that each take
-whole checks (a cross-check, or one identity check over every sample) while
-this process draws the samples' inputs and folds the results (see
+whole checks (a cross-check, or one identity check over every sample).
+``check`` has one schedule, ``oracle.identity_suite``; this module only
+picks the pool's ``submit`` or an in-process one (see
 ``_identity_and_cross_checks``).  Neither changes an output byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -172,6 +174,9 @@ def _discrete(value) -> dict:
     disc = _fields(_object(value), _DISCRETE_TYPES, "discrete")
     for key in _DISCRETE_TYPES:
         _require(disc, key)
+    nodes = dephasing._legendre_rule()[0].size  # the bound of ``spectral_gauss_rule``
+    if disc["n_modes"] > nodes:
+        raise ConfigError(f"invalid discrete: n_modes must be <= {nodes}, got {disc['n_modes']}")
     return disc
 
 
@@ -205,6 +210,8 @@ def parse_grid(cfg: dict) -> np.ndarray:
     if (t1 - t0) / dt > MAX_GRID_STEPS:  # checked as a float, before int() or any allocation
         raise ConfigError(f"grid needs (t_end - t_start) / dt <= {MAX_GRID_STEPS}")
     n = math.floor((t1 - t0) / dt + 1e-9)  # no sample past t_end; 1e-9 absorbs the quotient's rounding
+    if not math.isfinite((t0 + dt * n) * 1e12):  # the last time as ``np.round(..., 12)`` scales it
+        raise ConfigError(f"grid needs t_end <= {sys.float_info.max / 1e12:.4g}: times are rounded to 12 decimals")
     return np.round(t0 + dt * np.arange(n + 1), 12)
 
 
@@ -281,8 +288,8 @@ def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
 
 
 def _run_cmi(cfg: dict) -> str:
-    model = _build_model(cfg)
     times = parse_grid(_require(cfg, "grid", dict))
+    model = _build_model(cfg)
     as_cands, pair_cands = _candidates(cfg)
     if len(as_cands) != 1 or pair_cands:
         raise ConfigError("cmi mode needs exactly one system-ancilla candidate and no tsio candidate")
@@ -344,50 +351,34 @@ def _cross_check(name: str, seed: int) -> oracle.SuiteReport:
     return oracle.dense_dephasing_check(model, measures.ops_state(), [0.0, 1.5, 3.0, 5.0])
 
 
-def _cross_checks(seed: int) -> list:
-    """The special-function suite and the dense dephasing cross-check of both env kinds."""
-    return [_cross_check(name, seed) for name in _CROSS_CHECKS]
-
-
 def _identity_and_cross_checks(seed: int, samples: int) -> list:
-    """The identity-suite report, then the ``_cross_checks`` reports.
+    """The ``oracle.identity_suite`` report, then those of ``_CROSS_CHECKS``; this picks only the submitter.
 
-    A check of more than ``CHECK_IN_PROCESS`` samples runs in a pool of
-    ``worker_count()`` forked processes, split by check rather than by
-    sample: each cross-check is one task, submitted first since it needs no
-    draws, and each column of ``oracle.identity_draws`` (a check over every
-    sample) is one task.  This process only draws the samples' inputs (while
-    the workers run the cross-checks), submits the columns and folds them
-    into rows in sample order.  A column's values do not depend on the
-    process that computes it, so the report does not depend on the worker
-    count.  Without ``fork`` (or with at most ``CHECK_IN_PROCESS`` samples,
-    or one worker) it all runs in this process.  ``fork`` rather than
-    ``spawn``: a spawned worker would import NumPy and the package again,
-    most of a small job's gain.  The fork is safe here because ``check``
-    starts no thread of its own and a fork-context executor launches its
-    workers before its manager thread.
+    A check of more than ``CHECK_IN_PROCESS`` samples submits to a pool of
+    ``worker_count()`` forked processes: one task per cross-check (first,
+    since it needs no draws) and one per identity check over every sample,
+    while ``identity_suite`` draws in this process.  Without ``fork`` (or
+    with at most ``CHECK_IN_PROCESS`` samples, or one worker) each task runs
+    at once here (``oracle.run_now``).  Neither changes the report.  ``fork``
+    rather than ``spawn``: a spawned worker would import NumPy and the
+    package again, most of a small job's gain.  The fork is safe here
+    because ``check`` starts no thread of its own and a fork-context
+    executor launches its workers before its manager thread.
     """
     import multiprocessing
 
     workers = min(worker_count(), len(_CROSS_CHECKS) + len(oracle.COLUMN_CHECKS))
     fork = "fork" in multiprocessing.get_all_start_methods()
-    if samples <= CHECK_IN_PROCESS or workers < 2 or not fork:
-        return [oracle.identity_suite(seed, samples), *_cross_checks(seed)]
-    from concurrent.futures import ProcessPoolExecutor
+    submit = oracle.run_now
+    with contextlib.ExitStack() as stack:
+        if samples > CHECK_IN_PROCESS and workers >= 2 and fork:
+            from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            cross = [pool.submit(_cross_check, name, seed) for name in _CROSS_CHECKS]
-            columns = [
-                pool.submit(oracle.identity_column, j, draws)
-                for j, draws in enumerate(oracle.identity_draws(seed, 0, samples))
-            ]
-            table = np.hstack([f.result() for f in columns])
-            reports = [oracle.identity_report(seed, table), *(f.result() for f in cross)]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # rather than run checks only to drop them
-            raise
-    return reports
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)  # on an error, run no check only to drop it
+            submit = pool.submit
+        cross = [submit(_cross_check, name, seed) for name in _CROSS_CHECKS]
+        return [oracle.identity_suite(seed, samples, submit), *(f.result() for f in cross)]
 
 
 def _run_check(cfg: dict) -> tuple[str, bool]:

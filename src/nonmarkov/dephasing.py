@@ -116,8 +116,8 @@ class DephasingParams:
             raise ValueError("omega_c must be positive")
         if self.r < 0 or self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("r and couplings must be nonnegative")
-        if not self.t1s <= self.t1f <= self.t2s <= self.t2f:
-            raise ValueError("interaction windows must satisfy t1s <= t1f <= t2s <= t2f")
+        if not 0.0 <= self.t1s <= self.t1f <= self.t2s <= self.t2f:  # the evolution starts at t = 0
+            raise ValueError("interaction windows must satisfy 0 <= t1s <= t1f <= t2s <= t2f")
         if self.env_kind not in ENV_KINDS:
             raise ValueError(f"env_kind must be one of {ENV_KINDS}")
         if self.u is not None and self.env_kind != "classical":
@@ -513,10 +513,13 @@ def spectral_gauss_rule(omega_c: float, cutoff_mult: float, n_modes: int) -> tup
     at the mean frequency of the weight.  A 200-node Gauss-Legendre
     discretization matches a 60-digit moment-based reference to 2e-13 for
     n_modes <= 24 at K = 60; more nodes only add roundoff from the
-    high-degree Legendre weights.
+    high-degree Legendre weights.  A rule has at most 200 modes, the nodes of
+    that discretization.
     """
     hi = cutoff_mult * omega_c
     x0, w0 = _legendre_rule()
+    if n_modes > x0.size:
+        raise ValueError(f"n_modes must be <= {x0.size}, the nodes of the spectral discretization, got {n_modes}")
     with np.errstate(all="ignore"):  # an out-of-range window is refused below
         x = 0.5 * hi * (x0 + 1.0)
         w = 0.5 * hi * w0 * x * np.exp(-x / omega_c)

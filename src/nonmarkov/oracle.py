@@ -8,9 +8,10 @@ sample: ``identity_draws`` draws every sample's inputs, and
 ``identity_column`` evaluates one check (its value or values) over the
 samples it is given, once per partition they drew, on the stack of their
 states (see :mod:`.states`).  Each value holds the bits of its sample alone,
-so the checks can be computed in any grouping and by any process; the report
-folds the rows in sample order (``identity_block`` is the in-process table
-of a range of samples).  The suite's negative control applies a global
+so the checks can be computed in any grouping and by any process.
+``identity_suite`` alone schedules them: it draws, submits one task per
+column through the ``submit`` it is given (``run_now``, or a pool's), and
+folds the table in sample order.  The suite's negative control applies a global
 unitary to a product state tau_A (x) sigma_SE and must see I(A:SE) change;
 it checks that the suite can fail.  Entries whose name ends in ``_recorded``
 are informational (tolerance = inf): they log margins for bounds that are
@@ -20,6 +21,7 @@ not theorems for the implemented (Petz) recovery map.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -349,20 +351,19 @@ def _petz_three_qubit(key, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return racmi_violation, half_norm, full_norm
 
 
-# (name, draw, name of the stacked check): the check is looked up when a
-# column is evaluated, so a patched check is the one that runs
+# (name, draw, stacked check)
 _IDENTITY_CHECKS = (
-    ("a_conservation_I_A_SE", _draw_conservation, "_check_conservation"),
-    ("b_sub_environment", _draw_four_party(2), "_check_sub_env"),
-    ("c_chain_rule", _draw_four_party(1), "_check_chain_rule"),
-    ("d_interaction_decomposition", _draw_four_party(1), "_check_interaction_decomposition"),
-    ("e_broadcast_redundancy", _draw_broadcast, "_check_broadcast"),
-    ("f_initial_markovianity", _draw_initial_markovianity, "_check_initial_markovianity"),
-    ("g_pair_state_identity", _draw_pair_state_identity, "_check_pair_state_identity"),
-    ("h_telescopic_dpi", _draw_telescopic_dpi, "_check_telescopic_dpi"),
+    ("a_conservation_I_A_SE", _draw_conservation, _check_conservation),
+    ("b_sub_environment", _draw_four_party(2), _check_sub_env),
+    ("c_chain_rule", _draw_four_party(1), _check_chain_rule),
+    ("d_interaction_decomposition", _draw_four_party(1), _check_interaction_decomposition),
+    ("e_broadcast_redundancy", _draw_broadcast, _check_broadcast),
+    ("f_initial_markovianity", _draw_initial_markovianity, _check_initial_markovianity),
+    ("g_pair_state_identity", _draw_pair_state_identity, _check_pair_state_identity),
+    ("h_telescopic_dpi", _draw_telescopic_dpi, _check_telescopic_dpi),
 )
 # the checks of the columns of ``identity_draws``: (a)-(h), the negative control, the Petz margins
-COLUMN_CHECKS = (*(check for *_, check in _IDENTITY_CHECKS), "_check_conservation", "_petz_three_qubit")
+COLUMN_CHECKS = (*(check for *_, check in _IDENTITY_CHECKS), _check_conservation, _petz_three_qubit)
 
 
 def _by_partition(draws: list, check) -> np.ndarray:
@@ -383,15 +384,15 @@ def _by_partition(draws: list, check) -> np.ndarray:
     return table
 
 
-def identity_draws(seed: int, lo: int, hi: int) -> list[list]:
-    """The inputs of samples ``lo <= i < hi`` (at least one), one list per column of ``identity_column``.
+def identity_draws(seed: int, samples: int) -> list[list]:
+    """The inputs of samples 0, 1, ..., one list per column of ``identity_column``.
 
     Sample i draws only from ``_rng_for(seed, i)`` (checks (a)-(h) in order,
     then the negative control from a fresh generator) and from
     ``_rng_for(seed + 1, i)`` (the Petz sample).
     """
     rows = []
-    for i in range(lo, hi):
+    for i in range(samples):
         rng = _rng_for(seed, i)
         row = [draw(rng) for _, draw, _ in _IDENTITY_CHECKS]
         row.append(_draw_conservation(_rng_for(seed, i), negative=True))
@@ -407,33 +408,19 @@ def identity_column(j: int, draws: list) -> np.ndarray:
     every slice's values are those it would have alone, so a sample's values
     do not depend on the samples it is evaluated with.
     """
-    return _by_partition(draws, globals()[COLUMN_CHECKS[j]])
+    return _by_partition(draws, COLUMN_CHECKS[j])
 
 
-def identity_block(seed: int, lo: int, hi: int) -> list[tuple[float, ...]]:
-    """The rows of samples ``lo <= i < hi`` of ``identity_suite(seed, ...)``.
+def identity_report(seed: int, table: np.ndarray) -> SuiteReport:
+    """Fold the (samples, columns) table of ``identity_suite`` into the suite's report.
 
-    A row holds the violation of each check (a)-(h), the negative control's
-    |delta I(A:SE)|, and the three Petz margins of ``_petz_three_qubit``: the
-    ``identity_column`` values of the sample, which do not depend on which
-    block or process computes them.
+    A row holds a sample's violation of each check (a)-(h), the negative
+    control's |delta I(A:SE)| and the three Petz margins of
+    ``_petz_three_qubit``.  Each column is folded by a NumPy reduction, which
+    propagates NaN, so a NaN in any row reaches its ``CheckResult`` and fails it.
     """
-    if hi <= lo:
-        return []
-    columns = identity_draws(seed, lo, hi)
-    table = np.hstack([identity_column(j, draws) for j, draws in enumerate(columns)])
-    return [tuple(map(float, row)) for row in table]
-
-
-def identity_report(seed: int, rows: Sequence[tuple[float, ...]]) -> SuiteReport:
-    """Fold the rows of samples 0, 1, ... (in that order) into the suite's report.
-
-    Each column is folded by a NumPy reduction, which propagates NaN, so a NaN
-    in any row reaches its ``CheckResult`` and fails it.
-    """
-    samples = len(rows)
+    samples = len(table)
     n = len(_IDENTITY_CHECKS)
-    table = np.array(rows, dtype=float).reshape(samples, n + 4)
     worst = table.max(axis=0, initial=0.0)  # checks (a)-(h) before n, the RACMI margin at n + 1
     neg_min = table[:, n].min(initial=math.inf)
     dsq_half, dsq_full = table[:, n + 2:].max(axis=0, initial=-math.inf)
@@ -450,11 +437,24 @@ def identity_report(seed: int, rows: Sequence[tuple[float, ...]]) -> SuiteReport
     return SuiteReport(tuple(checks), seed)
 
 
-def identity_suite(seed: int, samples: int) -> SuiteReport:
-    """Run checks (a)-(h) plus the negative control on random instances."""
+def run_now(fn, *args) -> Future:
+    """``fn(*args)``, run at once and returned as the finished future a pool's ``submit`` gives."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def identity_suite(seed: int, samples: int, submit=run_now) -> SuiteReport:
+    """Run checks (a)-(h) plus the negative control on random instances.
+
+    Draws every sample here, submits ``identity_column(j, draws)`` for each
+    column (``run_now``, or a process pool's ``submit``) and folds the table,
+    which does not depend on ``submit``.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    return identity_report(seed, identity_block(seed, 0, samples))
+    columns = [submit(identity_column, j, draws) for j, draws in enumerate(identity_draws(seed, samples))]
+    return identity_report(seed, np.hstack([f.result() for f in columns]))
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ class TestCheckMode:
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda a: (depth and dense_dims.append(a.shape[0])) or real(a)
         )
-        reports = cli._cross_checks(0)
+        reports = [cli._cross_check(name, 0) for name in cli._CROSS_CHECKS]
         assert all(r.all_passed for r in reports)
         assert max(dense_dims) == 196
 
@@ -349,6 +349,7 @@ class TestConfigValidation:
         "classical_r_tanh_one", "classical_r_tanh_one_measures", "entangled_r_cosh_overflow",
         "gauss_window_underflow", "gauss_window_overflow", "gauss_window_overflow_measures",
         "t_start_negative", "measures_tsio_bad_discrete", "measures_tsio_discrete_missing_key",
+        "t1s_negative", "t_end_1e300", "n_modes_250",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -434,6 +435,12 @@ class TestConfigValidation:
             # a discrete section is checked whenever it is present, also where no model is built
             "measures_tsio_bad_discrete": {**tsio_only, "discrete": {"n_modes": 0, "n_max": "x"}},
             "measures_tsio_discrete_missing_key": {**tsio_only, "discrete": {"n_modes": 2}},
+            # no interaction window opens before the evolution starts
+            "t1s_negative": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "t1s": -1.0}},
+            # the times are rounded to 12 decimals, which overflows past ~1.8e296
+            "t_end_1e300": {**PF_CFG, "grid": {"t_start": 1e300, "t_end": 1e300, "dt": 0.5}},
+            # the Gauss rule has at most the 200 nodes of its discretization, also where no model is built
+            "n_modes_250": {**tsio_only, "discrete": {"n_modes": 250, "n_max": 3}},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
@@ -443,6 +450,7 @@ class TestConfigValidation:
             "gauss_window_underflow": "mass 0;", "gauss_window_overflow": "mass inf;",
             "gauss_window_overflow_measures": "mass inf;", "t_start_negative": "t_start >= 0",
             "measures_tsio_bad_discrete": "discrete: n_modes", "measures_tsio_discrete_missing_key": "'n_max'",
+            "t1s_negative": "0 <= t1s", "t_end_1e300": "rounded to 12 decimals", "n_modes_250": "n_modes must be <= 200",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
@@ -480,7 +488,7 @@ class TestConfigValidation:
         path = out if where == "directory" else out / "missing" / "x.csv"
         # the output path is checked before the run: a check computes no identity sample
         samples = []
-        monkeypatch.setattr(oracle, "identity_block", lambda *args: samples.append(args))
+        monkeypatch.setattr(oracle, "identity_draws", lambda *args: samples.append(args))
         config = write_config(tmp_path, {**PF_CFG, "output_path": str(path)})
         for argv in (["run", config], ["check", "--samples", "3", "--output", str(path)]):
             assert cli.main(argv) == 1
@@ -543,35 +551,41 @@ class TestThreadDeterminism:
             else:
                 assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (a, b)
 
-    @pytest.mark.parametrize("samples", [23, 100])
+    @pytest.mark.parametrize("samples", [5, 23, 100])
     def test_check_pool(self, samples, tmp_path, monkeypatch):
         # 1 runs in-process; 2 and 3 fork that many workers, each taking whole
-        # checks (a cross-check, or one identity check over every sample)
+        # checks (a cross-check, or one identity check over every sample); a
+        # check of at most CHECK_IN_PROCESS samples also runs in-process by default
         monkeypatch.setattr(cli, "available_cpus", lambda: 3)
-        monkeypatch.setattr(cli, "CHECK_IN_PROCESS", 0)
+        runs = [("1", 0), ("2", 0), ("3", 0)]
+        if samples <= cli.CHECK_IN_PROCESS:
+            runs.append(("3", cli.CHECK_IN_PROCESS))
         outputs = {}
-        for workers in "123":
+        for workers, in_process in runs:
             monkeypatch.setenv("NONMARKOV_THREADS", workers)
-            out = tmp_path / f"check-{workers}.json"
+            monkeypatch.setattr(cli, "CHECK_IN_PROCESS", in_process)
+            out = tmp_path / f"check-{workers}-{in_process}.json"
             assert cli.main(["check", "--seed", "4", "--samples", str(samples), "--output", str(out)]) == 0
             assert multiprocessing.active_children() == []
-            outputs[workers] = out.read_bytes()
-        assert outputs["1"] == outputs["2"] == outputs["3"]
-        report = json.loads(outputs["1"])["suites"][0]
+            outputs[workers, in_process] = out.read_bytes()
+        assert len(set(outputs.values())) == 1, sorted(outputs)
+        report = json.loads(outputs["1", 0])["suites"][0]
         assert {c["samples"] for c in report["checks"]} == {samples}
 
     @pytest.mark.parametrize("where", ["identity_check", "cross_check"])
     def test_check_pool_failure_reaches_the_caller(self, where, tmp_path, monkeypatch):
         parent = os.getpid()
-        name = "_petz_three_qubit" if where == "identity_check" else "dense_dephasing_check"
-        real = getattr(oracle, name)
+        # the Petz column holds its check function itself, so the fault goes in one call deeper
+        module, name = (oracle.info, "petz_recovery") if where == "identity_check" else (
+            oracle, "dense_dephasing_check")
+        real = getattr(module, name)
 
         def fails_in_a_worker(*args):
             if os.getpid() != parent:
                 raise BlockFailure("raised in a worker")
             return real(*args)
 
-        monkeypatch.setattr(oracle, name, fails_in_a_worker)
+        monkeypatch.setattr(module, name, fails_in_a_worker)
         monkeypatch.setattr(cli, "CHECK_IN_PROCESS", 0)
         monkeypatch.setattr(cli, "available_cpus", lambda: 2)
         monkeypatch.setenv("NONMARKOV_THREADS", "2")
@@ -589,7 +603,7 @@ class TestThreadDeterminism:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
         monkeypatch.setattr(cli, "available_cpus", lambda: 3)
         monkeypatch.setenv("NONMARKOV_THREADS", "3")
-        monkeypatch.setattr(cli, "_cross_checks", lambda seed: [])
+        monkeypatch.setattr(cli, "_CROSS_CHECKS", ())
         for samples in range(1, cli.CHECK_IN_PROCESS + 1):
             [report] = cli._identity_and_cross_checks(4, samples)
             assert {c.samples for c in report.checks} == {samples}

@@ -440,6 +440,12 @@ class TestSpectralGaussRule:
             assert_allclose(nodes, ref_nodes, rtol=2e-13, atol=0)
             assert_allclose(weights, ref_weights, rtol=2e-13, atol=0)
 
+    def test_more_modes_than_discretization_nodes_are_refused(self):
+        # past the 200 nodes of the discretized weight the recurrence has no further orthogonal polynomial
+        assert len(spectral_gauss_rule(0.05, 60.0, 200)[0]) == 200
+        with pytest.raises(ValueError, match="n_modes must be <= 200"):
+            spectral_gauss_rule(0.05, 60.0, 201)
+
     @pytest.mark.parametrize("omega_c,cutoff_mult,mass", [(0.05, 1e-300, "mass 0;"), (1e300, 60.0, "mass inf;")])
     def test_out_of_range_window_is_refused_without_warnings(self, omega_c, cutoff_mult, mass):
         # a weight that underflows to 0 or overflows to inf has no Gauss rule

@@ -8,6 +8,12 @@ import pytest
 from nonmarkov import dephasing, measures, oracle
 
 
+def identity_table(seed: int, samples: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The (samples, columns) table of samples ``lo <= i < hi``, one ``identity_column`` call per column."""
+    columns = oracle.identity_draws(seed, samples)
+    return np.hstack([oracle.identity_column(j, draws[lo:hi]) for j, draws in enumerate(columns)])
+
+
 class TestIdentitySuite:
     def test_small_run_passes(self):
         report = oracle.identity_suite(seed=1, samples=40)
@@ -69,18 +75,18 @@ class TestIdentitySuite:
         (2, "c_chain_rule"), (8, "negative_control_detected"), (9, "petz_racmi_bound"),
     ])
     def test_a_nan_in_one_row_fails_its_check(self, column, name):
-        # row layout of ``identity_block``: checks (a)-(h), the negative control, the Petz margins
-        rows = [list(row) for row in oracle.identity_block(4, 0, 3)]
-        rows[1][column] = math.nan
-        report = oracle.identity_report(4, [tuple(row) for row in rows])
+        # table columns: checks (a)-(h), the negative control, the Petz margins
+        table = identity_table(4, 3)
+        table[1, column] = math.nan
+        report = oracle.identity_report(4, table)
         assert not report.all_passed
         assert [c.name for c in report.checks if not c.passed] == [name]
 
     def test_a_nan_row_serializes_as_null(self):
         # a NaN max_violation is written as JSON null, never as the bare token NaN
-        rows = [list(row) for row in oracle.identity_block(4, 0, 3)]
-        rows[1][2] = math.nan
-        text = json.dumps(oracle.identity_report(4, [tuple(row) for row in rows]).to_dict())
+        table = identity_table(4, 3)
+        table[1, 2] = math.nan
+        text = json.dumps(oracle.identity_report(4, table).to_dict())
         assert "NaN" not in text
         by_name = {c["name"]: c for c in json.loads(text)["checks"]}
         assert by_name["c_chain_rule"]["max_violation"] is None
@@ -194,5 +200,17 @@ class TestExpm:
 
 class TestIdentityBlocks:
     def test_blocks_fold_to_the_suite(self):
-        rows = [row for lo, hi in ((0, 5), (5, 10), (10, 13)) for row in oracle.identity_block(3, lo, hi)]
-        assert oracle.identity_report(3, rows).to_dict() == oracle.identity_suite(3, 13).to_dict()
+        # a sample's values do not depend on the samples it is evaluated with
+        table = np.vstack([identity_table(3, 13, lo, hi) for lo, hi in ((0, 5), (5, 10), (10, 13))])
+        assert oracle.identity_report(3, table).to_dict() == oracle.identity_suite(3, 13).to_dict()
+
+    def test_one_task_per_column(self):
+        tasks = []
+
+        def submit(fn, *args):
+            tasks.append(args[0])
+            return oracle.run_now(fn, *args)
+
+        report = oracle.identity_suite(3, 4, submit)
+        assert tasks == list(range(len(oracle.COLUMN_CHECKS)))
+        assert report.to_dict() == oracle.identity_suite(3, 4).to_dict()
