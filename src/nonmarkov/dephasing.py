@@ -21,15 +21,15 @@ The environment branch of a term depends only on its system label s, so
 rho(t) = sum_{s,s'} X_{ss'} (x) |s><s'| (x) |E_s><E_s'| with X_{ss'} = <s|rho0|s'>
 a block on A.  Each entropy is that of a kept set K, a subset of ``LABELS`` =
 {A, S, E1, E2} (S = S1 S2, Ej = the modes of bath j).  ``BranchComputer._entropy``
-takes it from one of six rules over the s-blocks: a marginal of rho_AS(t) when K
-holds no bath, a constant when K holds S and both baths, the complement of K when
-the global state is pure, a solve in the real gauge D(sigma beta) = R O(sigma) R^dag
-(R diagonal, O real orthogonal) when K holds one bath and not S (the two labels'
-kept baths are related by the joint parity (-1)^(sum_m n_m), so when both weigh the
-same the solve splits into its even and odd sectors; a bath not yet displaced needs
-none), Fock-index blocks for a classical state when K holds S and one bath, and
-otherwise the Gram matrix of one purified global state on [A, S, E1, E2] and two
-purifying registers, one time at a time; every other rule takes a whole time grid.
+takes it from one of five rules over the s-blocks, each over a whole time grid: a
+marginal of rho_AS(t) when K holds no bath, a constant when K holds S and both
+baths, the complement of K in a pure global state (a register Q purifies a mixed
+rho0) when the environment is entangled and K holds S and one bath, a solve in the
+real gauge D(sigma beta) = R O(sigma) R^dag (R diagonal, O real orthogonal) when K
+holds one bath and not S (the two labels' kept baths are related by the joint
+parity (-1)^(sum_m n_m), so when both weigh the same the solve splits into its even
+and odd sectors; a bath not yet displaced needs none), and Fock-index blocks for a
+classical state when K holds S and one bath.
 
 Conventions: sigma_z = diag(+1, -1); the coupling is factored out of the
 single-mode displacement response and carried by the spectral density (the
@@ -56,8 +56,7 @@ ENV_KINDS = ("entangled", "classical")
 ENV_PARTS = ("E1", "E2", "E1E2")
 BATHS = ("E1", "E2")  # bath j of the model is BATHS[j]
 LABELS = frozenset({"A", "S", *BATHS})  # every kept set is a subset of these
-_PSI_AXES = {"A": 1, "S": 2, "E1": 3, "E2": 4}  # their axes in the purified state on [Q, A, S, E1, E2, R]
-RANK_CUTOFF = 1e-14  # eigenvalues of rho0 at or below this are left out of its purification
+RANK_CUTOFF = 1e-14  # eigenvalues of the Gram matrix G at or below this are left out of a mixed rho0's purification
 DEFAULT_BUDGET = 4096  # the default side bound of ``BudgetError``
 _CHUNK_ENTRIES = 2 ** 14  # entries of the largest stack a ``_Snapshot`` builds at once, within budget^2 too
 _MAX_COSH_ARG = math.acosh(np.finfo(float).max)  # math.cosh overflows above this
@@ -69,11 +68,11 @@ class TruncationError(ValueError):
 class BudgetError(RuntimeError):
     """A solve or the dense state exceeds the configured dimension budget.
 
-    The budget bounds the Fock dimension, the operator of rule (d), the Gram
-    matrix of rule (f) and the dense state; every other array of the branch
-    path that grows with the pair count (rule (d)'s spectrum without a solve,
-    rule (e)'s Fock blocks, rule (f)'s purified state) may hold at most
-    budget^2 entries, as many as the largest operator the budget admits.
+    The budget bounds the Fock dimension, the operator of rule (d) and the
+    dense state; every other array of the branch path that grows with the pair
+    count (rule (d)'s spectrum without a solve, rule (e)'s Fock blocks) may
+    hold at most budget^2 entries, as many as the largest operator the budget
+    admits.
     """
 
 
@@ -659,8 +658,8 @@ class _Snapshot:
     ``displaced[i, j]``: some g_jm beta_j is nonzero at time i.  ``omega[i, s, s']`` =
     prod_m Tr[Phi_s rho_m Phi_s'^dag] (s = 2 s1 + s2), so rho_AS(t_i) = rho0 o
     (1_A (x) omega[i]).  The displacements behind ``omega`` are built a chunk of
-    times at a time (``_chunks``) and dropped; ``at(i)`` rebuilds one time's for
-    rule (f) of ``BranchComputer._entropy``, the only rule not read over the grid.
+    times at a time (``_chunks``) and dropped; every rule of ``BranchComputer._entropy``
+    reads the grid.
     """
 
     def __init__(self, model: DiscreteDephasingModel, times: Sequence[float], budget: int = DEFAULT_BUDGET):
@@ -697,22 +696,6 @@ class _Snapshot:
                     self.omega[chunk] *= np.einsum("n,...acn,...bdn->...abcd", w, *c).reshape(-1, 4, 4)
         for arr in (self.omega, self.displaced, *(a for grid in (self.o, self.r, self.c) for bath in grid for a in bath)):
             _read_only(arr)  # shared between computers, and their threads
-
-    def at(self, i: int) -> _Slice:
-        return _Slice(self, i)
-
-
-class _Slice:
-    """Time ``times[i]`` of a ``_Snapshot``, as rule (f) of ``BranchComputer._entropy`` reads it: the
-    displacements ``d[j][m][sigma]``, and the entangled pair states ``psi[m][(sigma1, sigma2)]`` on first use."""
-
-    def __init__(self, snap: _Snapshot, i: int):
-        self.model = snap.model
-        self.d = [[_signed(_ungauged(o[i], r[i])) for o, r in zip(os, rs)] for os, rs in zip(snap.o, snap.r)]
-
-    @cached_property
-    def psi(self) -> list[dict[tuple[int, int], np.ndarray]]:
-        return [_pair_states(d1, d2, self.model.pair_weights) for d1, d2 in zip(*self.d)]
 
 
 def _stacked_kron(a: np.ndarray, b: np.ndarray, axes: int) -> np.ndarray:
@@ -791,34 +774,44 @@ class BranchComputer:
         self.partition = initial.partition
         self.rho0 = initial.data
         self.pure = float(initial.eigenvalues()[-1]) >= 1.0 - 1e-10
-        # by kept set: rho0 and its entropy on {S} and {A, S}, and on one bath (and A or
-        # not) the case of ``_one_bath``, the spectrum of M_+ + M_- and the blocks
-        # M_sigma = sum_{s: sigma_bath(s) = sigma} tr_{traced A} X_ss
+        # by kept set: rho0 and its entropy on {S} and {A, S}, and every kept set of
+        # ``_one_bath`` with its case, its bath j, the spectrum of M_+ + M_- and the blocks M_sigma
         self._kept0 = {k: _marginal(self.rho0, k) for k in (frozenset({"S"}), frozenset({"A", "S"}))}
         self._s0 = {k: spectrum_entropy(np.linalg.eigvalsh(x), tol=1e-9) for k, x in self._kept0.items()}
         self._baths = {}
         for j, bath in enumerate(BATHS):
             for k, x in self._kept0.items():
-                ms = [sum(x[s::4, s::4] for s in range(4) if _SIGMAS[s][j] == sig) for sig in (1, -1)]
-                ms = [m if np.any(m.imag) else m.real for m in ms]
-                rule = ("direct" if not np.any(ms[0] @ ms[1])
-                        else "sectors" if np.array_equal(ms[0], ms[1]) else "assembled")
-                self._baths[k - {"S"} | {bath}] = rule, np.linalg.eigvalsh(ms[0] + ms[1]), ms
+                # bath j kept, S traced: M_sigma = sum_{s: sigma_j(s) = sigma} tr_{traced A} X_ss
+                self._baths[k - {"S"} | {bath}] = self._bath_case(
+                    j, [sum(x[s::4, s::4] for s in range(4) if _SIGMAS[s][j] == sig) for sig in (1, -1)])
+                if model.env_kind == "entangled" and not self.pure:
+                    # K = k and the other bath, solved as its complement on [Q, A, S, E1, E2], which
+                    # keeps bath j: M_sigma = Lam^1/2 V^dag P_sigma V Lam^1/2, V Lam V^dag = G = x^T
+                    w, v = np.linalg.eigh(x.T)
+                    f = v[:, w > RANK_CUTOFF] * np.sqrt(w[w > RANK_CUTOFF])
+                    labels = np.array([_SIGMAS[s % 4][j] for s in range(len(x))])
+                    self._baths[k | {BATHS[1 - j]}] = self._bath_case(
+                        j, [f[labels == sig].conj().T @ f[labels == sig] for sig in (1, -1)])
         # rule (b) of ``_entropy``: S(rho0_K) + S(rho_E) at every t
         s_env = 0.0 if model.env_kind == "entangled" else model.n_pairs * spectrum_entropy(model.local_spectrum)
         self._fixed = {k | set(BATHS): s + s_env for k, s in self._s0.items()}
-        self._psi_memo: tuple[_Slice, np.ndarray] | None = None
 
-    def _within_budget(self, dim: int, what: str) -> int:
-        """``dim``, the side of a matrix to solve, checked against the budget."""
+    @staticmethod
+    def _bath_case(j: int, ms: list[np.ndarray]) -> tuple:
+        """The ``_baths`` entry of the blocks ``ms`` = [M_+, M_-] on bath j: real where they are."""
+        ms = [m if np.any(m.imag) else m.real for m in ms]
+        rule = "direct" if not np.any(ms[0] @ ms[1]) else "sectors" if np.array_equal(ms[0], ms[1]) else "assembled"
+        return rule, j, np.linalg.eigvalsh(ms[0] + ms[1]), ms
+
+    def _within_budget(self, dim: int, what: str):
+        """Refuse to solve a matrix of side ``dim`` above the budget."""
         if dim > self.budget:
             raise BudgetError(f"{what} dimension {dim} exceeds budget {self.budget}")
-        return dim
 
-    def _entries_within_budget(self, size: int, what: str, unit: str = "entries"):
+    def _entries_within_budget(self, size: int, what: str):
         """Refuse to build an array of ``size`` entries above budget^2."""
         if size > self.budget ** 2:
-            raise BudgetError(f"{what} of {size} {unit} exceeds budget^2 = {self.budget ** 2}")
+            raise BudgetError(f"{what} of {size} entries exceeds budget^2 = {self.budget ** 2}")
 
     def _entropy(self, snap: _Snapshot, kept_sets: Sequence[frozenset]) -> dict[frozenset, np.ndarray]:
         """Entropies (T,) over the grid of ``snap`` of the reduced state on each of ``kept_sets``, each a
@@ -827,36 +820,34 @@ class BranchComputer:
         (a) No bath kept: a marginal of rho_AS(t), one batched solve over the grid.
         (b) Both baths and S kept: W = sum_s |s><s| (x) U_s is unitary, so the
             entropy is S(rho0_K) + S(rho_E) at every t, computed once.
-        (c) Entangled, pure rho0, S and one bath kept: the global state is pure,
-            so take the complement {A, S, E1, E2} - kept, which keeps the other
-            bath and traces S: (d).
+        (c) Entangled, S and one bath kept: the global state is pure, so take
+            the complement of kept, which keeps the other bath and traces S: (d).
+            For a pure rho0 that is {A, S, E1, E2} - kept; a mixed rho0 is purified
+            by a register Q, which the complement keeps (``__init__``).
         (d) One bath kept, S traced: ``_one_bath``.
         (e) Classical, S and one bath kept: ``_fock_blocks``.
-        (f) Anything else: ``_purified_spectrum``, the only rule that walks the
-            times; its kept sets walk them together, so Psi is built once a time.
+        Any other kept set, such as both baths without S, raises ValueError.
         """
         entangled = self.model.env_kind == "entangled"
         rho_as = self._rho_as(snap)
-        out, walked = {}, {}
+        out = {}
         for kept in kept_sets:
             solved = LABELS - kept if entangled and self.pure and "S" in kept else kept
             if kept in self._fixed:
                 out[kept] = np.full(snap.times.size, self._fixed[kept])
             elif kept.isdisjoint(BATHS):
                 out[kept] = spectrum_entropy(np.linalg.eigvalsh(_marginal(rho_as, kept)), tol=1e-9)
-            elif "S" not in solved and len(solved - {"A"}) == 1:
+            elif solved in self._baths:
                 out[kept] = self._one_bath(snap, solved)
             elif not entangled and "S" in solved:
                 out[kept] = self._fock_blocks(snap, solved)
             else:
-                walked[kept], out[kept] = solved, np.empty(snap.times.size)
-        for i, sl in enumerate(map(snap.at, range(snap.times.size if walked else 0))):
-            for kept, solved in walked.items():
-                out[kept][i] = spectrum_entropy(self._purified_spectrum(sl, solved), tol=1e-9)
+                raise ValueError(f"no entropy rule covers the kept set {sorted(kept)}")
         return out
 
     def _one_bath(self, snap: _Snapshot, kept: frozenset) -> np.ndarray:
-        """Entropies (T,) of sum_sigma M_sigma (x) K(sigma): one bath kept, S traced.
+        """Entropies (T,) of sum_sigma M_sigma (x) K(sigma): one bath kept, S traced (for a mixed
+        rho0 of the entangled kind, also the purified complement of S and one bath).
 
         With S traced only s = s' survives, and the kept bath of branch s is
         D(sigma beta) rho_th D(sigma beta)^dag, sigma its label on that bath;
@@ -869,8 +860,7 @@ class BranchComputer:
         (``_chunks``).  The budget bounds the side d_M n^P whenever M_+ M_- != 0,
         and budget^2 the entries of a spectrum taken without a solve.
         """
-        rule, e, ms = self._baths[kept]
-        j = BATHS.index(*(kept - {"A"}))
+        rule, j, e, ms = self._baths[kept]
         n, pairs, lam = self.model.fock_dim, self.model.n_pairs, self.model.local_spectrum
         side = len(e) * n ** pairs
         if rule != "direct":
@@ -919,52 +909,6 @@ class BranchComputer:
             spectra = np.linalg.eigvalsh(0.5 * (mats + mats.conj().swapaxes(-1, -2)))
             out[chunk] = spectrum_entropy(spectra.reshape(len(spectra), -1), tol=1e-9)
         return out
-
-    @cached_property
-    def _kets(self) -> np.ndarray:
-        """(Q, d_A, 4): rho0 = sum_i |psi_i><psi_i| over its eigenvalues above ``RANK_CUTOFF``."""
-        w, v = np.linalg.eigh(self.rho0)
-        live = w > RANK_CUTOFF
-        return (v[:, live] * np.sqrt(w[live])).T.reshape(-1, self.partition.dims[0], 4)
-
-    def _purified(self, snap: _Slice) -> np.ndarray:
-        """The global state as one vector on [Q, A, S, E1, E2, R], kept for the last slice.
-
-        sum_{i,s} psi_i[a, s] |i a s> (x)_m |e_m(s)>: Q purifies rho0 (``_kets``),
-        and pair m of branch s is the displaced squeezed vacuum ``snap.psi``, or
-        sum_k sqrt(p_k) D1(sigma1)|k> D2(sigma2)|k> |k>_R with R purifying the
-        classical pair state.
-        """
-        if self._psi_memo is None or self._psi_memo[0] is not snap:
-            envs = []
-            d1, d2 = snap.d
-            for s1, s2 in _SIGMAS:
-                env = np.ones((1, 1, 1))
-                for m in range(self.model.n_pairs):
-                    pair = (snap.psi[m][s1, s2][:, :, None] if self.model.env_kind == "entangled"
-                            else d1[m][s1][:, None] * d2[m][s2] * np.sqrt(self.model.pair_weights))
-                    env = np.einsum("abc,ijk->aibjck", env, pair).reshape(np.multiply(env.shape, pair.shape))
-                envs.append(env)
-            self._psi_memo = (snap, np.einsum("qas,sxyz->qasxyz", self._kets, np.stack(envs)))
-        return self._psi_memo[1]
-
-    def _purified_spectrum(self, snap: _Slice, kept: frozenset) -> np.ndarray:
-        """Spectrum of any kept set K from ``_purified``; also the test reference for every rule.
-
-        As a K x (the rest) matrix, Psi's Gram matrix on either side has the
-        nonzero spectrum of rho_K; the smaller side is solved.  Before Psi is
-        built, that side is checked against the budget, and Psi's size against budget^2.
-        """
-        axes = sorted(_PSI_AXES[label] for label in kept)
-        ne = self.model.fock_dim ** self.model.n_pairs
-        dims = (*self._kets.shape, ne, ne, 1 if self.model.env_kind == "entangled" else ne)
-        dim_k, size = math.prod(dims[i] for i in axes), math.prod(dims)
-        side = self._within_budget(min(dim_k, size // dim_k), "Gram matrix")
-        self._entries_within_budget(size, "purified state", "amplitudes")
-        rest = [i for i in range(len(dims)) if i not in axes]
-        summed = rest if side == dim_k else axes  # contract the side that is not solved
-        psi = self._purified(snap)
-        return np.linalg.eigvalsh(np.tensordot(psi, psi.conj(), axes=(summed, summed)).reshape(side, side))
 
     def _rho_as(self, snap: _Snapshot) -> np.ndarray:
         """rho_AS(t) = rho0 o (1_A (x) omega) on [A, S1, S2] at every time, Hermitian-symmetrized."""

@@ -590,7 +590,7 @@ class TestCmiTrajectory:
         assert np.max(np.abs(total - total[0])) <= 1e-8
 
     def test_branch_matches_dense_for_mixed_and_wide_initial_states(self):
-        # rank-2 and rank-8 states, the optimal-pair mixture, and a pure state on
+        # rank-2, rank-3 and rank-8 states, the optimal-pair mixture, and a pure state on
         # A(17) S1 S2 (68 amplitudes, dense dimension 1700): every entropy of the
         # three parts against the dense path, for both env kinds
         a_s = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
@@ -601,6 +601,7 @@ class TestCmiTrajectory:
         wide = random_pure_state(SystemPartition([("A", 17), ("S1", 2), ("S2", 2)]), 9)
         cases = [
             (random_density_matrix(a_s, 2, 5), [1.3, 3.7]),
+            (random_density_matrix(a_s, 3, 7), [1.3, 3.7]),
             (random_density_matrix(a_s, 8, 6), [1.3, 3.7]),
             (DensityMatrix(perm.reshape(8, 8), a_s), [1.3, 3.7]),
             (wide, [3.7]),  # both baths displaced; one 1700-dim dense state per env kind
@@ -647,6 +648,58 @@ class TestCmiTrajectory:
 
 
 KEEP_SETS = [frozenset(c) for n in range(5) for c in itertools.combinations(("A", "S", "E1", "E2"), n)]
+# every nonempty kept set that a rule of ``BranchComputer._entropy`` covers: all but both baths without S
+COVERED_SETS = [k for k in KEEP_SETS[1:] if "S" in k or not {"E1", "E2"} <= k]
+_PSI_AXES = {"A": 1, "S": 2, "E1": 3, "E2": 4}  # their axes in the purified state on [Q, A, S, E1, E2, R]
+
+
+def _displacements(grid, i):
+    """D(sigma g_jm beta_j) at ``grid.times[i]`` by bath j, pair m and sigma, from the snapshot's gauges."""
+    return [[dephasing._signed(dephasing._ungauged(o[i], r[i])) for o, r in zip(os, rs)]
+            for os, rs in zip(grid.o, grid.r)]
+
+
+def _kets(comp):
+    """(Q, d_A, 4): rho0 = sum_i |psi_i><psi_i| over its eigenvalues above ``RANK_CUTOFF``."""
+    w, v = np.linalg.eigh(comp.rho0)
+    live = w > dephasing.RANK_CUTOFF
+    return (v[:, live] * np.sqrt(w[live])).T.reshape(-1, comp.partition.dims[0], 4)
+
+
+def _purified(comp, grid, i):
+    """The global state at ``grid.times[i]`` as one vector on [Q, A, S, E1, E2, R].
+
+    sum_{i,s} psi_i[a, s] |i a s> (x)_m |e_m(s)>: Q purifies rho0 (``_kets``),
+    and pair m of branch s is the displaced squeezed vacuum, or
+    sum_k sqrt(p_k) D1(sigma1)|k> D2(sigma2)|k> |k>_R with R purifying the
+    classical pair state.
+    """
+    model = comp.model
+    d1, d2 = _displacements(grid, i)
+    psi = [dephasing._pair_states(a, b, model.pair_weights) for a, b in zip(d1, d2)]
+    envs = []
+    for s1, s2 in dephasing._SIGMAS:
+        env = np.ones((1, 1, 1))
+        for m in range(model.n_pairs):
+            pair = (psi[m][s1, s2][:, :, None] if model.env_kind == "entangled"
+                    else d1[m][s1][:, None] * d2[m][s2] * np.sqrt(model.pair_weights))
+            env = np.einsum("abc,ijk->aibjck", env, pair).reshape(np.multiply(env.shape, pair.shape))
+        envs.append(env)
+    return np.einsum("qas,sxyz->qasxyz", _kets(comp), np.stack(envs))
+
+
+def _purified_entropy(psi, kept):
+    """S(rho_K) of any kept set K from the purified state ``psi``: the test reference for every rule.
+
+    As a K x (the rest) matrix, Psi's Gram matrix on either side has the
+    nonzero spectrum of rho_K; the smaller side is solved.
+    """
+    axes = sorted(_PSI_AXES[label] for label in kept)
+    dim_k = math.prod(psi.shape[i] for i in axes)
+    side = min(dim_k, psi.size // dim_k)
+    summed = [i for i in range(psi.ndim) if i not in axes] if side == dim_k else axes
+    gram = np.tensordot(psi, psi.conj(), axes=(summed, summed)).reshape(side, side)
+    return spectrum_entropy(np.linalg.eigvalsh(gram), tol=1e-9)
 
 
 class TestStructuredBranchEntropies:
@@ -662,27 +715,29 @@ class TestStructuredBranchEntropies:
         return [measures.ops_state(), flagged] + [random_pure_state(part, s) for s in (1, 2, 3)]
 
     @staticmethod
-    def _purified_entropy(comp, snap, kept):
-        return spectrum_entropy(comp._purified_spectrum(snap, kept), tol=1e-9)
+    def _mixed_states():
+        part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+        return [random_density_matrix(part, rank, seed) for rank, seed in ((2, 5), (3, 7), (8, 3))]
 
     @pytest.mark.parametrize("env_kind", ENV_KINDS)
     @pytest.mark.parametrize("n_modes,n_max", [(1, 4), (2, 3), (3, 2)])
     def test_matches_assembled_operator(self, env_kind, n_modes, n_max):
         # the reference is the Gram spectrum of the purified global state (the
-        # name is kept from the assembled operator it replaced)
+        # name is kept from the assembled operator it replaced); the mixed states
+        # of the entangled kind keep S and one bath through their purified complement
         p = DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind)
         m = build_discrete_model(p, n_modes=n_modes, n_max=n_max)
         rules = set()
-        for state in self._states():
+        for state in self._states() + self._mixed_states():
             comp = dephasing.BranchComputer(m, state)
             rules.update(rule for rule, *_ in comp._baths.values())
             snap = dephasing._Snapshot(m, [1.3, 3.7])
-            got = comp._entropy(snap, KEEP_SETS[1:])  # all but the empty set, each over the grid
+            got = comp._entropy(snap, COVERED_SETS)  # each over the grid
             for i in range(snap.times.size):
-                sl = snap.at(i)
-                for kept in KEEP_SETS[1:]:
-                    assert abs(got[kept][i] - self._purified_entropy(comp, sl, kept)) <= 1e-12
-        # every one-bath kept set without S is in KEEP_SETS: each case of rule (d) was checked
+                psi = _purified(comp, snap, i)
+                for kept in COVERED_SETS:
+                    assert abs(got[kept][i] - _purified_entropy(psi, kept)) <= 1e-12
+        # every one-bath kept set without S is in COVERED_SETS: each case of rule (d) was checked
         assert rules == {"direct", "sectors", "assembled"}
 
     @pytest.mark.parametrize("env_kind", ENV_KINDS)
@@ -696,26 +751,36 @@ class TestStructuredBranchEntropies:
             comp = dephasing.BranchComputer(m, state)
             dense = dephasing.DenseComputer(m, state)
             for t in (1.3, 3.7):
-                snap = dephasing._Snapshot(m, [t]).at(0)
+                psi = _purified(comp, dephasing._Snapshot(m, [t]), 0)
                 for kept in KEEP_SETS:
                     keep = set().union(*(factors[label] for label in kept))
                     ref = info.von_neumann_entropy(partial_trace(dense.state_at(t), keep)) if keep else 0.0
-                    assert abs(self._purified_entropy(comp, snap, kept) - ref) <= 1e-12
+                    assert abs(_purified_entropy(psi, kept) - ref) <= 1e-12
 
-    def test_budget_is_checked_before_the_purified_state_is_built(self, monkeypatch):
-        # entangled rank-2 rho0 at 2 pairs and n_max 14: Psi has 2 x 2 x 4 x 225^2 =
-        # 810000 amplitudes; keeping S E1 is a 900-dim Gram matrix on either side,
-        # and keeping A S E1 a 450-dim one, within budget 500, but Psi exceeds 500^2
+    def test_budget_is_checked_before_a_mixed_kept_bath_is_built(self, monkeypatch):
+        # entangled rank-2 rho0 at 2 pairs and n_max 14: keeping S E1 is solved as its
+        # complement on Q A E2, a d_M = rank rho_S0 = 4 block operator on the 225-dim
+        # bath, and keeping A S E1 as Q E2, d_M = rank rho0 = 2
         p = DephasingParams(**{**DESK, "r": 0.8}, env_kind="entangled")
         m = build_discrete_model(p, n_modes=2, n_max=14)
         state = random_density_matrix(SystemPartition([("A", 2), ("S1", 2), ("S2", 2)]), 2, 5)
-        comp = dephasing.BranchComputer(m, state, budget=500)
+        comp = dephasing.BranchComputer(m, state, budget=400)
         snap = dephasing._Snapshot(m, [1.3])
-        monkeypatch.setattr(comp, "_purified", lambda snap: pytest.fail("purified state built"))
-        with pytest.raises(dephasing.BudgetError, match="Gram matrix dimension 900 exceeds budget 500"):
-            comp._entropy(snap, [frozenset({"S", "E1"})])
-        with pytest.raises(dephasing.BudgetError, match=r"810000 amplitudes exceeds budget\^2 = 250000"):
-            comp._entropy(snap, [frozenset({"A", "S", "E1"})])
+        monkeypatch.setattr(dephasing, "_kept_bath", lambda *args: pytest.fail("kept bath built"))
+        for kept, side in (({"S", "E1"}, 900), ({"A", "S", "E1"}, 450)):
+            with pytest.raises(dephasing.BudgetError, match=f"assembled operator dimension {side} exceeds budget 400"):
+                comp._entropy(snap, [frozenset(kept)])
+
+    @pytest.mark.parametrize("env_kind", ENV_KINDS)
+    def test_kept_set_outside_the_rules_raises(self, env_kind):
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind=env_kind), 1, 4)
+        part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
+        snap = dephasing._Snapshot(m, [1.3])
+        for state in (measures.ops_state(), random_density_matrix(part, 2, 5)):
+            comp = dephasing.BranchComputer(m, state)
+            for kept in ({"E1", "E2"}, {"A", "E1", "E2"}):
+                with pytest.raises(ValueError, match="no entropy rule covers the kept set"):
+                    comp._entropy(snap, [frozenset(kept)])
 
 
 class TestRealGauge:
@@ -754,10 +819,10 @@ class TestRealGauge:
         m = build_discrete_model(p, n_modes=2, n_max=14)
         grid = dephasing._Snapshot(m, [0.0, 1.3, 3.7])
         for i, t in enumerate(grid.times):
-            snap = grid.at(i)
+            d1, d2 = _displacements(grid, i)
             for k, (om, g1, g2) in enumerate(m.mode_pairs):
-                for d, o, b in ((snap.d[0][k], grid.o[0][k][i], g1 * beta(om, t, p.window1)),
-                                (snap.d[1][k], grid.o[1][k][i], g2 * beta(om, t, p.window2))):
+                for d, o, b in ((d1[k], grid.o[0][k][i], g1 * beta(om, t, p.window1)),
+                                (d2[k], grid.o[1][k][i], g2 * beta(om, t, p.window2))):
                     for sigma, o_sigma in ((1, o), (-1, o.T)):
                         self._check(o_sigma, b, sigma)
                         d_ref = dephasing._displacement(m.fock_dim, sigma * b)
@@ -783,17 +848,18 @@ class TestSnapshotOverlaps:
         # the per-pair loop: Omega[s, s'] = prod_m Tr[Phi_s rho_m Phi_s'^dag]
         p = DephasingParams(**DESK, env_kind=env_kind)
         m = build_discrete_model(p, n_modes=2, n_max=12)
-        sigmas = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         grid = dephasing._Snapshot(m, [0.0, 1.3, 3.7])
-        for t_idx, snap in enumerate(map(grid.at, range(grid.times.size))):
+        for t_idx in range(grid.times.size):
+            d1, d2 = _displacements(grid, t_idx)
             ref = np.ones((4, 4), dtype=complex)
             for k in range(m.n_pairs):
-                for (i, ket), (j, bra) in itertools.product(enumerate(sigmas), repeat=2):
+                psi = dephasing._pair_states(d1[k], d2[k], m.pair_weights)
+                for (i, ket), (j, bra) in itertools.product(enumerate(dephasing._SIGMAS), repeat=2):
                     if env_kind == "entangled":
-                        ref[i, j] *= np.vdot(snap.psi[k][bra], snap.psi[k][ket])
+                        ref[i, j] *= np.vdot(psi[bra], psi[ket])
                     else:
-                        c1 = np.diag(snap.d[0][k][bra[0]].conj().T @ snap.d[0][k][ket[0]])
-                        c2 = np.diag(snap.d[1][k][bra[1]].conj().T @ snap.d[1][k][ket[1]])
+                        c1 = np.diag(d1[k][bra[0]].conj().T @ d1[k][ket[0]])
+                        c2 = np.diag(d2[k][bra[1]].conj().T @ d2[k][ket[1]])
                         ref[i, j] *= (m.pair_weights * c1 * c2).sum()
             assert np.abs(grid.omega[t_idx] - ref).max() <= 1e-14
 
