@@ -10,7 +10,10 @@ the ``check`` pool of ``NONMARKOV_THREADS`` forked processes that each take
 whole checks (a cross-check, or one identity check over every sample).
 ``check`` has one schedule, ``oracle.identity_suite``; this module only
 picks the pool's ``submit`` or an in-process one (see
-``_identity_and_cross_checks``).  Neither changes an output byte.
+``_identity_and_cross_checks``).  Neither changes an output byte.  Before
+the pool forks, the parent imports ``numpy.random``, which its draws load
+anyway, so that the workers share its pages instead of each loading a copy;
+importing this module does not load it, so a ``run`` job never pays for it.
 """
 
 from __future__ import annotations
@@ -264,9 +267,22 @@ def _candidates(cfg: dict) -> tuple[list, list]:
 # modes
 
 
-def _run_phase_factors(cfg: dict) -> str:
+def _continuum_inputs(cfg: dict) -> tuple[DephasingParams, np.ndarray]:
+    """The ``dephasing`` and ``grid`` of a mode that evaluates the continuum factors on the grid.
+
+    A phase that overflows on the grid is a config error, before anything is computed.
+    """
     params = parse_dephasing(_require(cfg, "dephasing", dict))
     times = parse_grid(_require(cfg, "grid", dict))
+    try:
+        dephasing.check_phase_range(params, times)
+    except ValueError as exc:
+        raise ConfigError(exc) from exc
+    return params, times
+
+
+def _run_phase_factors(cfg: dict) -> str:
+    params, times = _continuum_inputs(cfg)
     grid = dephasing.phase_factor_grid(params, times)  # one column per factor, in the mapping's order
     mags = np.abs(np.stack(list(grid.values()), axis=1)).tolist()
     lines = [",".join(["t", *(f"|{name}|" for name in grid), "env_kind"])]
@@ -303,8 +319,7 @@ def _run_cmi(cfg: dict) -> str:
 
 
 def _run_measures(cfg: dict) -> str:
-    params = parse_dephasing(_require(cfg, "dephasing", dict))
-    times = parse_grid(_require(cfg, "grid", dict))
+    params, times = _continuum_inputs(cfg)
     as_cands, pair_cands = _candidates(cfg)
     if not pair_cands:
         # default optimal-style orthogonal pair with maximal S1-S2 coherence
@@ -363,7 +378,11 @@ def _identity_and_cross_checks(seed: int, samples: int) -> list:
     rather than ``spawn``: a spawned worker would import NumPy and the
     package again, most of a small job's gain.  The fork is safe here
     because ``check`` starts no thread of its own and a fork-context
-    executor launches its workers before its manager thread.
+    executor launches its workers before its manager thread.  The workers
+    fork at the first ``submit``, before the first draw, so ``numpy.random``
+    is imported just before the pool is built: otherwise each worker loads
+    its own copy (about 5 MB resident and 10 ms), and the largest worker,
+    not this process, sets the job's peak memory.
     """
     import multiprocessing
 
@@ -373,6 +392,10 @@ def _identity_and_cross_checks(seed: int, samples: int) -> list:
     with contextlib.ExitStack() as stack:
         if samples > CHECK_IN_PROCESS and workers >= 2 and fork:
             from concurrent.futures import ProcessPoolExecutor
+
+            # loaded before the fork, its pages are shared by the workers instead of each
+            # loading its own copy; the draws would load it here a few milliseconds later
+            import numpy.random  # noqa: F401
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             stack.callback(pool.shutdown, cancel_futures=True)  # on an error, run no check only to drop it

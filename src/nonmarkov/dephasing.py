@@ -117,6 +117,11 @@ class DephasingParams:
             raise ValueError("r and couplings must be nonnegative")
         if not 0.0 <= self.t1s <= self.t1f <= self.t2s <= self.t2f:  # the evolution starts at t = 0
             raise ValueError("interaction windows must satisfy 0 <= t1s <= t1f <= t2s <= t2f")
+        # the largest argument of the continuum decay integral, summed as ``_log_factor_grid`` sums it
+        if not math.isfinite(self.t1s + self.t2s + (self.t1f - self.t1s) + (self.t2f - self.t2s)):
+            raise ValueError("interaction windows must satisfy t1f + t2f <= 1.8e308: their sum overflows")
+        if not math.isfinite(self.alpha1 * self.alpha2):
+            raise ValueError("alpha1 * alpha2 must be <= 1.8e308: the cross coupling overflows")
         if self.env_kind not in ENV_KINDS:
             raise ValueError(f"env_kind must be one of {ENV_KINDS}")
         if self.u is not None and self.env_kind != "classical":
@@ -314,21 +319,31 @@ def _decay_integral(params: DephasingParams, a: np.ndarray) -> np.ndarray:
     """F(a) = int_0^{K omega_c} e^{-w/omega_c} (1 - cos a w) / w dw, elementwise.
 
     With K = cutoff_mult, b = |a| omega_c and s = 1 - i b,
-    F = Re[ln s + E1(K s) - E1(K)].  Each distinct b is computed once:
+    F = Re[ln s + E1(K s) - E1(K)].  Each distinct |a| is computed once:
     by ``_decay_series`` for b <= 1/2 (so F(0) is exactly 0), and by the
-    closed form otherwise, with one E1 call that also gives E1(K).
+    closed form otherwise, with one E1 call that also gives E1(K).  F is
+    finite for every finite |a|, omega_c and K, also where b or K b overflows.
     """
     k = params.quad.cutoff_mult
-    b, inverse = np.unique(np.abs(a) * params.omega_c, return_inverse=True)
+    x, inverse = np.unique(np.abs(a), return_inverse=True)
+    with np.errstate(over="ignore"):
+        b = x * params.omega_c
     f = np.empty_like(b)
     near = b <= 0.5
     f[near] = _decay_series(k, b[near])
     far = b[~near]
-    e1 = _exp1(k * (1.0 - 1j * np.append(0.0, far))).real
     with np.errstate(over="ignore"):
         far2 = far * far
-    # ln|s| = log1p(b^2) / 2, which is ln b to double precision where b^2 overflows
-    f[~near] = np.where(np.isinf(far2), np.log(far), 0.5 * np.log1p(far2)) + e1[1:] - e1[0]
+        live = np.append(True, np.isfinite(k * far))
+    # |E1(K s)| <= e^{-K} / (K b), which is 0 to double precision where K b overflows
+    e1 = np.zeros(live.size)
+    e1[live] = _exp1(k * (1.0 - 1j * np.append(0.0, far)[live])).real
+    # ln|s| = log1p(b^2) / 2, which is ln b to double precision where b^2 overflows,
+    # and ln |a| + ln omega_c where b does
+    log_s = np.where(np.isinf(far2), np.log(far), 0.5 * np.log1p(far2))
+    huge = np.isinf(far)
+    log_s[huge] = np.log(x[~near][huge]) + math.log(params.omega_c)
+    f[~near] = log_s + e1[1:] - e1[0]
     return f[inverse].reshape(a.shape)
 
 
@@ -407,9 +422,22 @@ def phase_factors(params: DephasingParams, t: float) -> dict[str, complex]:
     return {name: complex(v[0]) for name, v in phase_factor_grid(params, [t]).items()}
 
 
+def check_phase_range(params: DephasingParams, times: Sequence[float]) -> None:
+    """Refuses ``eps1``, ``eps2`` whose largest phase 2 (|eps1| + |eps2|) t overflows on ``times``.
+
+    That product is the largest |(m1 eps1 + m2 eps2) t| of ``coherence_factor_matrices``
+    to the bit, since doubling rounds exactly.
+    """
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    if not math.isfinite(2.0 * (abs(params.eps1) + abs(params.eps2)) * t_max):
+        raise ValueError(f"eps1 = {params.eps1:g} and eps2 = {params.eps2:g} are too large: the phase "
+                         f"2 (|eps1| + |eps2|) t overflows at t = {t_max:g}")
+
+
 def coherence_factor_matrices(params: DephasingParams, times: Sequence[float]) -> np.ndarray:
     """(T, 4, 4) multiplicative coherence factors of the dephasing channel."""
     t = np.asarray(times, dtype=float).reshape(-1)
+    check_phase_range(params, t)
     logs = _log_factor_grid(params, t)
     out = np.ones((t.size, 4, 4), dtype=complex)
     for i, (a1, a2) in enumerate(_SIGMAS):

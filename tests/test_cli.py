@@ -56,17 +56,24 @@ class TestPhaseFactorsMode:
         assert open(out, "rb").read() == first
 
     @pytest.mark.parametrize("env_kind", ["entangled", "classical"])
-    def test_factors_stay_finite_at_a_huge_cutoff_frequency(self, env_kind, tmp_path, capsys):
+    @pytest.mark.parametrize("omega_c,windows", [
+        (1e300, {}),
+        # cutoff_mult * omega_c * |a| overflows, at 1e308 omega_c * |a| too
+        (1e307, {"t1s": 0.0, "t1f": 1.0, "t2s": 1.0, "t2f": 2.0}),
+        (1e308, {}),
+    ], ids=["1e300", "1e307_windows_0_1_2", "1e308"])
+    def test_factors_stay_finite_at_a_huge_cutoff_frequency(self, env_kind, omega_c, windows, tmp_path, capsys):
         # omega_c 1e300 squares past the float range in the decay integral; every
         # factor is still finite, and no warning is printed (the suite makes
         # a RuntimeWarning an error)
         out = str(tmp_path / "pf.csv")
         cfg = {**PF_CFG, "output_path": out,
-               "dephasing": {**PF_CFG["dephasing"], "omega_c": 1e300, "env_kind": env_kind}}
+               "dephasing": {**PF_CFG["dephasing"], **windows, "omega_c": omega_c, "env_kind": env_kind}}
         assert cli.run(write_config(tmp_path, cfg)) == 0
         assert capsys.readouterr().err == ""
         _, rows = read_csv(out)
         assert all(0.0 <= float(x) <= 1.0 for row in rows for x in row[1:7])
+        assert all(float(x) == 1.0 for x in rows[0][1:7])  # both windows are closed at t = 0
 
 
 CMI_CFG = {
@@ -349,7 +356,9 @@ class TestConfigValidation:
         "classical_r_tanh_one", "classical_r_tanh_one_measures", "entangled_r_cosh_overflow",
         "gauss_window_underflow", "gauss_window_overflow", "gauss_window_overflow_measures",
         "t_start_negative", "measures_tsio_bad_discrete", "measures_tsio_discrete_missing_key",
-        "t1s_negative", "t_end_1e300", "n_modes_250",
+        "t1s_negative", "t_end_1e300", "n_modes_250", "eps1_phase_overflow", "eps2_phase_overflow_late",
+        "eps1_phase_overflow_measures", "gauss_window_overflow_measures_1e308", "windows_sum_overflow",
+        "alpha_product_overflow",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -441,6 +450,19 @@ class TestConfigValidation:
             "t_end_1e300": {**PF_CFG, "grid": {"t_start": 1e300, "t_end": 1e300, "dt": 0.5}},
             # the Gauss rule has at most the 200 nodes of its discretization, also where no model is built
             "n_modes_250": {**tsio_only, "discrete": {"n_modes": 250, "n_max": 3}},
+            # the phase 2 (|eps1| + |eps2|) t of the continuum factors overflows, at once or late in the grid
+            "eps1_phase_overflow": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "eps1": 1e308}},
+            "eps2_phase_overflow_late": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "eps2": 1e300},
+                                         "grid": {"t_start": 0.0, "t_end": 1e9, "dt": 1e4}},
+            "eps1_phase_overflow_measures": {**CMI_CFG, "mode": "measures", "dephasing": {
+                **CMI_CFG["dephasing"], "eps1": 1e308}},
+            # the continuum factors stay finite; the Gauss rule refuses the window
+            "gauss_window_overflow_measures_1e308": {**CMI_CFG, "mode": "measures", "dephasing": {
+                **CMI_CFG["dephasing"], "omega_c": 1e308}},
+            # the decay integral's largest argument t1f + t2f, and the cross coupling sqrt(alpha1 alpha2)
+            "windows_sum_overflow": {**PF_CFG, "dephasing": {
+                **PF_CFG["dephasing"], "t1s": 1e308, "t1f": 1e308, "t2s": 1e308, "t2f": 1e308}},
+            "alpha_product_overflow": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "alpha1": 1e308, "alpha2": 4.0}},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
@@ -451,6 +473,9 @@ class TestConfigValidation:
             "gauss_window_overflow_measures": "mass inf;", "t_start_negative": "t_start >= 0",
             "measures_tsio_bad_discrete": "discrete: n_modes", "measures_tsio_discrete_missing_key": "'n_max'",
             "t1s_negative": "0 <= t1s", "t_end_1e300": "rounded to 12 decimals", "n_modes_250": "n_modes must be <= 200",
+            "eps1_phase_overflow": "eps1 = 1e+308", "eps2_phase_overflow_late": "eps2 = 1e+300",
+            "eps1_phase_overflow_measures": "eps1 = 1e+308", "gauss_window_overflow_measures_1e308": "omega_c]",
+            "windows_sum_overflow": "t1f + t2f", "alpha_product_overflow": "alpha1 * alpha2",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):
@@ -571,6 +596,46 @@ class TestThreadDeterminism:
         assert len(set(outputs.values())) == 1, sorted(outputs)
         report = json.loads(outputs["1", 0])["suites"][0]
         assert {c["samples"] for c in report["checks"]} == {samples}
+
+    WARM_FORK = """
+import os, sys
+from nonmarkov import cli, oracle
+print("numpy.random" in sys.modules, os.getpid())
+real = {"cross": cli._cross_check, "identity": oracle.identity_column}
+
+def report(kind, args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{kind} {os.getpid()} {'numpy.random' in sys.modules}\\n")
+    return real[kind](*args)
+
+def cross_check(*args):
+    return report("cross", args)
+
+def identity_column(*args):
+    return report("identity", args)
+
+cli._cross_check, oracle.identity_column = cross_check, identity_column
+cli.available_cpus = lambda: 2
+sys.exit(cli.main(["check", "--seed", "4", "--samples", "23", "--output", sys.argv[2]]))
+"""
+
+    def test_check_pool_forks_warm(self, tmp_path):
+        # the parent loads numpy.random before the pool forks, so every task of either
+        # kind starts in a worker that already has it; importing cli alone does not
+        # load it (each run job would pay for it), so this needs a fresh interpreter
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        script, log = tmp_path / "warm.py", tmp_path / "tasks.log"
+        script.write_text(self.WARM_FORK)
+        env = {**os.environ, "PYTHONPATH": src, "NONMARKOV_THREADS": "2"}
+        run = subprocess.run([sys.executable, str(script), str(log), str(tmp_path / "check.json")],
+                             env=env, capture_output=True, text=True, check=True)
+        loaded_at_import, parent = run.stdout.splitlines()[0].split()
+        assert loaded_at_import == "False"
+        tasks = [line.split() for line in log.read_text().splitlines()]
+        assert {kind for kind, _, _ in tasks} == {"cross", "identity"}
+        pids = {pid for _, pid, _ in tasks}
+        assert len(pids) == 2 and parent not in pids  # both workers ran tasks, the parent none
+        assert all(loaded == "True" for *_, loaded in tasks), tasks
 
     @pytest.mark.parametrize("where", ["identity_check", "cross_check"])
     def test_check_pool_failure_reaches_the_caller(self, where, tmp_path, monkeypatch):
