@@ -220,8 +220,8 @@ def parse_grid(cfg: dict) -> np.ndarray:
 
 def _complex_list(spec, length: int, what: str) -> np.ndarray:
     try:
-        arr = np.array([complex(re, im) for re, im in spec])
-    except (TypeError, ValueError) as exc:
+        arr = np.array([complex(_number(re), _number(im)) for re, im in spec])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a list of [re, im] pairs") from exc
     if arr.size != length:
         raise ConfigError(f"{what} must have {length} entries")
@@ -291,9 +291,9 @@ def _run_phase_factors(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
-    """The discrete model of a config; a spectral window the Gauss rule cannot take is a config error."""
-    params = parse_dephasing(_require(cfg, "dephasing", dict))
+def _build_model(cfg: dict, params: DephasingParams) -> dephasing.DiscreteDephasingModel:
+    """The discrete model of a config with its parsed ``dephasing``; a spectral window the Gauss rule
+    cannot take is a config error."""
     disc = _require(cfg, "discrete")  # checked by ``_discrete`` with the config's keys
     try:
         return dephasing.build_discrete_model(params, disc["n_modes"], disc["n_max"])
@@ -305,7 +305,7 @@ def _build_model(cfg: dict) -> dephasing.DiscreteDephasingModel:
 
 def _run_cmi(cfg: dict) -> str:
     times = parse_grid(_require(cfg, "grid", dict))
-    model = _build_model(cfg)
+    model = _build_model(cfg, parse_dephasing(_require(cfg, "dephasing", dict)))
     as_cands, pair_cands = _candidates(cfg)
     if len(as_cands) != 1 or pair_cands:
         raise ConfigError("cmi mode needs exactly one system-ancilla candidate and no tsio candidate")
@@ -338,7 +338,7 @@ def _run_measures(cfg: dict) -> str:
 
     # information measures over discrete-model candidates
     if as_cands:
-        model = _build_model(cfg)
+        model = _build_model(cfg, params)
         budget = cfg.get("budget", dephasing.DEFAULT_BUDGET)
         comps = [dephasing.BranchComputer(model, c, budget) for c in as_cands]
         snap = dephasing._Snapshot(model, times, budget)  # one snapshot of the grid, read by every candidate

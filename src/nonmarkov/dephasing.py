@@ -944,9 +944,12 @@ class BranchComputer:
         mat = self.rho0 * np.tile(snap.omega, (1, d_a, d_a))
         return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
-    def _entropies(self, snap: _Snapshot, env_parts: Sequence[str]) -> list[dict[str, np.ndarray]]:
+    def entropies_at(self, snap: _Snapshot, env_parts: Sequence[str]) -> list[dict[str, np.ndarray]]:
         """Over the grid of ``snap``, the entropies of each of ``env_parts`` with its CMI (checked against
-        strong subadditivity time by time, env part by env part) and I(S : A)."""
+        strong subadditivity time by time, env part by env part) and I(S : A).
+
+        Each value holds the bits it gets from a one-point snapshot of its time.
+        """
         named = [entropy_sets(part) for part in env_parts]
         ent = self._entropy(snap, list(dict.fromkeys(k for sets in named for k in sets.values())))
         outs = [{name: ent[k] for name, k in sets.items()} for sets in named]
@@ -957,11 +960,6 @@ class BranchComputer:
         for out, c in zip(outs, cmi):  # max(x, 0.0) entry by entry: -0.0 and NaN stay
             out["cmi"], out["mi_sa"] = (np.where(x < 0.0, 0.0, x) for x in (c, out["S_S"] + out["S_A"] - out["S_AS"]))
         return outs
-
-    def entropies_at(self, t: float, env_part: str) -> dict[str, float]:
-        """``_entropies`` of ``env_part`` at time t, from a one-point snapshot."""
-        (ents,) = self._entropies(_Snapshot(self.model, [t], self.budget), [env_part])
-        return {name: float(v[0]) for name, v in ents.items()}
 
     def trajectories(
         self, times: Sequence[float], env_parts: Sequence[str] = ENV_PARTS, snap: _Snapshot | None = None
@@ -979,13 +977,9 @@ class BranchComputer:
             snap = _Snapshot(self.model, t, self.budget)
         elif snap.model is not self.model or not np.array_equal(snap.times, t):
             raise ValueError("the snapshot is of another model or time grid")
-        ents = self._entropies(snap, env_parts)
+        ents = self.entropies_at(snap, env_parts)
         return {**{p: ScalarSeries(t, ent["cmi"]) for p, ent in zip(env_parts, ents)},
                 "mi_sa": ScalarSeries(t, ents[0]["mi_sa"])}
-
-    def system_state(self, t: float) -> DensityMatrix:
-        rho = self._rho_as(_Snapshot(self.model, [t], self.budget))[0]
-        return DensityMatrix(_marginal(rho, frozenset({"S"})), S_PARTITION)
 
 
 def cmi_trajectory(

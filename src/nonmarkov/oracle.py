@@ -2,7 +2,8 @@
 
 Random-state identity checks for the information-measure layer, truncated
 Fock-space checks for the special functions, and the dense cross-check of
-the s-block ``BranchComputer``.  Every suite is deterministic per seed; violations
+the s-block ``BranchComputer``, whose branch side is read from one snapshot
+of the check's times.  Every suite is deterministic per seed; violations
 are reported, not thrown.  The identity suite is a table with one row per
 sample: ``identity_draws`` draws every sample's inputs, and
 ``identity_column`` evaluates one check (its value or values) over the
@@ -547,51 +548,54 @@ def dense_dephasing_check(
 ) -> SuiteReport:
     """Compare ``BranchComputer`` entropies/CMI against dense full-space evolution.
 
-    Each dense state holds only the rows [A', S', E] of the full space that
-    the live rows of its initial state use (``DenseComputer``); the rows left
-    out are exact zeros, so every entropy is that of the full state.  One
-    dense state is held at a time.  Also records how far the dense system coherences sit from the continuum
-    (closed-form) factors, under the historical key
+    The branch side reads every entropy of every env part from one snapshot
+    of ``times``, in one ``entropies_at`` call.  Each dense state holds only
+    the rows [A', S', E] of the full space that the live rows of its initial
+    state use (``DenseComputer``); the rows left out are exact zeros, so every
+    entropy is that of the full state.  One dense state is held at a time.
+    The system coherences are compared on a probe state that populates all
+    of them: its branch system state is rho_S(0) o omega(t), from the same
+    snapshot.  Also records how far the dense system coherences sit from the
+    continuum (closed-form) factors, under the historical key
     ``quadrature_coherence_dev_*`` (a convergence indicator for the mode
     count, looser by construction and not asserted).
     """
     t = np.asarray(times, dtype=float).reshape(-1)
-    branch = dephasing.BranchComputer(model, initial, budget=budget)
+    snap = dephasing._Snapshot(model, t, budget)
+    branch = dephasing.BranchComputer(model, initial, budget=budget).entropies_at(snap, dephasing.ENV_PARTS)
     dense = dephasing.DenseComputer(model, initial, budget=budget)
     worst_cmi = 0.0
     worst_ent = 0.0
-    for ti in t:
-        for part in dephasing.ENV_PARTS:
-            eb = branch.entropies_at(ti, part)
+    for i, ti in enumerate(t):
+        for part, eb in zip(dephasing.ENV_PARTS, branch):
             ed = dense.entropies_at(ti, part)
-            worst_cmi = max(worst_cmi, abs(eb["cmi"] - ed["cmi"]))
+            worst_cmi = max(worst_cmi, abs(float(eb["cmi"][i]) - ed["cmi"]))
             for key in ("S_AS", "S_S", "S_A", "S_SE", "S_ASE", "mi_sa"):
-                worst_ent = max(worst_ent, abs(eb[key] - ed[key]))
-    del branch, dense  # so the probe pair below never holds a dense state beside theirs
+                worst_ent = max(worst_ent, abs(float(eb[key][i]) - ed[key]))
+    del dense  # so the probe below never holds a dense state beside it
     # coherence convergence vs the continuum factors (recorded); probed with a state that
     # populates every system coherence (the measurement initial usually doesn't)
     amps = np.zeros(8, dtype=complex)
     amps[:4] = 0.5
     probe = pure_state(amps, measures.AS_PARTITION)
     dense_probe = dephasing.DenseComputer(model, probe, budget=budget)
-    branch_probe = dephasing.BranchComputer(model, probe, budget=budget)
+    branch_sys = partial_trace(probe, {"S1", "S2"}).data * snap.omega
+    cont = dephasing.coherence_factor_matrices(model.params, t)
     rho0 = dense_probe.system_state(0.0).data
     quad_dev = 0.0
     mod_dev = 0.0
     path_dev = 0.0
-    for ti in t:
+    for ti, bm, om, cf in zip(t, branch_sys, snap.omega, cont):
         dm = dense_probe.system_state(ti).data
-        bm = branch_probe.system_state(ti).data
-        cont = dephasing.coherence_factor_matrices(model.params, [ti])[0]
         path_dev = max(path_dev, float(np.max(np.abs(dm - bm))))
         for i in range(4):
             for j in range(4):
                 if i == j:
                     continue
-                quad_dev = max(quad_dev, abs(dm[i, j] / rho0[i, j] - cont[i, j]))
+                quad_dev = max(quad_dev, abs(dm[i, j] / rho0[i, j] - cf[i, j]))
         if model.env_kind == "classical":
-            pf = dephasing.discrete_phase_factors(model, ti)
-            mod_dev = max(mod_dev, abs(abs(pf["k12"]) - abs(pf["lam12"])))
+            k12, lam12 = (om[dephasing._FACTOR_INDEX[name]] for name in ("k12", "lam12"))
+            mod_dev = max(mod_dev, abs(abs(k12) - abs(lam12)))
             mod_dev = max(mod_dev, abs(abs(bm[2, 1]) - abs(dm[2, 1])))
     checks = [
         CheckResult("branch_vs_dense_cmi", t.size, worst_cmi, DENSE_TOL),

@@ -415,36 +415,8 @@ def embed(op: np.ndarray, partition: SystemPartition, labels: Iterable[str]) -> 
     return np.einsum(*operands, [..., *range(2 * n)]).reshape(batch + (d, d))
 
 
-def _apply_on_factor(mat: np.ndarray, op: np.ndarray, dims: Sequence[int], pos: int) -> np.ndarray:
-    """K rho K^dag contribution with K acting on factor ``pos`` only, slice by slice.
-
-    ``mat`` and ``op`` may be stacks.  Each leg is contracted as
-    ``np.tensordot`` contracts it: the leg is moved next to the stack axis, the
-    other legs are flattened, and one matrix product is taken per slice.
-    """
-    n = len(dims)
-    b = mat.ndim - 2
-    batch = mat.shape[:-2]
-    out_d = op.shape[-2]
-    shape = list(dims) * 2
-    t = mat.reshape(*batch, *shape)
-    # contract ket leg: K @ (leg, rest)
-    rest = [i for i in range(2 * n) if i != pos]
-    t = op @ t.transpose(*range(b), b + pos, *(b + i for i in rest)).reshape(*batch, shape[pos], -1)
-    shape[pos] = out_d
-    t = np.moveaxis(t.reshape(*batch, out_d, *(shape[i] for i in rest)), b, b + pos)
-    # contract bra leg: (rest, leg) @ K^dag
-    rest = [i for i in range(2 * n) if i != n + pos]
-    t = t.transpose(*range(b), *(b + i for i in rest), b + n + pos).reshape(*batch, -1, shape[n + pos])
-    t = t @ op.conj().swapaxes(-1, -2)
-    shape[n + pos] = out_d
-    t = np.moveaxis(t.reshape(*batch, *(shape[i] for i in rest), out_d), -1, b + n + pos)
-    d = math.prod(shape[:n])
-    return t.reshape(*batch, d, d), shape[:n]
-
-
 def apply_channel(rho: DensityMatrix, ch: QuantumChannel, target: str) -> DensityMatrix:
-    """Sum_k (I (x) K_k) rho (I (x) K_k)^dag on the ``target`` factor.
+    """Sum_k (I (x) K_k) rho (I (x) K_k)^dag on the ``target`` factor, one ``np.einsum`` per K_k.
 
     A stack of states takes either one channel or a stack of as many channels.
     """
@@ -455,14 +427,17 @@ def apply_channel(rho: DensityMatrix, ch: QuantumChannel, target: str) -> Densit
             f"channel input dimension {ch.in_dim} does not match factor "
             f"{target!r} of dimension {part.dims[pos]}"
         )
-    dims = part.dims
-    acc = None
-    for k in ch.kraus_operators:
-        term, new_dims = _apply_on_factor(rho.data, k, dims, pos)
-        acc = term if acc is None else acc + term
+    n = len(part.dims)
+    batch = rho.data.shape[:-2]
+    legs = [*range(2 * n)]
+    out = [2 * n if i == pos else 2 * n + 1 if i == n + pos else i for i in legs]
+    mat = rho.data.reshape(batch + part.dims * 2)
+    acc = sum(np.einsum(k, [..., 2 * n, pos], mat, [..., *legs], k.conj(), [..., 2 * n + 1, n + pos], [..., *out])
+              for k in ch.kraus_operators)
     new_factors = list(part.factors)
     new_factors[pos] = (target, ch.out_dim)
-    return DensityMatrix(acc, SystemPartition(new_factors), _owned=True)
+    new = SystemPartition(new_factors)
+    return DensityMatrix(acc.reshape(batch + (new.total_dim,) * 2), new, _owned=True)
 
 
 def _per_seed(draw, seed):

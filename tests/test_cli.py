@@ -358,7 +358,7 @@ class TestConfigValidation:
         "t_start_negative", "measures_tsio_bad_discrete", "measures_tsio_discrete_missing_key",
         "t1s_negative", "t_end_1e300", "n_modes_250", "eps1_phase_overflow", "eps2_phase_overflow_late",
         "eps1_phase_overflow_measures", "gauss_window_overflow_measures_1e308", "windows_sum_overflow",
-        "alpha_product_overflow",
+        "alpha_product_overflow", "tsio_amplitude_bool", "flagged_amplitude_bool", "flagged_amplitude_int_overflow",
     ])
     def test_bad_input_is_one_line_exit_1(self, case, tmp_path, capsys, monkeypatch):
         s = 1 / math.sqrt(2)
@@ -463,6 +463,14 @@ class TestConfigValidation:
             "windows_sum_overflow": {**PF_CFG, "dephasing": {
                 **PF_CFG["dephasing"], "t1s": 1e308, "t1f": 1e308, "t2s": 1e308, "t2f": 1e308}},
             "alpha_product_overflow": {**PF_CFG, "dephasing": {**PF_CFG["dephasing"], "alpha1": 1e308, "alpha2": 4.0}},
+            # an amplitude's re and im are JSON numbers: no bool, and no integer past the float range
+            "tsio_amplitude_bool": {**tsio_only, "candidates": [
+                {"kind": "tsio", "state1": [[False, 0], [True, False], [0, 0], [0, 0]],
+                 "state2": [[0, 0], [0, 0], [1, 0], [0, 0]]}]},
+            "flagged_amplitude_bool": {**CMI_CFG, "candidates": [
+                {"kind": "flagged", "amplitudes": [[True, 0]], "system_indices": [1]}]},
+            "flagged_amplitude_int_overflow": {**CMI_CFG, "candidates": [
+                {"kind": "flagged", "amplitudes": [[10 ** 400, 0]], "system_indices": [1]}]},
         }
         named = {  # the key at fault is named in the message
             "number_as_string": "omega_c", "number_as_bool": "r must", "object_as_pairs": "dephasing",
@@ -476,6 +484,8 @@ class TestConfigValidation:
             "eps1_phase_overflow": "eps1 = 1e+308", "eps2_phase_overflow_late": "eps2 = 1e+300",
             "eps1_phase_overflow_measures": "eps1 = 1e+308", "gauss_window_overflow_measures_1e308": "omega_c]",
             "windows_sum_overflow": "t1f + t2f", "alpha_product_overflow": "alpha1 * alpha2",
+            "tsio_amplitude_bool": "state1 must be", "flagged_amplitude_bool": "amplitudes must be",
+            "flagged_amplitude_int_overflow": "amplitudes must be",
         }
         if case.startswith("dt_"):  # an over-long grid must be refused before it is allocated
             def no_grid(*args, **kwargs):

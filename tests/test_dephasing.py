@@ -47,6 +47,12 @@ PAPER = dict(omega_c=1e-2, r=3.0, alpha1=1.0, alpha2=1.0, t1s=0.0, t1f=2.5, t2s=
 DESK = dict(omega_c=0.25, r=0.8, alpha1=1.0, alpha2=1.0, t1s=0.0, t1f=2.5, t2s=2.5, t2f=5.0)
 
 
+def one_point(comp, t, part):
+    """The branch entropies of ``part`` at time t alone: ``entropies_at`` of a one-point snapshot."""
+    (ent,) = comp.entropies_at(dephasing._Snapshot(comp.model, [t], comp.budget), [part])
+    return {name: float(v[0]) for name, v in ent.items()}
+
+
 class TestBeta:
     def test_zero_before_window(self):
         assert beta(0.7, 0.5, (1.0, 2.0)) == 0.0
@@ -614,7 +620,7 @@ class TestCmiTrajectory:
                 for part in dephasing.ENV_PARTS:
                     series = cmi_trajectory(m, initial, times, part)
                     for t, cmi in zip(times, series.values):
-                        eb, ed = branch.entropies_at(t, part), dense.entropies_at(t, part)
+                        eb, ed = one_point(branch, t, part), dense.entropies_at(t, part)
                         assert cmi == eb["cmi"]
                         assert max(abs(eb[k] - ed[k]) for k in ed) <= 1e-7
 
@@ -622,7 +628,7 @@ class TestCmiTrajectory:
         m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}, env_kind="entangled"), n_modes=1, n_max=4)
         comp = dephasing.BranchComputer(m, measures.ops_state())
         ts = [0.0, 1.3, 3.7]
-        ref = [comp.entropies_at(t, "E1E2")["mi_sa"] for t in ts]
+        ref = [one_point(comp, t, "E1E2")["mi_sa"] for t in ts]
         for parts in (("E2",), ("E1", "E1E2"), dephasing.ENV_PARTS):
             tr = comp.trajectories(ts, env_parts=parts)
             assert sorted(tr) == sorted((*parts, "mi_sa"))
@@ -866,7 +872,7 @@ class TestSnapshotOverlaps:
 
 class TestStackedSnapshot:
     """One snapshot of a grid holds, time by time, the bits of a one-point snapshot, and the
-    branch series read from it the bits of ``entropies_at``."""
+    branch series read from it the bits of ``entropies_at`` of a one-point snapshot."""
 
     TIMES = [0.0, 0.7, 2.5, 3.1, 4.2, 5.0]  # no bath displaced at 0, bath 2 not until t2s = 2.5
 
@@ -905,15 +911,27 @@ class TestStackedSnapshot:
             series = comp.trajectories(self.TIMES)
             for i, t in enumerate(self.TIMES):
                 for part in dephasing.ENV_PARTS:
-                    ent = comp.entropies_at(t, part)
+                    ent = one_point(comp, t, part)
                     assert ent["cmi"] == series[part].values[i]
                     assert all(ent[name] == env_free[k][i] for name, k in dephasing._ENV_FREE.items())
                 assert ent["mi_sa"] == series["mi_sa"].values[i]
 
+    def test_trajectories_solve_through_entropies_at(self, monkeypatch):
+        # one call per request, whatever its env parts: the method a tracer wraps is the one that runs
+        m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}), 1, 4)
+        comp = dephasing.BranchComputer(m, measures.ops_state())
+        calls = []
+        real = dephasing.BranchComputer.entropies_at
+        monkeypatch.setattr(dephasing.BranchComputer, "entropies_at",
+                            lambda self, snap, parts: calls.append(tuple(parts)) or real(self, snap, parts))
+        for parts in (("E2",), dephasing.ENV_PARTS):
+            comp.trajectories(self.TIMES, env_parts=parts)
+        assert calls == [("E2",), dephasing.ENV_PARTS]
+
     def test_strong_subadditivity_is_checked_time_by_time(self, monkeypatch):
         m = build_discrete_model(DephasingParams(**{**DESK, "r": 0.2}), 1, 4)
         comp = dephasing.BranchComputer(m, measures.ops_state())
-        e = comp.entropies_at(3.1, "E1")  # the first failing (time, env part) below
+        e = one_point(comp, 3.1, "E1")  # the first failing (time, env part) below
         first = (e["S_AS"] - 1.0) + e["S_SE"] - e["S_S"] - e["S_ASE"]
         real = comp._entropy
         s_as = frozenset({"A", "S"})
@@ -928,7 +946,7 @@ class TestStackedSnapshot:
         with pytest.raises(RuntimeError, match=re.escape(f"branch CMI {first} violates")):
             comp.trajectories(self.TIMES, env_parts=("E1", "E2"))
         with pytest.raises(RuntimeError, match="violates strong subadditivity"):
-            comp.entropies_at(3.1, "E1")
+            one_point(comp, 3.1, "E1")
         comp.trajectories([t for t in self.TIMES if t not in (3.1, 4.2)])  # every other time passes
 
     def test_snapshot_of_another_grid_is_refused(self):
@@ -1196,10 +1214,10 @@ class TestDiscretePhaseFactors:
         part = SystemPartition([("A", 2), ("S1", 2), ("S2", 2)])
         amps = np.zeros(8, dtype=complex)
         amps[:4] = 0.5
-        comp = dephasing.BranchComputer(m, pure_state(amps, part))
+        dense = dephasing.DenseComputer(m, pure_state(amps, part))
         for t in (1.0, 3.0):
             pf = discrete_phase_factors(m, t)
-            rho = comp.system_state(t).data
+            rho = dense.system_state(t).data
             assert_allclose(rho[2, 0] / 0.25, pf["k1"], atol=1e-12)
             assert_allclose(rho[2, 1] / 0.25, pf["lam12"], atol=1e-12)
 

@@ -139,6 +139,21 @@ class TestDenseDephasingCheck:
         names = [c.name for c in report.checks]
         assert "classical_k12_lam12_modulus" in names
 
+    @pytest.mark.parametrize("kind", ["entangled", "classical"])
+    def test_one_snapshot_and_one_branch_computer(self, kind, monkeypatch):
+        # every branch entropy, every probe coherence and every classical factor comes from one
+        # snapshot of the times, read by one computer
+        built = []
+
+        def counted(cls):
+            real = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, **k: built.append(cls.__name__) or real(self, *a, **k))
+
+        counted(dephasing._Snapshot)
+        counted(dephasing.BranchComputer)
+        oracle.dense_dephasing_check(_small_model(kind), measures.ops_state(), [0.0, 1.5, 3.0, 5.0])
+        assert sorted(built) == ["BranchComputer", "_Snapshot"]
+
     def test_vacuum_environment_keeps_e2_empty(self):
         model = _small_model("entangled", r=0.0, n_max=3)
         series = dephasing.cmi_trajectory(model, measures.ops_state(), [0.0, 1.0, 2.5], "E2")
